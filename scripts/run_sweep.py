@@ -1,51 +1,35 @@
 #!/usr/bin/env python3
-"""Instrumented base-point sweep: sample random partially symmetric tensors,
-certify their base-point counts, and tabulate against the Jacobsthal numbers
-J_n = 1, 3, 5, 11 for dims 2..5.
+"""Instrumented base-point sweep: a timing front end over the library sweep
+`weddle.loci.sweep_trials`, which also backs `weddle jacobsthal-sweep`.
 
-Prints one line per trial (seed, count, wall time) and a summary table; with
---out the full per-trial record is written as a JSON artifact.  The seed
-convention matches `weddle jacobsthal-sweep`, so any trial printed here can be
-replayed through the CLI with the same --seed.
+Prints one line per trial (seed, count, wall time) and a summary table
+against the Jacobsthal numbers J_n = 1, 3, 5, 11 for dims 2..5; with --out
+the full per-trial record is written as a JSON artifact.  Dims and
+tolerances are read as the CLI reads them and the seed convention is the
+library's, so any trial printed here can be replayed through
+`weddle jacobsthal-sweep` with the same --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from weddle import loci, solve  # noqa: E402
+from weddle import cli, loci, solve  # noqa: E402
 
 
-def run_dim(dim: int, trials: int, master: random.Random, config_kw: dict) -> dict:
+def run_dim(dim: int, trials: int, sweep) -> dict:
+    """Time and print the next ``trials`` trials of the sweep, all of dim."""
     expected = solve.jacobsthal(dim)
     rows = []
     for trial in range(trials):
-        trial_seed = master.randrange(2**30)
         start = time.perf_counter()
-        status = "certified"
-        count = None
-        tensor_json = None
-        try:
-            sampled, system, _ = loci.sample_general_cyclic(dim, rng=master)
-            config = solve.SolveConfig(seed=trial_seed, **config_kw)
-            result = solve.base_points(system, config)
-        except (ValueError, RuntimeError):
-            status = "error"
-        else:
-            if result.certified:
-                count = result.count()
-                if count != expected:
-                    status = "mismatch"
-                    tensor_json = sampled.to_json()
-            else:
-                status = "uncertified"
+        _, trial_seed, status, count, sampled = next(sweep)
         elapsed = time.perf_counter() - start
         rows.append(
             {
@@ -54,7 +38,7 @@ def run_dim(dim: int, trials: int, master: random.Random, config_kw: dict) -> di
                 "status": status,
                 "count": count,
                 "elapsed_s": round(elapsed, 3),
-                "tensor": tensor_json,
+                "tensor": sampled.to_json() if status == "mismatch" else None,
             }
         )
         shown = "-" if count is None else str(count)
@@ -84,23 +68,13 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=None, help="write JSON artifact here")
     args = parser.parse_args()
 
-    if ".." in args.dims:
-        lo, hi = args.dims.split("..")
-        dims = list(range(int(lo), int(hi) + 1))
-    else:
-        dims = [int(d) for d in args.dims.split(",")]
-    bad = [d for d in dims if not 2 <= d <= 5]
-    if bad:
-        parser.error(f"dims outside the supported range 2..5: {bad}")
-
-    config_kw = {
-        "track_tol": args.track_tol,
-        "residual_tol": args.residual_tol,
-        "cluster_radius": args.cluster_radius,
-    }
-    master = random.Random(args.seed)
+    try:
+        dims = cli._parse_dims(args.dims)
+        sweep = loci.sweep_trials(dims, args.trials, args.seed, cli._config_from_args(args))
+    except ValueError as exc:
+        parser.error(str(exc))
     started = time.perf_counter()
-    summaries = [run_dim(dim, args.trials, master, config_kw) for dim in dims]
+    summaries = [run_dim(dim, args.trials, sweep) for dim in dims]
     total = time.perf_counter() - started
 
     print()

@@ -13,14 +13,12 @@ import argparse
 import hashlib
 import json
 import os
-import random
 import sys
 import time
 from pathlib import Path
 from typing import Optional
 
 from . import cubic, fixtures, loci, solve, tensor
-from .loci import LinearSystem
 from .polycore import MultiPoly
 from .tensor import Tensor3
 
@@ -77,23 +75,10 @@ def _resolve_input(source: str):
     )
 
 
-def _as_system(kind: str, obj) -> LinearSystem:
-    if kind == "system":
-        return obj
-    if kind == "tensor":
-        return LinearSystem.from_tensor(obj)
-    if kind == "matrix":
-        return loci.rank5_canonical_system(obj)
-    if kind == "points":
-        n, points = obj
-        return loci.system_through_points(points, n)
-    raise InputError(f"a quadric system is required, got a {kind} input")
-
-
 def _as_tensor(kind: str, obj) -> Tensor3:
     if kind == "tensor":
         return obj
-    return _as_system(kind, obj).to_tensor()
+    return fixtures.as_system(kind, obj).to_tensor()
 
 
 def _as_poly(kind: str, obj) -> MultiPoly:
@@ -144,7 +129,7 @@ def _cmd_decompose(args):
 
 def _cmd_weddle(args):
     inputs, kind, obj = _resolve_input(args.input)
-    system = _as_system(kind, obj)
+    system = fixtures.as_system(kind, obj)
     data = loci.weddle_matrix(system)
     matrix_rows = [
         [str(data.matrix.entry(i, k)) for k in range(data.matrix.size)]
@@ -165,7 +150,7 @@ def _cmd_weddle(args):
 
 def _cmd_basepoints(args):
     inputs, kind, obj = _resolve_input(args.input)
-    system = _as_system(kind, obj)
+    system = fixtures.as_system(kind, obj)
     result = solve.base_points(system, _config_from_args(args))
     expected = solve.jacobsthal(system.n + 1)
     outputs = {
@@ -196,8 +181,8 @@ def _cmd_jinv(args):
     poly = _as_poly(kind, obj)
     config = _config_from_args(args)
     reduction = cubic.weierstrass_reduce(poly, config=config)
+    j_value = cubic.j_from_reduction(reduction).value
     if reduction.exact:
-        j_value = cubic.j_short(reduction.short())
         outputs = {
             "a": str(reduction.a),
             "b": str(reduction.b),
@@ -214,20 +199,16 @@ def _cmd_jinv(args):
         certified = True
     else:
         a, b = complex(reduction.a), complex(reduction.b)
-        denom = 4 * a**3 + 27 * b**2
-        if denom == 0:
-            raise ValueError("numeric reduction hit a singular Weierstrass pair")
-        value = 6912 * a**3 / denom
         outputs = {
             "a": [a.real, a.imag],
             "b": [b.real, b.imag],
-            "j": [value.real, value.imag],
+            "j": [j_value.real, j_value.imag],
             "exact": False,
             "residual": reduction.residual,
         }
         lines = [
             f"numeric Weierstrass pair: a = {a}, b = {b}",
-            f"j-invariant: {value} (flex residual {reduction.residual:.2e})",
+            f"j-invariant: {j_value} (flex residual {reduction.residual:.2e})",
         ]
         certified = reduction.residual <= config.residual_tol
     return inputs, outputs, certified, lines
@@ -235,7 +216,7 @@ def _cmd_jinv(args):
 
 def _cmd_certify(args):
     inputs, kind, obj = _resolve_input(args.input)
-    system = _as_system(kind, obj)
+    system = fixtures.as_system(kind, obj)
     cert = loci.rank_lower_bound_certificate(system, _config_from_args(args))
     outputs = {
         "singular_count": cert.singular_count,
@@ -256,17 +237,13 @@ def _parse_dims(text: str) -> list:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        dims = list(range(int(lo), int(hi) + 1))
-    else:
-        dims = [int(p) for p in text.split(",") if p.strip()]
-    if not dims or any(d < 2 or d > 5 for d in dims):
-        raise InputError("dims must lie in 2..5")
-    return dims
+        return list(range(int(lo), int(hi) + 1))
+    return [int(p) for p in text.split(",") if p.strip()]
 
 
 def _cmd_jacobsthal_sweep(args):
     dims = _parse_dims(args.dims)
-    master = random.Random(args.seed)
+    trials = loci.sweep_trials(dims, args.trials, args.seed, _config_from_args(args))
     table = {}
     all_match = True
     lines = []
@@ -276,35 +253,20 @@ def _cmd_jacobsthal_sweep(args):
         mismatches = []
         uncertified = 0
         for _ in range(args.trials):
-            trial_seed = master.randrange(2**30)
-            try:
-                sampled, system, _ = loci.sample_general_cyclic(dim, rng=master)
-                config = solve.SolveConfig(
-                    seed=trial_seed,
-                    track_tol=args.track_tol,
-                    residual_tol=args.residual_tol,
-                    cluster_radius=args.cluster_radius,
-                )
-                result = solve.base_points(system, config)
-            except (ValueError, RuntimeError):
+            _, trial_seed, status, count, sampled = next(trials)
+            if count is None:
                 uncertified += 1
                 continue
-            if not result.certified:
-                uncertified += 1
-                continue
-            counts.append(result.count())
-            if result.count() != expected:
-                mismatches.append(
-                    {"tensor": sampled.to_json(), "seed": trial_seed, "count": result.count()}
-                )
-        matching = sum(1 for c in counts if c == expected)
-        fraction = matching / len(counts) if counts else 0.0
+            counts.append(count)
+            if status == "mismatch":
+                mismatches.append({"tensor": sampled.to_json(), "seed": trial_seed, "count": count})
+        matching = counts.count(expected)
         table[str(dim)] = {
             "expected": expected,
             "trials": args.trials,
             "certified": len(counts),
             "matching": matching,
-            "match_fraction": fraction,
+            "match_fraction": matching / len(counts) if counts else 0.0,
             "uncertified": uncertified,
             "counts": counts,
             "mismatches": mismatches,
@@ -395,9 +357,6 @@ def main(argv: Optional[list] = None) -> int:
     started = time.perf_counter()
     try:
         inputs, outputs, certified, lines = handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import linalg, solve
-from .polycore import MultiPoly, PolyMatrix, Rat, as_rat, linear_form
+from .polycore import MultiPoly, PolyMatrix, Rat, as_rat, linear_form, projectively_equal
 
 
 @dataclass(frozen=True)
@@ -85,28 +85,6 @@ def _canonical_triples(height: int):
         yield from block
 
 
-def _primitive(vec: Sequence) -> Optional[tuple]:
-    """Integer-primitive representative of a rational vector (or None)."""
-    fracs = [as_rat(v) for v in vec]
-    if all(v == 0 for v in fracs):
-        return None
-    lcm = 1
-    for v in fracs:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    out = tuple(v // g for v in ints)
-    lead = next(v for v in out if v)
-    return out if lead > 0 else tuple(-v for v in out)
-
-
-def _proportional_vectors(p: Sequence, q: Sequence) -> bool:
-    n = len(p)
-    return all(p[i] * q[j] == p[j] * q[i] for i in range(n) for j in range(i + 1, n))
-
-
 def _tangent_direction(gradient: Sequence, point: Sequence) -> Optional[tuple]:
     """Canonical primitive kernel vector of the gradient, independent of
     the point: the smallest of the cross products with the unit vectors."""
@@ -114,8 +92,8 @@ def _tangent_direction(gradient: Sequence, point: Sequence) -> Optional[tuple]:
     raw = [(0, l2, -l1), (-l2, 0, l0), (l1, -l0, 0)]
     candidates = []
     for vec in raw:
-        prim = _primitive([as_rat(v) for v in vec])
-        if prim is not None and not _proportional_vectors(prim, point):
+        prim = solve._primitive([as_rat(v) for v in vec])
+        if prim is not None and not projectively_equal(prim, point):
             candidates.append(prim)
     if not candidates:
         return None
@@ -165,18 +143,17 @@ def _long_to_short(a1, a2, a3, a4, a6):
     return -c4 / 48, -c6 / 864
 
 
+_TANGENT_TERMS = ((0, 0, 3), (0, 1, 2), (0, 2, 1))
+
+
 def _coefficients_from_cubic(coeffs):
     """From the coefficient lookup of f(Mz) = 0 (flex at [0:0:1], tangent
-    {z0 = 0}) to the long Weierstrass coefficients; None if degenerate."""
+    {z0 = 0}, so the _TANGENT_TERMS vanish, and nonzero z0*z2^2 and z1^3
+    terms) to the long Weierstrass coefficients."""
     alpha = coeffs((1, 0, 2))
-    kappa = coeffs((0, 3, 0))
-    if alpha == 0 or kappa == 0:
-        return None
-    if coeffs((0, 0, 3)) != 0 or coeffs((0, 1, 2)) != 0 or coeffs((0, 2, 1)) != 0:
-        return None
     p = coeffs((1, 1, 1)) / alpha
     q = coeffs((2, 0, 1)) / alpha
-    c3 = -kappa / alpha
+    c3 = -coeffs((0, 3, 0)) / alpha
     r = -coeffs((1, 2, 0)) / alpha
     s = -coeffs((2, 1, 0)) / alpha
     t0 = -coeffs((3, 0, 0)) / alpha
@@ -196,10 +173,10 @@ def _reduce_exact(f: MultiPoly, flex: Sequence):
     if linalg.det(matrix) == 0:
         raise ValueError("degenerate frame at flex")
     transformed = f.compose([linear_form(3, row) for row in matrix])
-    long_form = _coefficients_from_cubic(lambda m: transformed.coefficient(m))
-    if long_form is None:
+    lookup = transformed.coefficient
+    if lookup((1, 0, 2)) == 0 or lookup((0, 3, 0)) == 0 or any(map(lookup, _TANGENT_TERMS)):
         raise ValueError("cubic is degenerate at this flex")
-    return _long_to_short(*long_form)
+    return _long_to_short(*_coefficients_from_cubic(lookup))
 
 
 def canonicalize_pair(a: Rat, b: Rat) -> tuple:
@@ -280,33 +257,14 @@ _PROMOTION_HEIGHT = 10**6
 
 def _promote_flex(f: MultiPoly, coords) -> Optional[tuple]:
     """Try to recognize a numerical flex as an exact rational point."""
-    arr = np.asarray(coords)
-    pivot = int(np.argmax(np.abs(arr)))
-    ratios = arr / arr[pivot]
-    candidate = []
-    for r in ratios:
-        q = Fraction(float(r.real)).limit_denominator(_PROMOTION_HEIGHT)
-        if abs(complex(r) - complex(q)) > 1e-6:
-            return None
-        candidate.append(q)
-    lcm = 1
-    for q in candidate:
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    ints = [int(q * lcm) for q in candidate]
-    prim = _primitive(ints)
-    if prim is None:
-        return None
-    p = tuple(Fraction(c) for c in prim)
-    if f.evaluate(p) == 0 and is_flex(f, p):
-        return prim
-    return None
+    prim = solve._rational_point(np.asarray(coords), _PROMOTION_HEIGHT, 1e-6)
+    return prim if prim is not None and is_flex(f, prim) else None
 
 
 def _reduce_numeric_from(f: MultiPoly, coords) -> Optional[tuple]:
     """Float reduction at a numerical flex; returns (a, b, residual)."""
     p = np.asarray(coords, dtype=np.complex128)
-    grads = [g for g in f.gradient()]
-    ell = np.array([g.evaluate_complex(list(p)) for g in grads])
+    ell = np.array([g.evaluate_complex(list(p)) for g in f.gradient()])
     if np.linalg.norm(ell) < 1e-10:
         return None
     v = np.cross(ell, p)
@@ -319,14 +277,8 @@ def _reduce_numeric_from(f: MultiPoly, coords) -> Optional[tuple]:
     scale = max(abs(c) for c in coeffs.values())
     if scale == 0 or abs(lookup((1, 0, 2))) < 1e-10 * scale or abs(lookup((0, 3, 0))) < 1e-10 * scale:
         return None
-    residual = max(abs(lookup(m)) for m in ((0, 0, 3), (0, 1, 2), (0, 2, 1))) / scale
-    p_ = lookup((1, 1, 1)) / lookup((1, 0, 2))
-    q_ = lookup((2, 0, 1)) / lookup((1, 0, 2))
-    c3 = -lookup((0, 3, 0)) / lookup((1, 0, 2))
-    r_ = -lookup((1, 2, 0)) / lookup((1, 0, 2))
-    s_ = -lookup((2, 1, 0)) / lookup((1, 0, 2))
-    t0 = -lookup((3, 0, 0)) / lookup((1, 0, 2))
-    a, b = _long_to_short(p_, r_, q_ * c3, s_ * c3, t0 * c3 * c3)
+    residual = max(abs(lookup(m)) for m in _TANGENT_TERMS) / scale
+    a, b = _long_to_short(*_coefficients_from_cubic(lookup))
     return a, b, float(residual)
 
 
@@ -405,7 +357,12 @@ def j_invariant(
 ) -> JInvariant:
     """The j-invariant of a smooth plane cubic, exact whenever the
     Weierstrass reduction ran exactly."""
-    result = weierstrass_reduce(f, method=method, config=config, promote=promote)
+    return j_from_reduction(weierstrass_reduce(f, method=method, config=config, promote=promote))
+
+
+def j_from_reduction(result: ReductionResult) -> JInvariant:
+    """The j-invariant of a Weierstrass reduction: exact for an exact
+    reduction, complex with a relative near-singularity check otherwise."""
     if result.exact:
         return JInvariant(value=j_short(result.short()), exact=True, residual=0.0)
     a, b = complex(result.a), complex(result.b)

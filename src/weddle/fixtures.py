@@ -3,9 +3,8 @@
 Each fixture is a data file shipped with the package: quadric systems,
 tensors, point lists, a 4x4 coefficient matrix, and polynomial text files.
 `load(name)` returns the natural object for the file; `system(name)`
-coerces any fixture that determines a linear system of quadrics into one
-(a coefficient matrix via the canonical rank-5 construction, a point list
-via the quadrics through those points).
+coerces any fixture that determines a linear system of quadrics into one,
+through `as_system`, which the CLI uses for file inputs too.
 """
 
 from __future__ import annotations
@@ -71,20 +70,25 @@ def load(name: str):
     return parse_payload(kind(name), read_text(name))
 
 
-def system(name: str) -> LinearSystem:
-    """The fixture coerced to a linear system of quadrics."""
-    obj = load(name)
-    k = kind(name)
-    if k == "system":
+def as_system(kind_name: str, obj) -> LinearSystem:
+    """Coerce a loaded object of the given kind to a linear system of
+    quadrics (a coefficient matrix via the canonical rank-5 construction, a
+    point list via the quadrics through those points)."""
+    if kind_name == "system":
         return obj
-    if k == "tensor":
+    if kind_name == "tensor":
         return LinearSystem.from_tensor(obj)
-    if k == "matrix":
+    if kind_name == "matrix":
         return rank5_canonical_system(obj)
-    if k == "points":
+    if kind_name == "points":
         n, points = obj
         return system_through_points(points, n)
-    raise ValueError(f"fixture {name!r} ({k}) does not define a quadric system")
+    raise ValueError(f"a quadric system is required, got a {kind_name} input")
+
+
+def system(name: str) -> LinearSystem:
+    """The fixture coerced to a linear system of quadrics."""
+    return as_system(kind(name), load(name))
 
 
 def poly(name: str) -> MultiPoly:

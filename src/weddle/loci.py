@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import linalg
+from . import linalg, solve
 from .polycore import MultiPoly, PolyMatrix, as_rat, divides, linear_form
 
 
@@ -461,8 +461,6 @@ def rank_lower_bound_certificate(system: LinearSystem, config=None) -> RankCerti
     data = weddle_matrix(system)
     if data.degenerate:
         raise ValueError("Weddle polynomial is identically zero")
-    from . import solve
-
     result = solve.singular_points(data.polynomial, config)
     if result.certified:
         count = len(result.clusters)
@@ -498,3 +496,34 @@ def sample_general_cyclic(
         if not data.degenerate:
             return t, system, data
     raise RuntimeError(f"no nondegenerate sample found in {max_retries} draws")
+
+
+def sweep_trials(dims: Sequence[int], trials: int, seed: int, config):
+    """Certified base-point counts of random general cyclic systems.
+
+    Returns an iterator of (dim, trial_seed, status, count, tensor), with
+    ``trials`` draws per dim; status is certified (count == J_dim),
+    mismatch (certified, count != J_dim), uncertified, or error (count None
+    unless certified, tensor None on error).  Seed convention, shared by
+    every front end so trials replay: per trial of a master Random(seed),
+    trial_seed = master.randrange(2**30), then the tensor is drawn from the
+    master, then base_points runs under ``config`` with seed trial_seed.
+    """
+    top = solve._MAX_VARS + 1
+    if not dims or any(not 2 <= d <= top for d in dims):
+        raise ValueError(f"dims must lie in 2..{top}")
+    master = random.Random(seed)
+    return (_sweep_trial(dim, master, config) for dim in dims for _ in range(trials))
+
+
+def _sweep_trial(dim: int, master: random.Random, config) -> tuple:
+    trial_seed = master.randrange(2**30)
+    try:
+        sampled, system, _ = sample_general_cyclic(dim, rng=master)
+        result = solve.base_points(system, replace(config, seed=trial_seed))
+    except (ValueError, RuntimeError):
+        return dim, trial_seed, "error", None, None
+    if not result.certified:
+        return dim, trial_seed, "uncertified", None, sampled
+    status = "certified" if result.count() == solve.jacobsthal(dim) else "mismatch"
+    return dim, trial_seed, status, result.count(), sampled

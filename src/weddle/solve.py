@@ -1,11 +1,12 @@
 """Desk-scale numerical algebraic geometry.
 
-Total-degree homotopy continuation for square polynomial systems with at
-most four unknowns and degree at most three, plus the projective layer
-used to count base points of quadric systems and singular points of their
-determinantal loci.  Results are clustered, residual-certified, and
-cross-checked against exact rational reconstructions; anything that cannot
-be certified is reported as such rather than guessed.
+Total-degree homotopy continuation for square systems of degree at most
+three in at most _MAX_VARS = 4 unknowns (the package's one size limit), plus
+the projective layer that counts base points of quadric systems and singular
+points of their determinantal loci.  One routine (_certify) clusters,
+residual-certifies and rationally cross-checks results; projective solves also
+account for every path a chart loses to infinity (see _projective_solve).
+Anything that cannot be certified is reported as such rather than guessed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .polycore import MultiPoly
+from .polycore import MultiPoly, projectively_equal
 
 
 class UncertifiedSolveError(RuntimeError):
@@ -379,10 +380,6 @@ def _cluster_indices(points: list, radius: float, dist: Callable) -> list:
     return groups
 
 
-def _affine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
-
-
 def _chordal_distance(a: np.ndarray, b: np.ndarray) -> float:
     inner = abs(np.vdot(a, b))
     return math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, inner)))
@@ -394,50 +391,73 @@ def _affine_residual(target: _Compiled, degrees, x: np.ndarray) -> float:
     return max(abs(v) / scale**d for v, d in zip(values, degrees))
 
 
-def _limit_fraction(value: float, height: int) -> Optional[Fraction]:
-    q = Fraction(value).limit_denominator(height)
-    if abs(q.numerator) > height or q.denominator > height:
+def _rational_vector(values, height: int, tol: float) -> Optional[tuple]:
+    """Nearest fractions of height <= ``height`` to the real parts of the
+    values, or None when any value lies farther than ``tol`` from its own."""
+    candidate = []
+    for v in values:
+        q = Fraction(float(v.real)).limit_denominator(height)
+        if abs(q.numerator) > height or abs(complex(v) - complex(q)) > tol:
+            return None
+        candidate.append(q)
+    return tuple(candidate)
+
+
+def _primitive(vec: Sequence[Fraction]) -> Optional[tuple]:
+    """Integer-primitive representative of a rational vector with its first
+    nonzero entry positive, or None for the zero vector."""
+    if all(q == 0 for q in vec):
         return None
-    return q
+    lcm = math.lcm(*(q.denominator for q in vec))
+    ints = [int(q * lcm) for q in vec]
+    g = math.gcd(*ints)
+    out = tuple(v // g for v in ints)
+    lead = next(v for v in out if v)
+    return out if lead > 0 else tuple(-v for v in out)
 
 
-def _affine_rational(coords: np.ndarray, exact_polys, config: SolveConfig):
-    """(rational tuple or None, mismatch flag) for an affine solution."""
-    candidate = []
-    for c in coords:
-        q = _limit_fraction(float(c.real), config.rational_height)
-        if q is None or abs(complex(c) - complex(q)) > config.cluster_radius:
-            return None, False
-        candidate.append(q)
-    if all(p.evaluate(candidate) == 0 for p in exact_polys):
-        return tuple(candidate), False
-    return None, True
+def _rational_point(coords: np.ndarray, height: int, tol: float) -> Optional[tuple]:
+    """Primitive integer representative of a projective point whose ratios
+    to its largest coordinate pass _rational_vector, or None."""
+    candidate = _rational_vector(coords / coords[int(np.argmax(np.abs(coords)))], height, tol)
+    return None if candidate is None else _primitive(candidate)
 
 
-def _projective_rational(coords: np.ndarray, exact_polys, config: SolveConfig):
-    """(canonical integer-normalized rational point or None, mismatch flag)."""
-    pivot = int(np.argmax(np.abs(coords)))
-    ratios = coords / coords[pivot]
-    candidate = []
-    for r in ratios:
-        q = _limit_fraction(float(r.real), config.rational_height)
-        if q is None or abs(complex(r) - complex(q)) > config.cluster_radius:
-            return None, False
-        candidate.append(q)
-    if not all(p.evaluate(candidate) == 0 for p in exact_polys):
-        return None, True
-    lcm = 1
-    for q in candidate:
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    ints = [q * lcm for q in candidate]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v.numerator))
-    ints = [v / g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints), False
+def _certify(points, failed, dist, residual, rational, exact_polys, config, filter_tol=None):
+    """Cluster endpoints around their minimum-residual members; a member's
+    ``rational(rep, config.rational_height, config.cluster_radius)`` is kept
+    when it is an exact common zero of exact_polys, else it is a mismatch.
+    Clusters whose best residual reaches ``filter_tol`` are discarded.
+    Returns (sorted clusters, discarded, mismatch, ok), ok meaning no failed
+    path, no mismatch, residuals within tolerance and simple clusters.
+    """
+    clusters = []
+    discarded = 0
+    mismatch = False
+    for g in _cluster_indices(points, config.cluster_radius, dist):
+        members = [points[i] for i in g]
+        residuals = [residual(m) for m in members]
+        best = min(residuals)
+        if filter_tol is not None and best >= filter_tol:
+            discarded += 1
+            continue
+        rep = members[residuals.index(best)]
+        exact = rational(rep, config.rational_height, config.cluster_radius)
+        if exact is not None and any(p.evaluate(exact) != 0 for p in exact_polys):
+            exact, mismatch = None, True
+        clusters.append(
+            Cluster(
+                point=CPoint(tuple(complex(c) for c in rep)),
+                multiplicity=len(g),
+                residual=best,
+                rational=exact,
+            )
+        )
+    clusters.sort(key=lambda c: c.point.sort_key())
+    ok = failed == 0 and not mismatch and all(
+        c.residual <= config.residual_tol and c.multiplicity == 1 for c in clusters
+    )
+    return clusters, discarded, mismatch, ok
 
 
 # ---- the affine front end ----
@@ -468,7 +488,6 @@ def solve_square(
     config: Optional[SolveConfig] = None,
     rng: Optional[random.Random] = None,
     degrees: Optional[Sequence[int]] = None,
-    rational_check: bool = True,
 ) -> SolutionSet:
     """Solve a square system of affine polynomial equations.
 
@@ -487,34 +506,17 @@ def solve_square(
     attempt, attempts = _run_square(target, degrees, config, rng)
     notes = [] if attempts == 1 else [f"retried {attempts - 1} time(s) with fresh gamma"]
 
-    groups = _cluster_indices(attempt.finite, config.cluster_radius, _affine_distance)
-    clusters = []
-    mismatch = False
-    for g in groups:
-        members = [attempt.finite[i] for i in g]
-        residuals = [_affine_residual(target, degrees, m) for m in members]
-        rep = members[residuals.index(min(residuals))]
-        rational, bad = (None, False)
-        if rational_check:
-            rational, bad = _affine_rational(rep, polys, config)
-        mismatch = mismatch or bad
-        clusters.append(
-            Cluster(
-                point=CPoint(tuple(complex(c) for c in rep)),
-                multiplicity=len(g),
-                residual=min(residuals),
-                rational=rational,
-            )
-        )
-    clusters.sort(key=lambda c: c.point.sort_key())
+    clusters, _, mismatch, certified = _certify(
+        attempt.finite,
+        attempt.failed,
+        lambda a, b: float(np.linalg.norm(a - b)),
+        lambda x: _affine_residual(target, degrees, x),
+        _rational_vector,
+        polys,
+        config,
+    )
     if mismatch:
         notes.append("rational cross-check mismatch")
-    certified = (
-        attempt.failed == 0
-        and not mismatch
-        and all(c.residual <= config.residual_tol for c in clusters)
-        and all(c.multiplicity == 1 for c in clusters)
-    )
     return SolutionSet(
         clusters=tuple(clusters),
         bezout_bound=bezout,
@@ -584,10 +586,9 @@ def _lift_from_chart(y: np.ndarray, chart) -> np.ndarray:
 def _solve_chart(square, filters_compiled, exact_polys, degrees, chart, config, rng):
     """Solve the square subsystem on one chart and certify the survivors.
 
-    Returns (survivors, report, ok) where survivors are Cluster objects on
-    normalized projective representatives and ok means: no failed paths,
-    simple survivor clusters, residuals below tolerance, and no rational
-    cross-check mismatch.
+    Returns (survivors, report, ok, lifted) with survivors on normalized
+    projective representatives, ok as in _certify, and lifted every finite
+    endpoint's normalized lift before clustering and filtering.
     """
     sub = [_chart_substitute(p, chart) for p in square]
     target = _Compiled(sub)
@@ -602,34 +603,15 @@ def _solve_chart(square, filters_compiled, exact_polys, degrees, chart, config, 
             continue
         lifted.append(np.asarray(CPoint.projective(point).coordinates))
     at_infinity = attempt.at_infinity + dropped
-    groups = _cluster_indices(lifted, config.cluster_radius, _chordal_distance)
-    survivors = []
-    discarded = 0
-    mismatch = False
-    for g in groups:
-        members = [lifted[i] for i in g]
-        residuals = [float(np.max(np.abs(filters_compiled.value(m)))) for m in members]
-        best = residuals.index(min(residuals))
-        if min(residuals) >= config.filter_tol:
-            discarded += 1
-            continue
-        rep = members[best]
-        rational, bad = _projective_rational(rep, exact_polys, config)
-        mismatch = mismatch or bad
-        survivors.append(
-            Cluster(
-                point=CPoint(tuple(complex(c) for c in rep)),
-                multiplicity=len(g),
-                residual=min(residuals),
-                rational=rational,
-            )
-        )
-    survivors.sort(key=lambda c: c.point.sort_key())
-    ok = (
-        attempt.failed == 0
-        and not mismatch
-        and all(c.multiplicity == 1 for c in survivors)
-        and all(c.residual <= config.residual_tol for c in survivors)
+    survivors, discarded, mismatch, ok = _certify(
+        lifted,
+        attempt.failed,
+        _chordal_distance,
+        lambda x: float(np.max(np.abs(filters_compiled.value(x)))),
+        _rational_point,
+        exact_polys,
+        config,
+        config.filter_tol,
     )
     report = {
         "chart": [str(c) for c in chart[0]],
@@ -642,80 +624,77 @@ def _solve_chart(square, filters_compiled, exact_polys, degrees, chart, config, 
         "discarded_clusters": discarded,
         "rational_mismatch": mismatch,
     }
-    return survivors, report, ok
+    return survivors, report, ok, lifted
 
 
-def _near_chart_infinity(point: CPoint, chart, tol: float) -> bool:
-    coords = np.asarray(point.coordinates)
+def _near_chart_infinity(coords, chart, tol: float) -> bool:
     a = np.array([float(c) for c in chart[0]], dtype=np.complex128)
-    return abs(np.sum(a * coords)) <= tol * float(np.linalg.norm(a))
+    return abs(np.sum(a * np.asarray(coords))) <= tol * float(np.linalg.norm(a))
 
 
 def _projective_solve(square, filter_polys, exact_polys, degrees, config, rng) -> SolutionSet:
     """Two-chart projective solve with bijective merge.
 
-    The square subsystem is solved on two independent random charts and
-    the survivor sets must match bijectively within the cluster radius.
-    A point seen by only one chart is still returned, and is excused (does
-    not break certification) exactly when it lies at the other chart's
-    infinity hyperplane within tolerance, where that chart provably cannot
-    represent it; any other discrepancy leaves the merged result
-    uncertified.
+    The square subsystem is solved on two random charts that are not
+    proportional (such charts share their infinity hyperplane and lose the
+    same points), and the survivor sets must match bijectively within the
+    cluster radius.  A point seen by only one chart is still returned, and
+    is excused exactly when it lies at the other chart's infinity
+    hyperplane, where that chart provably cannot represent it.  Conversely,
+    every path a chart loses to infinity must be matched by a finite
+    endpoint of the other chart on that hyperplane, counted before
+    clustering and filtering; an unmatched loss may be a point on both
+    hyperplanes, seen by neither chart.  Any other discrepancy leaves the
+    merged result uncertified.
     """
     filters_compiled = _Compiled(filter_polys)
-    chart1 = _random_chart(square[0].nvars, rng)
-    chart2 = _random_chart(square[0].nvars, rng)
-    while chart2[0] == chart1[0]:
-        chart2 = _random_chart(square[0].nvars, rng)
-    surv1, report1, ok1 = _solve_chart(
-        square, filters_compiled, exact_polys, degrees, chart1, config, rng
-    )
-    surv2, report2, ok2 = _solve_chart(
-        square, filters_compiled, exact_polys, degrees, chart2, config, rng
-    )
+    nvars = square[0].nvars
+    charts = [_random_chart(nvars, rng), _random_chart(nvars, rng)]
+    while projectively_equal(charts[1][0], charts[0][0]):
+        charts[1] = _random_chart(nvars, rng)
+    runs = [
+        _solve_chart(square, filters_compiled, exact_polys, degrees, chart, config, rng)
+        for chart in charts
+    ]
+    (surv1, report1, _, _), (surv2, report2, _, _) = runs
 
-    notes = []
     match_radius = max(config.cluster_radius, 10 * config.residual_tol)
     used = set()
-    merged = list(surv1)
-    missing_from_2 = []
+    unseen_by_2 = []
     for c1 in surv1:
-        match = None
+        p1 = np.asarray(c1.point.coordinates)
         for j, c2 in enumerate(surv2):
-            if j in used:
-                continue
-            d = _chordal_distance(
-                np.asarray(c1.point.coordinates), np.asarray(c2.point.coordinates)
-            )
-            if d <= match_radius:
-                match = j
+            if j not in used and _chordal_distance(
+                p1, np.asarray(c2.point.coordinates)
+            ) <= match_radius:
+                used.add(j)
                 break
-        if match is None:
-            missing_from_2.append(c1)
         else:
-            used.add(match)
-    missing_from_1 = [c2 for j, c2 in enumerate(surv2) if j not in used]
-    merged.extend(missing_from_1)
-    merged.sort(key=lambda c: c.point.sort_key())
+            unseen_by_2.append(c1)
+    unseen_by_1 = [c2 for j, c2 in enumerate(surv2) if j not in used]
+    merged = sorted(surv1 + unseen_by_1, key=lambda c: c.point.sort_key())
 
-    excused2 = [
-        c for c in missing_from_2 if _near_chart_infinity(c.point, chart2, config.filter_tol)
-    ]
-    excused1 = [
-        c for c in missing_from_1 if _near_chart_infinity(c.point, chart1, config.filter_tol)
-    ]
-    agree = len(excused2) == len(missing_from_2) and len(excused1) == len(missing_from_1)
-    if missing_from_2:
-        label = "excused: at chart-2 infinity" if agree else "chart disagreement"
-        notes.append(f"{len(missing_from_2)} point(s) unseen by chart 2 ({label})")
-    if missing_from_1:
-        label = "excused: at chart-1 infinity" if agree else "chart disagreement"
-        notes.append(f"{len(missing_from_1)} point(s) unseen by chart 1 ({label})")
-    certified = ok1 and ok2 and agree
-    if not ok1:
-        notes.append("chart 1 run uncertified")
-    if not ok2:
-        notes.append("chart 2 run uncertified")
+    unseen = ((2, unseen_by_2), (1, unseen_by_1))
+    certified = all(
+        _near_chart_infinity(c.point.coordinates, charts[k - 1], config.filter_tol)
+        for k, missing in unseen
+        for c in missing
+    )
+    notes = []
+    for k, missing in unseen:
+        if missing:
+            label = f"excused: at chart-{k} infinity" if certified else "chart disagreement"
+            notes.append(f"{len(missing)} point(s) unseen by chart {k} ({label})")
+    for k, (chart, (_, report, ok, _)) in enumerate(zip(charts, runs), 1):
+        if not ok:
+            certified = False
+            notes.append(f"chart {k} run uncertified")
+        lost = report["at_infinity"] - sum(
+            _near_chart_infinity(x, chart, config.filter_tol) for x in runs[2 - k][3]
+        )
+        if lost > 0:
+            certified = False
+            notes.append(f"{lost} path(s) at chart-{k} infinity unexplained by chart {3 - k}")
     return SolutionSet(
         clusters=tuple(merged),
         bezout_bound=report1["bezout_bound"],

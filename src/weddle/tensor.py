@@ -99,10 +99,6 @@ class Tensor3:
     def is_zero(self) -> bool:
         return all(x == 0 for face in self.faces for row in face for x in row)
 
-    def entries_key(self) -> tuple:
-        """Flat entry tuple, used for canonical sorting in tests and tools."""
-        return tuple(x for face in self.faces for row in face for x in row)
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,

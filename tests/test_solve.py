@@ -59,7 +59,7 @@ def test_generic_quadric_pair_has_four_accurate_solutions():
                 (0, 0): Fraction(rng.randint(1, 5)),
             }
             polys.append(MultiPoly(2, terms))
-        result = solve.solve_square(polys, rational_check=False)
+        result = solve.solve_square(polys)
         if not result.certified:
             continue  # a non-generic draw (tangency) is allowed to bail out
         assert result.count() == 4
@@ -146,6 +146,35 @@ def test_base_points_rejects_oversized_or_degenerate_systems():
     zero = loci.LinearSystem(1, [[[0, 0], [0, 0]], [[1, 0], [0, 0]]])
     with pytest.raises(ValueError):
         solve.base_points(zero)
+
+
+
+def _sweep_replay(dim, master_seed):
+    """The first trial of `weddle jacobsthal-sweep --dims <dim> --seed <master_seed>`."""
+    master = random.Random(master_seed)
+    trial_seed = master.randrange(2**30)
+    _, system, _ = loci.sample_general_cyclic(dim, rng=master)
+    return solve.base_points(system, SolveConfig(seed=trial_seed))
+
+
+@pytest.mark.parametrize("master_seed", [1033902920, 876372031])
+def test_proportional_charts_are_redrawn(master_seed):
+    # these draws first picked proportional charts, which share their
+    # infinity hyperplane and both lost the single base point on it
+    result = _sweep_replay(2, master_seed)
+    assert result.certified
+    assert result.count() == 1
+    charts = [[Fraction(c) for c in r["chart"]] for r in result.chart_reports]
+    assert not _projectively_same(*charts)
+
+
+def test_paths_lost_at_both_chart_infinities_break_certification():
+    # the base point [1:0:1] lies on both chart hyperplanes (-7,5,7) and
+    # (6,6,-6), so each chart loses one path and neither sees the point
+    result = _sweep_replay(3, 338005599)
+    assert [r["at_infinity"] for r in result.chart_reports] == [1, 1]
+    assert not result.certified
+    assert any("unexplained" in note for note in result.notes)
 
 
 # ---- singular points of hypersurfaces ----
