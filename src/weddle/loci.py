@@ -512,6 +512,8 @@ def sweep_trials(dims: Sequence[int], trials: int, seed: int, config):
     top = solve._MAX_VARS + 1
     if not dims or any(not 2 <= d <= top for d in dims):
         raise ValueError(f"dims must lie in 2..{top}")
+    if len(set(dims)) != len(dims):
+        raise ValueError("dims must be distinct")
     master = random.Random(seed)
     return (_sweep_trial(dim, master, config) for dim in dims for _ in range(trials))
 

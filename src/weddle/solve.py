@@ -3,9 +3,14 @@
 Total-degree homotopy continuation for square systems of degree at most
 three in at most _MAX_VARS = 4 unknowns (the package's one size limit), plus
 the projective layer that counts base points of quadric systems and singular
-points of their determinantal loci.  One routine (_certify) clusters,
-residual-certifies and rationally cross-checks results; projective solves also
-account for every path a chart loses to infinity (see _projective_solve).
+points of their determinantal loci.  All Bezout paths of one homotopy are
+tracked together (_track_paths): each path has its own t, step size and
+status, every iteration advances the paths still running with one stacked
+RK4 predictor step and Newton corrector, and a final Newton polish on the
+target system classifies each endpoint as finite, at infinity or failed.
+One routine (_certify) clusters, residual-certifies and rationally
+cross-checks results; projective solves also account for every path a chart
+loses to infinity (see _projective_solve).
 Anything that cannot be certified is reported as such rather than guessed.
 """
 
@@ -107,9 +112,9 @@ class SolutionSet:
 
     Path statistics describe the primary run (for projective solves, the
     first chart; per-chart numbers live in chart_reports).  The invariant
-    paths_tracked + paths_failed == bezout_bound always holds, with
-    paths_tracked counting finite endpoints plus paths that diverged to
-    infinity.
+    paths_tracked + paths_failed == bezout_bound always holds (a run that
+    breaks it raises RuntimeError), with paths_tracked counting finite
+    endpoints plus paths that diverged to infinity.
     """
 
     clusters: tuple
@@ -143,7 +148,8 @@ class SolutionSet:
 # ---- compiled evaluation ----
 
 class _Compiled:
-    """Union-monomial tables for fast complex evaluation of a system."""
+    """Union-monomial tables for fast complex evaluation of a system at one
+    point (shape (nvars,)) or a stack of points (shape (..., nvars))."""
 
     def __init__(self, polys: Sequence[MultiPoly]):
         if not polys:
@@ -161,160 +167,246 @@ class _Compiled:
                 coeff[r, index[m]] = complex(c)
         self.coeff = coeff
         self._dexp = []
-        self._dmult = []
+        self._dcoeff = []
         for v in range(nvars):
-            mult = self.exponents[:, v].astype(np.float64)
             shifted = self.exponents.copy()
             shifted[:, v] = np.maximum(shifted[:, v] - 1, 0)
             self._dexp.append(shifted)
-            self._dmult.append(mult)
+            # One separately allocated table per variable, not slices of one
+            # stacked table: BLAS kernels may choose their code path, and so
+            # their rounding, by the alignment of the matrix.
+            self._dcoeff.append(coeff * self.exponents[:, v].astype(np.float64))
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        mono = np.prod(x[np.newaxis, :] ** self.exponents, axis=1)
-        return self.coeff @ mono
+        return _matvec(self.coeff, _monomials(x, self.exponents))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        cols = []
-        for v in range(self.nvars):
-            mono = np.prod(x[np.newaxis, :] ** self._dexp[v], axis=1)
-            cols.append((self.coeff * self._dmult[v]) @ mono)
-        return np.stack(cols, axis=1)
+        cols = [_matvec(c, _monomials(x, e)) for c, e in zip(self._dcoeff, self._dexp)]
+        return np.stack(cols, axis=-1)
 
 
-class _StartSystem:
-    """The start system x_i^{d_i} = r_i with unit-modulus right-hand sides."""
+def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    return np.prod(x[..., np.newaxis, :] ** exponents, axis=-1)
 
-    def __init__(self, degrees: Sequence[int], roots: Sequence[complex]):
-        self.degrees = np.array(degrees, dtype=np.float64)
-        self.roots = np.array(roots, dtype=np.complex128)
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return x ** self.degrees - self.roots
+def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix @ v for every v in a stack, one BLAS matvec per vector."""
+    return np.matmul(matrix, vectors[..., np.newaxis])[..., 0]
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return np.diag(self.degrees * x ** (self.degrees - 1))
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex stack, rounded exactly as
+    np.linalg.norm rounds a single vector (a dot product of the real parts
+    plus one of the imaginary parts); np.linalg.norm(x, axis=-1) sums in
+    another order and can differ in the last bit."""
+    re, im = x.real[..., np.newaxis, :], x.imag[..., np.newaxis, :]
+    squares = np.matmul(re, np.swapaxes(re, -1, -2)) + np.matmul(im, np.swapaxes(im, -1, -2))
+    return np.sqrt(squares[..., 0, 0])
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray):
+    """Solve a[i] @ y[i] = b[i] for every row of a stack.
+
+    Returns (ok, y).  A stacked LAPACK call raises when any matrix in it is
+    singular; then every row is solved on its own, and only the rows that
+    raise are not ok (their y is zero).
+    """
+    try:
+        return np.ones(len(a), dtype=bool), np.linalg.solve(a, b[..., np.newaxis])[..., 0]
+    except np.linalg.LinAlgError:
+        ok = np.ones(len(a), dtype=bool)
+        y = np.zeros_like(b)
+        for i in range(len(a)):
+            try:
+                y[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return ok, y
 
 
 class _Homotopy:
-    """H(x, t) = gamma * t * G(x) + (1 - t) * F(x), tracked from t=1 to 0."""
+    """H(x, t) = gamma * t * G(x) + (1 - t) * F(x), tracked from t=1 to 0,
+    with G the start system x_i^{d_i} = r_i (unit-modulus r_i).  Evaluated
+    on a stack of points x of shape (P, n), each with its own t (shape (P,)).
+    """
 
-    def __init__(self, target: _Compiled, start: _StartSystem, gamma: complex):
+    def __init__(self, target: _Compiled, degrees: Sequence[int], roots, gamma: complex):
         self.target = target
-        self.start = start
+        self.degrees = np.array(degrees, dtype=np.float64)
+        self.roots = np.array(roots, dtype=np.complex128)
         self.gamma = gamma
 
-    def value(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.gamma * t * self.start.value(x) + (1.0 - t) * self.target.value(x)
+    def _start_value(self, x: np.ndarray) -> np.ndarray:
+        return x ** self.degrees - self.roots
 
-    def jacobian(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.gamma * t * self.start.jacobian(x) + (1.0 - t) * self.target.jacobian(x)
+    def value(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        t = t[:, np.newaxis]
+        return self.gamma * t * self._start_value(x) + (1.0 - t) * self.target.value(x)
+
+    def jacobian(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        n = len(self.degrees)
+        start = np.zeros(x.shape + (n,), dtype=np.complex128)
+        start[..., range(n), range(n)] = self.degrees * x ** (self.degrees - 1)
+        t = t[:, np.newaxis, np.newaxis]
+        return self.gamma * t * start + (1.0 - t) * self.target.jacobian(x)
 
     def t_derivative(self, x: np.ndarray) -> np.ndarray:
-        return self.gamma * self.start.value(x) - self.target.value(x)
+        return self.gamma * self._start_value(x) - self.target.value(x)
 
 
 # ---- path tracking ----
+#
+# All paths of one homotopy are tracked in lockstep on stacked arrays: every
+# routine below takes a stack of points (P, n) and works on the masked
+# subset of rows still running.  Per row, the floating-point operations are
+# those of tracking that path alone, in the same order, so an endpoint does
+# not depend on which other paths share its stack.
 
-def _tangent(hom: _Homotopy, x: np.ndarray, t: float) -> np.ndarray:
-    return np.linalg.solve(hom.jacobian(x, t), -hom.t_derivative(x))
-
-
-def _newton(hom: _Homotopy, x: np.ndarray, t: float, tol: float, iterations: int):
+def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit: float = math.inf):
+    """Up to ``iterations`` Newton steps per row, where ``system(y, rows)``
+    returns the Jacobians and values at the points y of the given rows.  A
+    row stops when its step is below ``tol`` relative to its norm
+    (converged), when its Jacobian is singular, or when it turns non-finite
+    or leaves the ball of radius ``limit``.  Returns (converged, points)."""
+    x = x.copy()
+    converged = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))
     for _ in range(iterations):
-        try:
-            delta = np.linalg.solve(hom.jacobian(x, t), hom.value(x, t))
-        except np.linalg.LinAlgError:
-            return False, x
-        x = x - delta
-        if not np.all(np.isfinite(x)):
-            return False, x
-        if np.linalg.norm(delta) < tol * max(1.0, np.linalg.norm(x)):
-            return True, x
-    return False, x
+        if not rows.size:
+            break
+        y = x[rows]
+        ok, delta = _solve_stack(*system(y, rows))
+        rows, y, delta = rows[ok], y[ok] - delta[ok], delta[ok]
+        x[rows] = y
+        keep = np.isfinite(y).all(axis=-1)
+        rows, y, delta = rows[keep], y[keep], delta[keep]
+        norms = _norms(y)
+        keep = ~(norms > limit)
+        rows, delta, norms = rows[keep], delta[keep], norms[keep]
+        done = _norms(delta) < tol * np.maximum(1.0, norms)
+        converged[rows[done]] = True
+        rows = rows[~done]
+    return converged, x
 
 
-def _rk4_step(hom: _Homotopy, x: np.ndarray, t: float, h: float, config: SolveConfig):
-    try:
-        k1 = _tangent(hom, x, t)
-        k2 = _tangent(hom, x - 0.5 * h * k1, t - 0.5 * h)
-        k3 = _tangent(hom, x - 0.5 * h * k2, t - 0.5 * h)
-        k4 = _tangent(hom, x - h * k3, t - h)
-    except np.linalg.LinAlgError:
-        return False, x
-    predicted = x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(predicted)):
-        return False, x
-    return _newton(hom, predicted, t - h, config.track_tol, config.corrector_iterations)
+def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, config: SolveConfig):
+    """RK4 predictor from t to t - h, then the Newton corrector, per row.
+    Returns (ok, points); a rejected row keeps its point."""
+    rows = np.arange(len(x))
+    tangents = []
+    # k1 at (x, t); k2 and k3 half a step along k1 and k2; k4 a full step
+    # along k3.  A row whose Jacobian is singular at any stage is rejected.
+    for scale in (0.0, 0.5, 0.5, 1.0):
+        if scale:
+            step = scale * h[rows]
+            y, s = x[rows] - step[:, np.newaxis] * tangents[-1], t[rows] - step
+        else:
+            y, s = x, t
+        ok, k = _solve_stack(hom.jacobian(y, s), -hom.t_derivative(y))
+        rows, tangents = rows[ok], [v[ok] for v in tangents] + [k[ok]]
+    k1, k2, k3, k4 = tangents
+    h = h[rows]
+    predicted = x[rows] - (h / 6.0)[:, np.newaxis] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    finite = np.isfinite(predicted).all(axis=-1)
+    rows, t_next = rows[finite], t[rows][finite] - h[finite]
+    converged, corrected = _newton(
+        lambda y, r: (hom.jacobian(y, t_next[r]), hom.value(y, t_next[r])),
+        predicted[finite],
+        config.track_tol,
+        config.corrector_iterations,
+    )
+    ok = np.zeros(len(x), dtype=bool)
+    ok[rows[converged]] = True
+    x = x.copy()
+    x[rows[converged]] = corrected[converged]
+    return ok, x
 
 
 def _polish(target: _Compiled, x: np.ndarray, config: SolveConfig):
-    """Plain Newton on the target system; returns (point, converged)."""
-    for _ in range(config.polish_iterations):
-        try:
-            delta = np.linalg.solve(target.jacobian(x), target.value(x))
-        except np.linalg.LinAlgError:
-            return x, False
-        x = x - delta
-        if not np.all(np.isfinite(x)):
-            return x, False
-        if np.linalg.norm(x) > config.divergence_threshold:
-            return x, False
-        if np.linalg.norm(delta) < 1e-13 * max(1.0, np.linalg.norm(x)):
-            return x, True
-    return x, False
+    """Plain Newton on the target system per row; returns (converged, points)."""
+    return _newton(
+        lambda y, _: (target.jacobian(y), target.value(y)),
+        x,
+        1e-13,
+        config.polish_iterations,
+        config.divergence_threshold,
+    )
 
 
-def _track_path(hom: _Homotopy, start_point: np.ndarray, config: SolveConfig):
-    """Track one path from t=1 to t=0.
+def _track_paths(hom: _Homotopy, starts, config: SolveConfig):
+    """Track every start path from t=1 to t=0 in lockstep.
 
-    Returns (status, endpoint) with status finite | at_infinity | failed.
-    Divergence is decided by a hard norm threshold at any time plus a
-    growth test across the endgame phase, so that slowly diverging paths
-    are not handed to the final Newton polish (which would pull them onto
-    a finite root and corrupt multiplicities).
+    Each path keeps its own t, step size, success counter, endgame norm and
+    status.  Returns (statuses, endpoints), one status finite | at_infinity
+    | failed and one endpoint row per start.  Divergence is decided by a
+    hard norm threshold at any time plus a growth test across the endgame
+    phase, so that slowly diverging paths are not handed to the final
+    Newton polish (which would pull them onto a finite root and corrupt
+    multiplicities).
     """
-    x = np.array(start_point, dtype=np.complex128)
-    t = 1.0
-    h = config.initial_step
-    successes = 0
-    endgame_norm = None
-    while t > _T_STOP:
-        if np.linalg.norm(x) > config.divergence_threshold:
-            return "at_infinity", x
-        if endgame_norm is None and t < config.endgame_t:
-            endgame_norm = max(1.0, float(np.linalg.norm(x)))
-        step = min(h, 0.9 * t) if t < config.endgame_t else min(h, t)
-        ok, x_new = _rk4_step(hom, x, t, step, config)
+    x = np.array(starts, dtype=np.complex128)
+    t = np.ones(len(x))
+    h = np.full(len(x), config.initial_step)
+    successes = np.zeros(len(x), dtype=np.int64)
+    endgame_norm = np.full(len(x), np.nan)  # NaN, failing every test, until the endgame
+    statuses = ["failed"] * len(x)
+    settled = []
+    rows = np.arange(len(x))
+    while rows.size:
+        running = t[rows] > _T_STOP
+        settled.extend(rows[~running])
+        rows = rows[running]
+        diverged = _norms(x[rows]) > config.divergence_threshold
+        for i in rows[diverged]:
+            statuses[i] = "at_infinity"
+        rows = rows[~diverged]
+        if not rows.size:
+            break
+        now = t[rows]
+        late = now < config.endgame_t
+        first = rows[late & np.isnan(endgame_norm[rows])]
+        endgame_norm[first] = np.maximum(1.0, _norms(x[first]))
+        step = np.where(late, np.minimum(h[rows], 0.9 * now), np.minimum(h[rows], now))
+        ok, x_new = _rk4_step(hom, x[rows], now, step, config)
+
+        accepted = rows[ok]
+        x[accepted] = x_new[ok]
+        t[accepted] -= step[ok]
+        successes[accepted] += 1
+        grown = accepted[successes[accepted] >= 4]
+        h[grown] = np.minimum(h[grown] * 1.25, config.max_step)
+        successes[grown] = 0
+
+        rejected = rows[~ok]
+        successes[rejected] = 0
+        h[rejected] *= 0.5
+        floor = np.maximum(1e-16, config.min_step * np.minimum(1.0, t[rows]))
+        collapsed = ~ok & (h[rows] < floor)
+        # A collapse before the endgame fails the path; in the endgame it
+        # stops tracking and the path is classified from where it stands.
+        settled.extend(rows[collapsed & (t[rows] < config.endgame_t)])
+        rows = rows[~collapsed]
+
+    settled = np.array(settled, dtype=np.int64)
+    norms = _norms(x[settled])
+    grew = (norms > 32.0 * endgame_norm[settled]) & (norms > 100.0)
+    lost = (norms > config.divergence_threshold) | grew
+    for i in settled[lost]:
+        statuses[i] = "at_infinity"
+    rows, norms = settled[~lost], norms[~lost]
+    converged, polished = _polish(hom.target, x[rows], config)
+    jumps = _norms(polished - x[rows])
+    for i, norm, ok, jump, point in zip(rows, norms, converged, jumps, polished):
         if ok:
-            x = x_new
-            t -= step
-            successes += 1
-            if successes >= 4:
-                h = min(h * 1.25, config.max_step)
-                successes = 0
-        else:
-            successes = 0
-            h *= 0.5
-            if h < max(1e-16, config.min_step * min(1.0, t)):
-                if t >= config.endgame_t:
-                    return "failed", x
-                break
-    norm = float(np.linalg.norm(x))
-    if norm > config.divergence_threshold:
-        return "at_infinity", x
-    if endgame_norm is not None and norm > 32.0 * endgame_norm and norm > 100.0:
-        return "at_infinity", x
-    polished, converged = _polish(hom.target, x, config)
-    if converged:
-        jump = float(np.linalg.norm(polished - x))
-        if jump <= 0.05 * max(1.0, norm):
-            return "finite", polished
-        # The polish jumped to an unrelated root: the tracked path was not
-        # actually settling on a finite solution.
-        return ("at_infinity", x) if norm > 100.0 else ("failed", x)
-    if np.all(np.isfinite(polished)) and np.linalg.norm(polished) > config.divergence_threshold:
-        return "at_infinity", polished
-    return "failed", x
+            if jump <= 0.05 * max(1.0, norm):
+                statuses[i], x[i] = "finite", point
+            elif norm > 100.0:
+                # The polish jumped to an unrelated root: the tracked path
+                # was not actually settling on a finite solution.
+                statuses[i] = "at_infinity"
+        elif np.all(np.isfinite(point)) and _norms(point) > config.divergence_threshold:
+            statuses[i], x[i] = "at_infinity", point
+    return statuses, x
 
 
 @dataclass
@@ -339,17 +431,13 @@ def _solve_attempt(target: _Compiled, degrees, config: SolveConfig, rng: random.
     phases = [rng.random() for _ in degrees]
     roots = [cmath.exp(2j * cmath.pi * p) for p in phases]
     gamma = cmath.exp(2j * cmath.pi * rng.random())
-    hom = _Homotopy(target, _StartSystem(degrees, roots), gamma)
-    attempt = _Attempt(finite=[], at_infinity=0, failed=0)
-    for point in _start_points(degrees, phases):
-        status, endpoint = _track_path(hom, point, config)
-        if status == "finite":
-            attempt.finite.append(endpoint)
-        elif status == "at_infinity":
-            attempt.at_infinity += 1
-        else:
-            attempt.failed += 1
-    return attempt
+    hom = _Homotopy(target, degrees, roots, gamma)
+    statuses, endpoints = _track_paths(hom, _start_points(degrees, phases), config)
+    return _Attempt(
+        finite=[x for status, x in zip(statuses, endpoints) if status == "finite"],
+        at_infinity=statuses.count("at_infinity"),
+        failed=statuses.count("failed"),
+    )
 
 
 def _run_square(target: _Compiled, degrees, config: SolveConfig, rng: random.Random):
@@ -364,6 +452,15 @@ def _run_square(target: _Compiled, degrees, config: SolveConfig, rng: random.Ran
         if best.failed == 0:
             break
     return best, attempts
+
+
+def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
+    """Every Bezout path must end finite, at infinity or failed.  A path lost
+    in between would silently lower a count, so that raises instead."""
+    if tracked + failed != bezout:
+        raise RuntimeError(
+            f"path accounting broken: {tracked} tracked + {failed} failed != {bezout} Bezout paths"
+        )
 
 
 # ---- clustering and certification ----
@@ -504,6 +601,7 @@ def solve_square(
     target = _Compiled(polys)
     bezout = math.prod(degrees)
     attempt, attempts = _run_square(target, degrees, config, rng)
+    _check_path_accounting(len(attempt.finite) + attempt.at_infinity, attempt.failed, bezout)
     notes = [] if attempts == 1 else [f"retried {attempts - 1} time(s) with fresh gamma"]
 
     clusters, _, mismatch, certified = _certify(
@@ -624,6 +722,7 @@ def _solve_chart(square, filters_compiled, exact_polys, degrees, chart, config, 
         "discarded_clusters": discarded,
         "rational_mismatch": mismatch,
     }
+    _check_path_accounting(report["paths_tracked"], report["paths_failed"], report["bezout_bound"])
     return survivors, report, ok, lifted
 
 

@@ -179,6 +179,12 @@ def test_sweep_rejects_out_of_range_dims(capsys):
     assert "dims" in err
 
 
+def test_sweep_rejects_repeated_dims(capsys):
+    code, _, err = run_cli(capsys, "jacobsthal-sweep", "--dims", "2,2", "--trials", "1")
+    assert code == 2
+    assert "dims must be distinct" in err
+
+
 # ---- the installed console script ----
 
 def test_console_script_runs_end_to_end():

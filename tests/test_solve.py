@@ -177,6 +177,20 @@ def test_paths_lost_at_both_chart_infinities_break_certification():
     assert any("unexplained" in note for note in result.notes)
 
 
+def test_a_path_dropped_by_the_tracker_breaks_the_accounting_loudly(monkeypatch):
+    tracker = solve._track_paths
+
+    def drop_last_path(hom, starts, config):
+        statuses, endpoints = tracker(hom, starts, config)
+        return statuses[:-1], endpoints[:-1]
+
+    monkeypatch.setattr(solve, "_track_paths", drop_last_path)
+    with pytest.raises(RuntimeError, match="path accounting"):
+        solve.solve_square([_poly2("x0^2 - 1"), _poly2("x1^2 - 1")])
+    with pytest.raises(RuntimeError, match="path accounting"):
+        solve.base_points(fixtures.system("cyclic-dim2"))
+
+
 # ---- singular points of hypersurfaces ----
 
 def test_triple_line_product_has_three_singular_points():

@@ -1,0 +1,249 @@
+"""The lockstep path tracker against a one-path-at-a-time reference.
+
+The reference below is the scalar tracker that solve.py used before paths
+were tracked together on stacked arrays.  The lockstep tracker performs the
+same floating-point operations per path in the same order, so statuses and
+endpoints must agree exactly, not within a tolerance.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from weddle import fixtures, loci, solve
+from weddle.solve import DEFAULT_CONFIG
+
+
+# ---- the scalar reference ----
+
+def _ref_value(compiled, x):
+    mono = np.prod(x[np.newaxis, :] ** compiled.exponents, axis=1)
+    return compiled.coeff @ mono
+
+
+def _ref_jacobian(compiled, x):
+    cols = []
+    for v in range(compiled.nvars):
+        mult = compiled.exponents[:, v].astype(np.float64)
+        shifted = compiled.exponents.copy()
+        shifted[:, v] = np.maximum(shifted[:, v] - 1, 0)
+        mono = np.prod(x[np.newaxis, :] ** shifted, axis=1)
+        cols.append((compiled.coeff * mult) @ mono)
+    return np.stack(cols, axis=1)
+
+
+class _RefHomotopy:
+    def __init__(self, hom):
+        self.target = hom.target
+        self.degrees = hom.degrees
+        self.roots = hom.roots
+        self.gamma = hom.gamma
+
+    def start_value(self, x):
+        return x ** self.degrees - self.roots
+
+    def value(self, x, t):
+        return self.gamma * t * self.start_value(x) + (1.0 - t) * _ref_value(self.target, x)
+
+    def jacobian(self, x, t):
+        start = np.diag(self.degrees * x ** (self.degrees - 1))
+        return self.gamma * t * start + (1.0 - t) * _ref_jacobian(self.target, x)
+
+    def t_derivative(self, x):
+        return self.gamma * self.start_value(x) - _ref_value(self.target, x)
+
+
+def _tangent(hom, x, t):
+    return np.linalg.solve(hom.jacobian(x, t), -hom.t_derivative(x))
+
+
+def _newton(hom, x, t, tol, iterations):
+    for _ in range(iterations):
+        try:
+            delta = np.linalg.solve(hom.jacobian(x, t), hom.value(x, t))
+        except np.linalg.LinAlgError:
+            return False, x
+        x = x - delta
+        if not np.all(np.isfinite(x)):
+            return False, x
+        if np.linalg.norm(delta) < tol * max(1.0, np.linalg.norm(x)):
+            return True, x
+    return False, x
+
+
+def _rk4_step(hom, x, t, h, config):
+    try:
+        k1 = _tangent(hom, x, t)
+        k2 = _tangent(hom, x - 0.5 * h * k1, t - 0.5 * h)
+        k3 = _tangent(hom, x - 0.5 * h * k2, t - 0.5 * h)
+        k4 = _tangent(hom, x - h * k3, t - h)
+    except np.linalg.LinAlgError:
+        return False, x
+    predicted = x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(predicted)):
+        return False, x
+    return _newton(hom, predicted, t - h, config.track_tol, config.corrector_iterations)
+
+
+def _polish(target, x, config):
+    for _ in range(config.polish_iterations):
+        try:
+            delta = np.linalg.solve(_ref_jacobian(target, x), _ref_value(target, x))
+        except np.linalg.LinAlgError:
+            return x, False
+        x = x - delta
+        if not np.all(np.isfinite(x)):
+            return x, False
+        if np.linalg.norm(x) > config.divergence_threshold:
+            return x, False
+        if np.linalg.norm(delta) < 1e-13 * max(1.0, np.linalg.norm(x)):
+            return x, True
+    return x, False
+
+
+def _track_path(hom, start_point, config):
+    x = np.array(start_point, dtype=np.complex128)
+    t = 1.0
+    h = config.initial_step
+    successes = 0
+    endgame_norm = None
+    while t > solve._T_STOP:
+        if np.linalg.norm(x) > config.divergence_threshold:
+            return "at_infinity", x
+        if endgame_norm is None and t < config.endgame_t:
+            endgame_norm = max(1.0, float(np.linalg.norm(x)))
+        step = min(h, 0.9 * t) if t < config.endgame_t else min(h, t)
+        ok, x_new = _rk4_step(hom, x, t, step, config)
+        if ok:
+            x = x_new
+            t -= step
+            successes += 1
+            if successes >= 4:
+                h = min(h * 1.25, config.max_step)
+                successes = 0
+        else:
+            successes = 0
+            h *= 0.5
+            if h < max(1e-16, config.min_step * min(1.0, t)):
+                if t >= config.endgame_t:
+                    return "failed", x
+                break
+    norm = float(np.linalg.norm(x))
+    if norm > config.divergence_threshold:
+        return "at_infinity", x
+    if endgame_norm is not None and norm > 32.0 * endgame_norm and norm > 100.0:
+        return "at_infinity", x
+    polished, converged = _polish(hom.target, x, config)
+    if converged:
+        jump = float(np.linalg.norm(polished - x))
+        if jump <= 0.05 * max(1.0, norm):
+            return "finite", polished
+        return ("at_infinity", x) if norm > 100.0 else ("failed", x)
+    if np.all(np.isfinite(polished)) and np.linalg.norm(polished) > config.divergence_threshold:
+        return "at_infinity", polished
+    return "failed", x
+
+
+# ---- lockstep vs reference, path by path ----
+
+def _recorded_homotopies(monkeypatch, run, limit=None):
+    """Run ``run()`` and return every (homotopy, starts, statuses, endpoints)
+    the lockstep tracker saw, stopping the solve after ``limit`` calls."""
+    calls = []
+    tracker = solve._track_paths
+
+    class _Enough(Exception):
+        pass
+
+    def recording(hom, starts, config):
+        statuses, endpoints = tracker(hom, starts, config)
+        calls.append((hom, starts, statuses, endpoints))
+        if limit is not None and len(calls) >= limit:
+            raise _Enough
+        return statuses, endpoints
+
+    monkeypatch.setattr(solve, "_track_paths", recording)
+    try:
+        run()
+    except _Enough:
+        pass
+    assert calls
+    return calls
+
+
+def _assert_matches_reference(calls):
+    seen = set()
+    for hom, starts, statuses, endpoints in calls:
+        assert len(statuses) == len(starts) == len(endpoints)
+        reference = _RefHomotopy(hom)
+        for start, status, endpoint in zip(starts, statuses, endpoints):
+            ref_status, ref_endpoint = _track_path(reference, start, DEFAULT_CONFIG)
+            assert status == ref_status
+            assert np.array_equal(endpoint, ref_endpoint)
+            seen.add(status)
+    return seen
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_lockstep_matches_reference_on_cyclic_systems(monkeypatch, dim):
+    _, system, _ = loci.sample_general_cyclic(dim, rng=random.Random(100 + dim))
+    calls = _recorded_homotopies(monkeypatch, lambda: solve.base_points(system))
+    assert "finite" in _assert_matches_reference(calls)
+
+
+def test_lockstep_matches_reference_on_degenerate_conics(monkeypatch):
+    calls = _recorded_homotopies(
+        monkeypatch, lambda: solve.base_points(fixtures.system("degenerate-conics"))
+    )
+    seen = _assert_matches_reference(calls)
+    assert {"finite", "failed"} <= seen
+    assert any(_meets_itself(statuses, endpoints) for _, _, statuses, endpoints in calls)
+
+
+def _meets_itself(statuses, endpoints):
+    """Whether two finite endpoints coincide (a double point)."""
+    finite = [x for status, x in zip(statuses, endpoints) if status == "finite"]
+    return any(
+        np.linalg.norm(a - b) < 1e-6 for i, a in enumerate(finite) for b in finite[i + 1 :]
+    )
+
+
+def test_lockstep_matches_reference_on_a_weddle_quartic_chart(monkeypatch):
+    quartic = loci.weddle_matrix(fixtures.system("random-quartic-sys")).polynomial
+    calls = _recorded_homotopies(monkeypatch, lambda: solve.singular_points(quartic), limit=1)
+    (hom, starts, _, _), = calls
+    assert list(hom.degrees) == [3, 3, 3]
+    assert "finite" in _assert_matches_reference(calls)
+
+
+# ---- the stacked linear solve ----
+
+def test_singular_matrix_rejects_only_its_own_row():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    a[2] = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a[2], b[2])
+    ok, y = solve._solve_stack(a, b)
+    assert ok.tolist() == [True, True, False, True, True]
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(y[i], np.linalg.solve(a[i], b[i]))
+
+
+def test_nonsingular_stack_matches_row_by_row_solves():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    b = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    ok, y = solve._solve_stack(a, b)
+    assert ok.all()
+    for i in range(6):
+        assert np.array_equal(y[i], np.linalg.solve(a[i], b[i]))
+
+
+def test_row_norms_match_single_vector_norms():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((50, 4)) * 1e3 + 1j * rng.standard_normal((50, 4))
+    norms = solve._norms(x)
+    assert all(norms[i] == np.linalg.norm(x[i]) for i in range(len(x)))
