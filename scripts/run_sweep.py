@@ -4,10 +4,10 @@
 
 Prints one line per trial (seed, count, wall time) and a summary table
 against the Jacobsthal numbers J_n = 1, 3, 5, 11 for dims 2..5; with --out
-the full per-trial record is written as a JSON artifact.  Dims and
-tolerances are read as the CLI reads them and the seed convention is the
-library's, so any trial printed here can be replayed through
-`weddle jacobsthal-sweep` with the same --seed.
+the full per-trial record is written as a JSON artifact.  Dims are read
+as the CLI reads them and the seed convention is the library's, so any
+trial printed here can be replayed through `weddle jacobsthal-sweep` with
+the same --seed.
 """
 
 from __future__ import annotations
@@ -62,15 +62,12 @@ def main() -> int:
     parser.add_argument("--dims", default="2..5", help="range like 2..5 or list like 2,3")
     parser.add_argument("--trials", type=int, default=10, help="trials per dimension")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--track-tol", type=float, default=1e-10)
-    parser.add_argument("--residual-tol", type=float, default=1e-8)
-    parser.add_argument("--cluster-radius", type=float, default=1e-6)
     parser.add_argument("--out", type=Path, default=None, help="write JSON artifact here")
     args = parser.parse_args()
 
     try:
         dims = cli._parse_dims(args.dims)
-        sweep = loci.sweep_trials(dims, args.trials, args.seed, cli._config_from_args(args))
+        sweep = loci.sweep_trials(dims, args.trials, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     started = time.perf_counter()

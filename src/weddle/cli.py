@@ -3,8 +3,9 @@
 Subcommands: decompose | weddle | basepoints | singular | jinv | certify |
 jacobsthal-sweep.  Inputs are file paths or fixture names; outputs are
 human-readable text or (with --json) a machine-readable run report with a
-certified flag.  All randomness flows from --seed (or WEDDLE_SEED), so a
-fixed seed reproduces a report exactly, apart from the timing field.
+certified flag.  All randomness flows from --seed, and every tolerance is a
+fixed constant of weddle.solve, so the same arguments reproduce a report
+exactly, apart from the timing field.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -21,15 +21,6 @@ from typing import Optional
 from . import cubic, fixtures, loci, solve, tensor
 from .polycore import MultiPoly
 from .tensor import Tensor3
-
-_ENV_FLAGS = {
-    "seed": ("WEDDLE_SEED", int),
-    "track_tol": ("WEDDLE_TRACK_TOL", float),
-    "residual_tol": ("WEDDLE_RESIDUAL_TOL", float),
-    "cluster_radius": ("WEDDLE_CLUSTER_RADIUS", float),
-    "json": ("WEDDLE_JSON", lambda s: s.strip().lower() in ("1", "true", "yes")),
-}
-
 
 class InputError(ValueError):
     """Bad command-line input (unknown fixture, malformed file)."""
@@ -89,15 +80,6 @@ def _as_poly(kind: str, obj) -> MultiPoly:
 
 # ---- command implementations ----
 
-def _config_from_args(args) -> solve.SolveConfig:
-    return solve.SolveConfig(
-        seed=args.seed,
-        track_tol=args.track_tol,
-        residual_tol=args.residual_tol,
-        cluster_radius=args.cluster_radius,
-    )
-
-
 def _cmd_decompose(args):
     inputs, kind, obj = _resolve_input(args.input)
     t = _as_tensor(kind, obj)
@@ -151,7 +133,7 @@ def _cmd_weddle(args):
 def _cmd_basepoints(args):
     inputs, kind, obj = _resolve_input(args.input)
     system = fixtures.as_system(kind, obj)
-    result = solve.base_points(system, _config_from_args(args))
+    result = solve.base_points(system, solve.SolveConfig(seed=args.seed))
     expected = solve.jacobsthal(system.n + 1)
     outputs = {
         "count": result.count(),
@@ -169,7 +151,7 @@ def _cmd_basepoints(args):
 def _cmd_singular(args):
     inputs, kind, obj = _resolve_input(args.input)
     poly = _as_poly(kind, obj)
-    result = solve.singular_points(poly, _config_from_args(args))
+    result = solve.singular_points(poly, solve.SolveConfig(seed=args.seed))
     outputs = {"count": result.count(), "solution_set": result.to_json()}
     lines = [f"singular points found: {result.count()} (certified: {result.certified})"]
     lines += _cluster_lines(result)
@@ -179,8 +161,7 @@ def _cmd_singular(args):
 def _cmd_jinv(args):
     inputs, kind, obj = _resolve_input(args.input)
     poly = _as_poly(kind, obj)
-    config = _config_from_args(args)
-    reduction = cubic.weierstrass_reduce(poly, config=config)
+    reduction = cubic.weierstrass_reduce(poly, config=solve.SolveConfig(seed=args.seed))
     j_value = cubic.j_from_reduction(reduction).value
     if reduction.exact:
         outputs = {
@@ -210,14 +191,14 @@ def _cmd_jinv(args):
             f"numeric Weierstrass pair: a = {a}, b = {b}",
             f"j-invariant: {j_value} (flex residual {reduction.residual:.2e})",
         ]
-        certified = reduction.residual <= config.residual_tol
+        certified = reduction.residual <= solve._RESIDUAL_TOL
     return inputs, outputs, certified, lines
 
 
 def _cmd_certify(args):
     inputs, kind, obj = _resolve_input(args.input)
     system = fixtures.as_system(kind, obj)
-    cert = loci.rank_lower_bound_certificate(system, _config_from_args(args))
+    cert = loci.rank_lower_bound_certificate(system, solve.SolveConfig(seed=args.seed))
     outputs = {
         "singular_count": cert.singular_count,
         "conclusion": cert.conclusion.value,
@@ -243,7 +224,7 @@ def _parse_dims(text: str) -> list:
 
 def _cmd_jacobsthal_sweep(args):
     dims = _parse_dims(args.dims)
-    trials = loci.sweep_trials(dims, args.trials, args.seed, _config_from_args(args))
+    trials = loci.sweep_trials(dims, args.trials, args.seed)
     table = {}
     all_match = True
     lines = []
@@ -294,33 +275,9 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    def env_default(name, cast, fallback):
-        env_name, env_cast = _ENV_FLAGS[name]
-        raw = os.environ.get(env_name)
-        if raw is None:
-            return fallback
-        try:
-            return env_cast(raw)
-        except ValueError:
-            return fallback
-
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=env_default("seed", int, 0))
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=env_default("json", bool, False),
-        help="emit a machine-readable run report",
-    )
-    common.add_argument(
-        "--track-tol", type=float, default=env_default("track_tol", float, 1e-10)
-    )
-    common.add_argument(
-        "--residual-tol", type=float, default=env_default("residual_tol", float, 1e-8)
-    )
-    common.add_argument(
-        "--cluster-radius", type=float, default=env_default("cluster_radius", float, 1e-6)
-    )
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--json", action="store_true", help="emit a machine-readable run report")
 
     parser = argparse.ArgumentParser(
         prog="weddle",

@@ -121,7 +121,10 @@ def is_flex(f: MultiPoly, point: Sequence) -> bool:
     return value == 0
 
 
-def find_rational_flex(f: MultiPoly, height: int = 8) -> Optional[tuple]:
+_FLEX_HEIGHT = 8
+
+
+def find_rational_flex(f: MultiPoly, height: int = _FLEX_HEIGHT) -> Optional[tuple]:
     """First flex among canonical primitive integer triples up to height."""
     for triple in _canonical_triples(height):
         p = tuple(Fraction(c) for c in triple)
@@ -245,11 +248,9 @@ def flex_points(f: MultiPoly, config: Optional[solve.SolveConfig] = None) -> sol
     hess_det = hessian(f).det()
     if hess_det.is_zero():
         raise ValueError("Hessian determinant vanishes identically")
-    config = config or solve.DEFAULT_CONFIG
     system = [f, hess_det]
-    return solve._projective_solve(
-        system, system, system, [3, 3], config, random.Random(config.seed)
-    )
+    seed = (config or solve.DEFAULT_CONFIG).seed
+    return solve._projective_solve(system, system, [3, 3], random.Random(seed))
 
 
 _PROMOTION_HEIGHT = 10**6
@@ -308,13 +309,12 @@ class JInvariant:
 def weierstrass_reduce(
     f: MultiPoly,
     method: str = "auto",
-    flex_height: int = 8,
     config: Optional[solve.SolveConfig] = None,
     promote: bool = True,
 ) -> ReductionResult:
     """Short Weierstrass form of a smooth plane cubic.
 
-    method "exact" insists on a rational flex within flex_height; "numeric"
+    method "exact" insists on a rational flex within _FLEX_HEIGHT; "numeric"
     skips the rational search; "auto" tries exact first.  The numeric route
     still promotes a flex back to exact arithmetic when its coordinates are
     recognizably rational (unless promote=False).
@@ -324,12 +324,12 @@ def weierstrass_reduce(
     if method not in ("auto", "exact", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     if method in ("auto", "exact"):
-        flex = find_rational_flex(f, flex_height)
+        flex = find_rational_flex(f)
         if flex is not None:
             a, b = canonicalize_pair(*_reduce_exact(f, flex))
             return ReductionResult(a=a, b=b, exact=True, flex=flex, residual=0.0)
         if method == "exact":
-            raise ValueError(f"no rational flex of height <= {flex_height} found")
+            raise ValueError(f"no rational flex of height <= {_FLEX_HEIGHT} found")
     flexes = flex_points(f, config)
     if not flexes.certified or flexes.count() == 0:
         raise solve.UncertifiedSolveError("numeric flex search was not certified")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -474,40 +474,44 @@ def rank_lower_bound_certificate(system: LinearSystem, config=None) -> RankCerti
 
 # ---- sampling helpers ----
 
+_SAMPLE_DRAWS = 16
+
+
 def sample_general_cyclic(
     dim: int,
     seed: Optional[int] = None,
     rng: Optional[random.Random] = None,
-    max_retries: int = 16,
 ):
     """Draw random cyclic tensors until the Weddle polynomial is nonzero.
 
-    Returns (tensor, system, weddle_data); raises after max_retries
-    consecutive degenerate draws.
+    Returns (tensor, system, weddle_data); raises RuntimeError after
+    _SAMPLE_DRAWS consecutive degenerate draws.
     """
     from .tensor import random_n1
 
     if rng is None:
         rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_SAMPLE_DRAWS):
         t = random_n1(dim, rng=rng)
         system = LinearSystem.from_tensor(t)
         data = weddle_matrix(system)
         if not data.degenerate:
             return t, system, data
-    raise RuntimeError(f"no nondegenerate sample found in {max_retries} draws")
+    raise RuntimeError(f"no nondegenerate sample found in {_SAMPLE_DRAWS} draws")
 
 
-def sweep_trials(dims: Sequence[int], trials: int, seed: int, config):
+def sweep_trials(dims: Sequence[int], trials: int, seed: int):
     """Certified base-point counts of random general cyclic systems.
 
     Returns an iterator of (dim, trial_seed, status, count, tensor), with
     ``trials`` draws per dim; status is certified (count == J_dim),
     mismatch (certified, count != J_dim), uncertified, or error (count None
-    unless certified, tensor None on error).  Seed convention, shared by
-    every front end so trials replay: per trial of a master Random(seed),
-    trial_seed = master.randrange(2**30), then the tensor is drawn from the
-    master, then base_points runs under ``config`` with seed trial_seed.
+    unless certified, tensor None on error).  Error means a degenerate
+    draw: no nondegenerate sample, or base_points rejecting the system
+    (ValueError); any other exception propagates.  Seed convention, shared
+    by every front end so trials replay: per trial of a master
+    Random(seed), trial_seed = master.randrange(2**30), then the tensor is
+    drawn from the master, then base_points runs with seed trial_seed.
     """
     top = solve._MAX_VARS + 1
     if not dims or any(not 2 <= d <= top for d in dims):
@@ -515,15 +519,18 @@ def sweep_trials(dims: Sequence[int], trials: int, seed: int, config):
     if len(set(dims)) != len(dims):
         raise ValueError("dims must be distinct")
     master = random.Random(seed)
-    return (_sweep_trial(dim, master, config) for dim in dims for _ in range(trials))
+    return (_sweep_trial(dim, master) for dim in dims for _ in range(trials))
 
 
-def _sweep_trial(dim: int, master: random.Random, config) -> tuple:
+def _sweep_trial(dim: int, master: random.Random) -> tuple:
     trial_seed = master.randrange(2**30)
     try:
         sampled, system, _ = sample_general_cyclic(dim, rng=master)
-        result = solve.base_points(system, replace(config, seed=trial_seed))
-    except (ValueError, RuntimeError):
+    except RuntimeError:
+        return dim, trial_seed, "error", None, None
+    try:
+        result = solve.base_points(system, solve.SolveConfig(seed=trial_seed))
+    except ValueError:
         return dim, trial_seed, "error", None, None
     if not result.certified:
         return dim, trial_seed, "uncertified", None, sampled

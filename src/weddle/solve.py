@@ -34,22 +34,11 @@ class UncertifiedSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Tuning knobs for the tracker and the certification thresholds."""
+    """The one run-time setting of a solve: the seed of its random choices
+    (square subsystem, charts, start system and gamma).  Every threshold is
+    a module constant, so a certificate never depends on a caller's knob."""
 
     seed: int = 0
-    track_tol: float = 1e-10
-    residual_tol: float = 1e-8
-    cluster_radius: float = 1e-6
-    filter_tol: float = 1e-6
-    max_retries: int = 3
-    initial_step: float = 0.05
-    max_step: float = 0.1
-    min_step: float = 1e-11
-    endgame_t: float = 1e-4
-    divergence_threshold: float = 1e8
-    corrector_iterations: int = 3
-    polish_iterations: int = 50
-    rational_height: int = 32
 
 
 DEFAULT_CONFIG = SolveConfig()
@@ -58,6 +47,26 @@ _MAX_VARS = 4
 _MAX_DEGREE = 3
 _T_STOP = 1e-14
 _PHASE_TOL = 1e-9
+
+# Certification: a cluster certifies when its best residual is at most
+# _RESIDUAL_TOL; a projective survivor needs a filter residual below
+# _FILTER_TOL; endpoints closer than _CLUSTER_RADIUS are one cluster, and
+# rational reconstruction uses heights up to _RATIONAL_HEIGHT.
+_RESIDUAL_TOL = 1e-8
+_FILTER_TOL = 1e-6
+_CLUSTER_RADIUS = 1e-6
+_RATIONAL_HEIGHT = 32
+# Tracking: step control, Newton corrector and polish, divergence, and the
+# number of wholesale reruns with fresh randomness after failed paths.
+_TRACK_TOL = 1e-10
+_INITIAL_STEP = 0.05
+_MAX_STEP = 0.1
+_MIN_STEP = 1e-11
+_ENDGAME_T = 1e-4
+_DIVERGENCE_THRESHOLD = 1e8
+_CORRECTOR_ITERATIONS = 3
+_POLISH_ITERATIONS = 50
+_MAX_RETRIES = 3
 
 
 # ---- points and clusters ----
@@ -289,7 +298,7 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
     return converged, x
 
 
-def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, config: SolveConfig):
+def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
     """RK4 predictor from t to t - h, then the Newton corrector, per row.
     Returns (ok, points); a rejected row keeps its point."""
     rows = np.arange(len(x))
@@ -312,8 +321,8 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, confi
     converged, corrected = _newton(
         lambda y, r: (hom.jacobian(y, t_next[r]), hom.value(y, t_next[r])),
         predicted[finite],
-        config.track_tol,
-        config.corrector_iterations,
+        _TRACK_TOL,
+        _CORRECTOR_ITERATIONS,
     )
     ok = np.zeros(len(x), dtype=bool)
     ok[rows[converged]] = True
@@ -322,18 +331,18 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, confi
     return ok, x
 
 
-def _polish(target: _Compiled, x: np.ndarray, config: SolveConfig):
+def _polish(target: _Compiled, x: np.ndarray):
     """Plain Newton on the target system per row; returns (converged, points)."""
     return _newton(
         lambda y, _: (target.jacobian(y), target.value(y)),
         x,
         1e-13,
-        config.polish_iterations,
-        config.divergence_threshold,
+        _POLISH_ITERATIONS,
+        _DIVERGENCE_THRESHOLD,
     )
 
 
-def _track_paths(hom: _Homotopy, starts, config: SolveConfig):
+def _track_paths(hom: _Homotopy, starts):
     """Track every start path from t=1 to t=0 in lockstep.
 
     Each path keeps its own t, step size, success counter, endgame norm and
@@ -346,7 +355,7 @@ def _track_paths(hom: _Homotopy, starts, config: SolveConfig):
     """
     x = np.array(starts, dtype=np.complex128)
     t = np.ones(len(x))
-    h = np.full(len(x), config.initial_step)
+    h = np.full(len(x), _INITIAL_STEP)
     successes = np.zeros(len(x), dtype=np.int64)
     endgame_norm = np.full(len(x), np.nan)  # NaN, failing every test, until the endgame
     statuses = ["failed"] * len(x)
@@ -356,45 +365,45 @@ def _track_paths(hom: _Homotopy, starts, config: SolveConfig):
         running = t[rows] > _T_STOP
         settled.extend(rows[~running])
         rows = rows[running]
-        diverged = _norms(x[rows]) > config.divergence_threshold
+        diverged = _norms(x[rows]) > _DIVERGENCE_THRESHOLD
         for i in rows[diverged]:
             statuses[i] = "at_infinity"
         rows = rows[~diverged]
         if not rows.size:
             break
         now = t[rows]
-        late = now < config.endgame_t
+        late = now < _ENDGAME_T
         first = rows[late & np.isnan(endgame_norm[rows])]
         endgame_norm[first] = np.maximum(1.0, _norms(x[first]))
         step = np.where(late, np.minimum(h[rows], 0.9 * now), np.minimum(h[rows], now))
-        ok, x_new = _rk4_step(hom, x[rows], now, step, config)
+        ok, x_new = _rk4_step(hom, x[rows], now, step)
 
         accepted = rows[ok]
         x[accepted] = x_new[ok]
         t[accepted] -= step[ok]
         successes[accepted] += 1
         grown = accepted[successes[accepted] >= 4]
-        h[grown] = np.minimum(h[grown] * 1.25, config.max_step)
+        h[grown] = np.minimum(h[grown] * 1.25, _MAX_STEP)
         successes[grown] = 0
 
         rejected = rows[~ok]
         successes[rejected] = 0
         h[rejected] *= 0.5
-        floor = np.maximum(1e-16, config.min_step * np.minimum(1.0, t[rows]))
+        floor = np.maximum(1e-16, _MIN_STEP * np.minimum(1.0, t[rows]))
         collapsed = ~ok & (h[rows] < floor)
         # A collapse before the endgame fails the path; in the endgame it
         # stops tracking and the path is classified from where it stands.
-        settled.extend(rows[collapsed & (t[rows] < config.endgame_t)])
+        settled.extend(rows[collapsed & (t[rows] < _ENDGAME_T)])
         rows = rows[~collapsed]
 
     settled = np.array(settled, dtype=np.int64)
     norms = _norms(x[settled])
     grew = (norms > 32.0 * endgame_norm[settled]) & (norms > 100.0)
-    lost = (norms > config.divergence_threshold) | grew
+    lost = (norms > _DIVERGENCE_THRESHOLD) | grew
     for i in settled[lost]:
         statuses[i] = "at_infinity"
     rows, norms = settled[~lost], norms[~lost]
-    converged, polished = _polish(hom.target, x[rows], config)
+    converged, polished = _polish(hom.target, x[rows])
     jumps = _norms(polished - x[rows])
     for i, norm, ok, jump, point in zip(rows, norms, converged, jumps, polished):
         if ok:
@@ -404,7 +413,7 @@ def _track_paths(hom: _Homotopy, starts, config: SolveConfig):
                 # The polish jumped to an unrelated root: the tracked path
                 # was not actually settling on a finite solution.
                 statuses[i] = "at_infinity"
-        elif np.all(np.isfinite(point)) and _norms(point) > config.divergence_threshold:
+        elif np.all(np.isfinite(point)) and _norms(point) > _DIVERGENCE_THRESHOLD:
             statuses[i], x[i] = "at_infinity", point
     return statuses, x
 
@@ -427,12 +436,12 @@ def _start_points(degrees: Sequence[int], phases: Sequence[float]):
     return [np.array(p, dtype=np.complex128) for p in points]
 
 
-def _solve_attempt(target: _Compiled, degrees, config: SolveConfig, rng: random.Random) -> _Attempt:
+def _solve_attempt(target: _Compiled, degrees, rng: random.Random) -> _Attempt:
     phases = [rng.random() for _ in degrees]
     roots = [cmath.exp(2j * cmath.pi * p) for p in phases]
     gamma = cmath.exp(2j * cmath.pi * rng.random())
     hom = _Homotopy(target, degrees, roots, gamma)
-    statuses, endpoints = _track_paths(hom, _start_points(degrees, phases), config)
+    statuses, endpoints = _track_paths(hom, _start_points(degrees, phases))
     return _Attempt(
         finite=[x for status, x in zip(statuses, endpoints) if status == "finite"],
         at_infinity=statuses.count("at_infinity"),
@@ -440,13 +449,13 @@ def _solve_attempt(target: _Compiled, degrees, config: SolveConfig, rng: random.
     )
 
 
-def _run_square(target: _Compiled, degrees, config: SolveConfig, rng: random.Random):
+def _run_square(target: _Compiled, degrees, rng: random.Random):
     """Run all paths; rerun wholesale with fresh randomness on failures."""
     best = None
     attempts = 0
-    for _ in range(config.max_retries + 1):
+    for _ in range(_MAX_RETRIES + 1):
         attempts += 1
-        attempt = _solve_attempt(target, degrees, config, rng)
+        attempt = _solve_attempt(target, degrees, rng)
         if best is None or attempt.failed < best.failed:
             best = attempt
         if best.failed == 0:
@@ -520,18 +529,18 @@ def _rational_point(coords: np.ndarray, height: int, tol: float) -> Optional[tup
     return None if candidate is None else _primitive(candidate)
 
 
-def _certify(points, failed, dist, residual, rational, exact_polys, config, filter_tol=None):
+def _certify(points, failed, dist, residual, rational, exact_polys, filter_tol=None):
     """Cluster endpoints around their minimum-residual members; a member's
-    ``rational(rep, config.rational_height, config.cluster_radius)`` is kept
-    when it is an exact common zero of exact_polys, else it is a mismatch.
-    Clusters whose best residual reaches ``filter_tol`` are discarded.
+    ``rational(rep, _RATIONAL_HEIGHT, _CLUSTER_RADIUS)`` is kept when it is
+    an exact common zero of exact_polys, else it is a mismatch.  Clusters
+    whose best residual reaches ``filter_tol`` are discarded.
     Returns (sorted clusters, discarded, mismatch, ok), ok meaning no failed
     path, no mismatch, residuals within tolerance and simple clusters.
     """
     clusters = []
     discarded = 0
     mismatch = False
-    for g in _cluster_indices(points, config.cluster_radius, dist):
+    for g in _cluster_indices(points, _CLUSTER_RADIUS, dist):
         members = [points[i] for i in g]
         residuals = [residual(m) for m in members]
         best = min(residuals)
@@ -539,7 +548,7 @@ def _certify(points, failed, dist, residual, rational, exact_polys, config, filt
             discarded += 1
             continue
         rep = members[residuals.index(best)]
-        exact = rational(rep, config.rational_height, config.cluster_radius)
+        exact = rational(rep, _RATIONAL_HEIGHT, _CLUSTER_RADIUS)
         if exact is not None and any(p.evaluate(exact) != 0 for p in exact_polys):
             exact, mismatch = None, True
         clusters.append(
@@ -552,7 +561,7 @@ def _certify(points, failed, dist, residual, rational, exact_polys, config, filt
         )
     clusters.sort(key=lambda c: c.point.sort_key())
     ok = failed == 0 and not mismatch and all(
-        c.residual <= config.residual_tol and c.multiplicity == 1 for c in clusters
+        c.residual <= _RESIDUAL_TOL and c.multiplicity == 1 for c in clusters
     )
     return clusters, discarded, mismatch, ok
 
@@ -594,13 +603,12 @@ def solve_square(
     Any multiplicity above one, failed path, or rational mismatch leaves
     the result uncertified (never a silent wrong count).
     """
-    config = config or DEFAULT_CONFIG
     polys, degrees = _validate_system(polys, degrees)
     if rng is None:
-        rng = random.Random(config.seed)
+        rng = random.Random((config or DEFAULT_CONFIG).seed)
     target = _Compiled(polys)
     bezout = math.prod(degrees)
-    attempt, attempts = _run_square(target, degrees, config, rng)
+    attempt, attempts = _run_square(target, degrees, rng)
     _check_path_accounting(len(attempt.finite) + attempt.at_infinity, attempt.failed, bezout)
     notes = [] if attempts == 1 else [f"retried {attempts - 1} time(s) with fresh gamma"]
 
@@ -611,7 +619,6 @@ def solve_square(
         lambda x: _affine_residual(target, degrees, x),
         _rational_vector,
         polys,
-        config,
     )
     if mismatch:
         notes.append("rational cross-check mismatch")
@@ -681,22 +688,24 @@ def _lift_from_chart(y: np.ndarray, chart) -> np.ndarray:
     return x
 
 
-def _solve_chart(square, filters_compiled, exact_polys, degrees, chart, config, rng):
-    """Solve the square subsystem on one chart and certify the survivors.
+def _solve_chart(square, filter_polys, degrees, chart, rng):
+    """Solve the square subsystem on one chart and certify the survivors:
+    clusters whose filter_polys residual stays below _FILTER_TOL, with the
+    rational cross-check against the same filter_polys.
 
     Returns (survivors, report, ok, lifted) with survivors on normalized
     projective representatives, ok as in _certify, and lifted every finite
     endpoint's normalized lift before clustering and filtering.
     """
-    sub = [_chart_substitute(p, chart) for p in square]
-    target = _Compiled(sub)
-    attempt, attempts = _run_square(target, degrees, config, rng)
+    target = _Compiled([_chart_substitute(p, chart) for p in square])
+    filters = _Compiled(filter_polys)
+    attempt, attempts = _run_square(target, degrees, rng)
     lifted = []
     dropped = 0
     for endpoint in attempt.finite:
         point = _lift_from_chart(endpoint, chart)
         norm = np.linalg.norm(point)
-        if norm > config.divergence_threshold or norm == 0:
+        if norm > _DIVERGENCE_THRESHOLD or norm == 0:
             dropped += 1
             continue
         lifted.append(np.asarray(CPoint.projective(point).coordinates))
@@ -705,11 +714,10 @@ def _solve_chart(square, filters_compiled, exact_polys, degrees, chart, config, 
         lifted,
         attempt.failed,
         _chordal_distance,
-        lambda x: float(np.max(np.abs(filters_compiled.value(x)))),
+        lambda x: float(np.max(np.abs(filters.value(x)))),
         _rational_point,
-        exact_polys,
-        config,
-        config.filter_tol,
+        filter_polys,
+        _FILTER_TOL,
     )
     report = {
         "chart": [str(c) for c in chart[0]],
@@ -731,8 +739,9 @@ def _near_chart_infinity(coords, chart, tol: float) -> bool:
     return abs(np.sum(a * np.asarray(coords))) <= tol * float(np.linalg.norm(a))
 
 
-def _projective_solve(square, filter_polys, exact_polys, degrees, config, rng) -> SolutionSet:
-    """Two-chart projective solve with bijective merge.
+def _projective_solve(square, filter_polys, degrees, rng) -> SolutionSet:
+    """Two-chart projective solve with bijective merge: the common zeros of
+    filter_polys, cut out inside the finite zero set of the square system.
 
     The square subsystem is solved on two random charts that are not
     proportional (such charts share their infinity hyperplane and lose the
@@ -746,18 +755,17 @@ def _projective_solve(square, filter_polys, exact_polys, degrees, config, rng) -
     hyperplanes, seen by neither chart.  Any other discrepancy leaves the
     merged result uncertified.
     """
-    filters_compiled = _Compiled(filter_polys)
     nvars = square[0].nvars
     charts = [_random_chart(nvars, rng), _random_chart(nvars, rng)]
     while projectively_equal(charts[1][0], charts[0][0]):
         charts[1] = _random_chart(nvars, rng)
     runs = [
-        _solve_chart(square, filters_compiled, exact_polys, degrees, chart, config, rng)
+        _solve_chart(square, filter_polys, degrees, chart, rng)
         for chart in charts
     ]
     (surv1, report1, _, _), (surv2, report2, _, _) = runs
 
-    match_radius = max(config.cluster_radius, 10 * config.residual_tol)
+    match_radius = max(_CLUSTER_RADIUS, 10 * _RESIDUAL_TOL)
     used = set()
     unseen_by_2 = []
     for c1 in surv1:
@@ -775,7 +783,7 @@ def _projective_solve(square, filter_polys, exact_polys, degrees, config, rng) -
 
     unseen = ((2, unseen_by_2), (1, unseen_by_1))
     certified = all(
-        _near_chart_infinity(c.point.coordinates, charts[k - 1], config.filter_tol)
+        _near_chart_infinity(c.point.coordinates, charts[k - 1], _FILTER_TOL)
         for k, missing in unseen
         for c in missing
     )
@@ -789,7 +797,7 @@ def _projective_solve(square, filter_polys, exact_polys, degrees, config, rng) -
             certified = False
             notes.append(f"chart {k} run uncertified")
         lost = report["at_infinity"] - sum(
-            _near_chart_infinity(x, chart, config.filter_tol) for x in runs[2 - k][3]
+            _near_chart_infinity(x, chart, _FILTER_TOL) for x in runs[2 - k][3]
         )
         if lost > 0:
             certified = False
@@ -844,16 +852,15 @@ def base_points(system, config: Optional[SolveConfig] = None) -> SolutionSet:
     where every generating quadric has residual below the filter
     threshold (with an exact rational cross-check on top).
     """
-    config = config or DEFAULT_CONFIG
     n = system.n
     if n > _MAX_VARS:
         raise ValueError(f"at most P^{_MAX_VARS} supported")
     polys = system.quadric_polys()
     if any(p.is_zero() for p in polys):
         raise ValueError("system contains an identically zero quadric")
-    rng = random.Random(config.seed)
+    rng = random.Random((config or DEFAULT_CONFIG).seed)
     square = _random_square_subsystem(polys, n, rng)
-    return _projective_solve(square, polys, polys, [2] * n, config, rng)
+    return _projective_solve(square, polys, [2] * n, rng)
 
 
 def singular_points(f: MultiPoly, config: Optional[SolveConfig] = None) -> SolutionSet:
@@ -864,7 +871,6 @@ def singular_points(f: MultiPoly, config: Optional[SolveConfig] = None) -> Solut
     residual of the full gradient (plus the exact rational cross-check).
     Path count is (deg f - 1)^(nvars - 1) per chart.
     """
-    config = config or DEFAULT_CONFIG
     nv = f.nvars
     if nv > _MAX_VARS:
         raise ValueError(f"at most {_MAX_VARS} variables supported")
@@ -875,13 +881,13 @@ def singular_points(f: MultiPoly, config: Optional[SolveConfig] = None) -> Solut
     grads = f.gradient()
     if all(g.is_zero() for g in grads):
         raise ValueError("gradient system is identically zero")
-    rng = random.Random(config.seed)
+    rng = random.Random((config or DEFAULT_CONFIG).seed)
     try:
         combos = _random_square_subsystem(grads, nv - 1, rng)
     except ValueError as exc:
         raise ValueError("gradient system is degenerate") from exc
     degrees = [f.total_degree() - 1] * (nv - 1)
-    return _projective_solve(combos, grads, grads, degrees, config, rng)
+    return _projective_solve(combos, grads, degrees, rng)
 
 
 # ---- Jacobsthal numbers ----

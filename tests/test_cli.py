@@ -128,14 +128,25 @@ def test_tensor_file_feeds_every_tensor_command(tmp_path, capsys):
         assert code == 0
 
 
-# ---- seeds and environment ----
+# ---- seeds and fixed thresholds ----
 
-def test_seed_flag_overrides_environment(capsys, monkeypatch):
+def test_environment_does_not_change_a_report(capsys, monkeypatch):
+    _, plain, _ = run_json(capsys, "basepoints", "weddle-6pts")
     monkeypatch.setenv("WEDDLE_SEED", "7")
-    code, report, _ = run_json(capsys, "basepoints", "cyclic-dim2")
-    assert report["seed"] == 7
-    code, report, _ = run_json(capsys, "basepoints", "cyclic-dim2", "--seed", "3")
+    monkeypatch.setenv("WEDDLE_RESIDUAL_TOL", "1e-30")
+    _, report, _ = run_json(capsys, "basepoints", "weddle-6pts")
+    plain.pop("elapsed_s")
+    report.pop("elapsed_s")
+    assert report == plain
+    _, report, _ = run_json(capsys, "basepoints", "weddle-6pts", "--seed", "3")
     assert report["seed"] == 3
+
+
+def test_tolerance_flags_are_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["basepoints", "weddle-6pts", "--residual-tol", "1e-30"])
+    assert exc.value.code == 2
+    assert "--residual-tol" in capsys.readouterr().err
 
 
 def test_reports_are_reproducible_for_a_fixed_seed(capsys):

@@ -180,8 +180,8 @@ def test_paths_lost_at_both_chart_infinities_break_certification():
 def test_a_path_dropped_by_the_tracker_breaks_the_accounting_loudly(monkeypatch):
     tracker = solve._track_paths
 
-    def drop_last_path(hom, starts, config):
-        statuses, endpoints = tracker(hom, starts, config)
+    def drop_last_path(hom, starts):
+        statuses, endpoints = tracker(hom, starts)
         return statuses[:-1], endpoints[:-1]
 
     monkeypatch.setattr(solve, "_track_paths", drop_last_path)
@@ -189,6 +189,18 @@ def test_a_path_dropped_by_the_tracker_breaks_the_accounting_loudly(monkeypatch)
         solve.solve_square([_poly2("x0^2 - 1"), _poly2("x1^2 - 1")])
     with pytest.raises(RuntimeError, match="path accounting"):
         solve.base_points(fixtures.system("cyclic-dim2"))
+
+
+def test_a_sweep_does_not_swallow_an_internal_fault(monkeypatch):
+    tracker = solve._track_paths
+
+    def drop_last_path(hom, starts):
+        statuses, endpoints = tracker(hom, starts)
+        return statuses[:-1], endpoints[:-1]
+
+    monkeypatch.setattr(solve, "_track_paths", drop_last_path)
+    with pytest.raises(RuntimeError, match="path accounting"):
+        list(loci.sweep_trials([2], 2, 3))
 
 
 # ---- singular points of hypersurfaces ----

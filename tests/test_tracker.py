@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from weddle import fixtures, loci, solve
-from weddle.solve import DEFAULT_CONFIG
 
 
 # ---- the scalar reference ----
@@ -72,7 +71,7 @@ def _newton(hom, x, t, tol, iterations):
     return False, x
 
 
-def _rk4_step(hom, x, t, h, config):
+def _rk4_step(hom, x, t, h):
     try:
         k1 = _tangent(hom, x, t)
         k2 = _tangent(hom, x - 0.5 * h * k1, t - 0.5 * h)
@@ -83,11 +82,11 @@ def _rk4_step(hom, x, t, h, config):
     predicted = x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(predicted)):
         return False, x
-    return _newton(hom, predicted, t - h, config.track_tol, config.corrector_iterations)
+    return _newton(hom, predicted, t - h, solve._TRACK_TOL, solve._CORRECTOR_ITERATIONS)
 
 
-def _polish(target, x, config):
-    for _ in range(config.polish_iterations):
+def _polish(target, x):
+    for _ in range(solve._POLISH_ITERATIONS):
         try:
             delta = np.linalg.solve(_ref_jacobian(target, x), _ref_value(target, x))
         except np.linalg.LinAlgError:
@@ -95,52 +94,52 @@ def _polish(target, x, config):
         x = x - delta
         if not np.all(np.isfinite(x)):
             return x, False
-        if np.linalg.norm(x) > config.divergence_threshold:
+        if np.linalg.norm(x) > solve._DIVERGENCE_THRESHOLD:
             return x, False
         if np.linalg.norm(delta) < 1e-13 * max(1.0, np.linalg.norm(x)):
             return x, True
     return x, False
 
 
-def _track_path(hom, start_point, config):
+def _track_path(hom, start_point):
     x = np.array(start_point, dtype=np.complex128)
     t = 1.0
-    h = config.initial_step
+    h = solve._INITIAL_STEP
     successes = 0
     endgame_norm = None
     while t > solve._T_STOP:
-        if np.linalg.norm(x) > config.divergence_threshold:
+        if np.linalg.norm(x) > solve._DIVERGENCE_THRESHOLD:
             return "at_infinity", x
-        if endgame_norm is None and t < config.endgame_t:
+        if endgame_norm is None and t < solve._ENDGAME_T:
             endgame_norm = max(1.0, float(np.linalg.norm(x)))
-        step = min(h, 0.9 * t) if t < config.endgame_t else min(h, t)
-        ok, x_new = _rk4_step(hom, x, t, step, config)
+        step = min(h, 0.9 * t) if t < solve._ENDGAME_T else min(h, t)
+        ok, x_new = _rk4_step(hom, x, t, step)
         if ok:
             x = x_new
             t -= step
             successes += 1
             if successes >= 4:
-                h = min(h * 1.25, config.max_step)
+                h = min(h * 1.25, solve._MAX_STEP)
                 successes = 0
         else:
             successes = 0
             h *= 0.5
-            if h < max(1e-16, config.min_step * min(1.0, t)):
-                if t >= config.endgame_t:
+            if h < max(1e-16, solve._MIN_STEP * min(1.0, t)):
+                if t >= solve._ENDGAME_T:
                     return "failed", x
                 break
     norm = float(np.linalg.norm(x))
-    if norm > config.divergence_threshold:
+    if norm > solve._DIVERGENCE_THRESHOLD:
         return "at_infinity", x
     if endgame_norm is not None and norm > 32.0 * endgame_norm and norm > 100.0:
         return "at_infinity", x
-    polished, converged = _polish(hom.target, x, config)
+    polished, converged = _polish(hom.target, x)
     if converged:
         jump = float(np.linalg.norm(polished - x))
         if jump <= 0.05 * max(1.0, norm):
             return "finite", polished
         return ("at_infinity", x) if norm > 100.0 else ("failed", x)
-    if np.all(np.isfinite(polished)) and np.linalg.norm(polished) > config.divergence_threshold:
+    if np.all(np.isfinite(polished)) and np.linalg.norm(polished) > solve._DIVERGENCE_THRESHOLD:
         return "at_infinity", polished
     return "failed", x
 
@@ -156,8 +155,8 @@ def _recorded_homotopies(monkeypatch, run, limit=None):
     class _Enough(Exception):
         pass
 
-    def recording(hom, starts, config):
-        statuses, endpoints = tracker(hom, starts, config)
+    def recording(hom, starts):
+        statuses, endpoints = tracker(hom, starts)
         calls.append((hom, starts, statuses, endpoints))
         if limit is not None and len(calls) >= limit:
             raise _Enough
@@ -178,7 +177,7 @@ def _assert_matches_reference(calls):
         assert len(statuses) == len(starts) == len(endpoints)
         reference = _RefHomotopy(hom)
         for start, status, endpoint in zip(starts, statuses, endpoints):
-            ref_status, ref_endpoint = _track_path(reference, start, DEFAULT_CONFIG)
+            ref_status, ref_endpoint = _track_path(reference, start)
             assert status == ref_status
             assert np.array_equal(endpoint, ref_endpoint)
             seen.add(status)
