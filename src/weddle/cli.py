@@ -28,7 +28,9 @@ class InputError(ValueError):
 
 # ---- input resolution ----
 
-def _classify_json(data: dict) -> str:
+def _classify_json(data) -> str:
+    if not isinstance(data, dict):
+        raise InputError("expected a JSON object (system, tensor, matrix, or points)")
     keys = set(data)
     if {"n", "quadrics"} <= keys:
         return "system"
@@ -53,7 +55,7 @@ def _resolve_input(source: str):
             kind = "poly"
         try:
             obj = fixtures.parse_payload(kind, text)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"could not parse {source}: {exc}") from exc
         return {"source": str(path), "sha256": digest}, kind, obj
     if source in fixtures.REGISTRY:

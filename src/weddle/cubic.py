@@ -1,13 +1,14 @@
 """Plane-cubic analytics: Hessians, smoothness via certified singular
 counts, Weierstrass reduction through a flex, and the j-invariant.
 
-The reduction prefers an exact route: locate a small rational flex, move
-it to [0:0:1] with its tangent line to {z0 = 0} by an exact linear change,
-read off the long Weierstrass coefficients in the chart z0 = 1, and
-complete the square and cube over the rationals.  When no rational flex
-exists the nine flexes are computed numerically (common zeros of the cubic
-and its Hessian determinant) and the same algebra runs in complex floats,
-after first attempting to promote a numerical flex back to an exact one.
+The reduction has one route, exact wherever it can be: locate a small
+rational flex, move it to [0:0:1] with its tangent line to {z0 = 0} by an
+exact linear change, read off the long Weierstrass coefficients in the
+chart z0 = 1, and complete the square and cube over the rationals.  When
+no small rational flex exists the nine flexes are computed numerically
+(common zeros of the cubic and its Hessian determinant), and every one is
+tried for promotion back to an exact rational flex.  Only when none
+promotes does the same algebra run in complex floats.
 """
 
 from __future__ import annotations
@@ -212,32 +213,27 @@ def canonicalize_pair(a: Rat, b: Rat) -> tuple:
 
 # ---- numeric route ----
 
+_CUBIC_MONOMIALS = tuple(e for e in itertools.product(range(4), repeat=3) if sum(e) == 3)
+
+
 def _complex_compose_cubic(f: MultiPoly, matrix: np.ndarray) -> dict:
-    """Coefficients of f(M z) for a complex 3x3 matrix, as a dict."""
-    rows = [dict() for _ in range(3)]
-    for r in range(3):
-        for k in range(3):
-            if matrix[r][k] != 0:
-                mono = tuple(1 if i == k else 0 for i in range(3))
-                rows[r][mono] = complex(matrix[r][k])
+    """Coefficients of f(M z) for a complex 3x3 matrix M, keyed by monomial.
 
-    def multiply(p, q):
-        out = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                out[key] = out.get(key, 0j) + c1 * c2
-        return out
-
-    result = {}
-    for mono, coeff in f.terms.items():
-        term = {(0, 0, 0): complex(coeff)}
-        for var, exp in enumerate(mono):
-            for _ in range(exp):
-                term = multiply(term, rows[var])
-        for key, value in term.items():
-            result[key] = result.get(key, 0j) + value
-    return result
+    With T the constant third derivatives of f, f(x) = T(x, x, x) / 6, so
+    f(M z) = S(z, z, z) / 6 for S = T pulled back through M; the coefficient
+    of z^e is S at any index listing e, divided by e0! e1! e2!.
+    """
+    third = np.array([
+        [[complex(f.diff(i).diff(j).diff(k).coefficient((0, 0, 0))) for k in range(3)]
+         for j in range(3)]
+        for i in range(3)
+    ])
+    pulled = np.einsum("ijk,ia,jb,kc->abc", third, matrix, matrix, matrix)
+    coeffs = {}
+    for e in _CUBIC_MONOMIALS:
+        index = tuple(v for v, count in enumerate(e) for _ in range(count))
+        coeffs[e] = pulled[index] / math.prod(math.factorial(c) for c in e)
+    return coeffs
 
 
 def flex_points(f: MultiPoly, config: Optional[solve.SolveConfig] = None) -> solve.SolutionSet:
@@ -274,7 +270,7 @@ def _reduce_numeric_from(f: MultiPoly, coords) -> Optional[tuple]:
     u = np.conj(ell)
     matrix = np.stack([u, v, p], axis=1)
     coeffs = _complex_compose_cubic(f, matrix)
-    lookup = lambda m: coeffs.get(m, 0j)
+    lookup = coeffs.__getitem__
     scale = max(abs(c) for c in coeffs.values())
     if scale == 0 or abs(lookup((1, 0, 2))) < 1e-10 * scale or abs(lookup((0, 3, 0))) < 1e-10 * scale:
         return None
@@ -306,40 +302,28 @@ class JInvariant:
     residual: float
 
 
-def weierstrass_reduce(
-    f: MultiPoly,
-    method: str = "auto",
-    config: Optional[solve.SolveConfig] = None,
-    promote: bool = True,
-) -> ReductionResult:
+def weierstrass_reduce(f: MultiPoly, config: Optional[solve.SolveConfig] = None) -> ReductionResult:
     """Short Weierstrass form of a smooth plane cubic.
 
-    method "exact" insists on a rational flex within _FLEX_HEIGHT; "numeric"
-    skips the rational search; "auto" tries exact first.  The numeric route
-    still promotes a flex back to exact arithmetic when its coordinates are
-    recognizably rational (unless promote=False).
+    Reduces exactly at the first rational flex within _FLEX_HEIGHT.
+    Failing that, it solves for the nine flexes and reduces exactly at the
+    first certified flex that promotes to a rational one; only when none
+    does, it reduces in complex floats at the first flex where that works.
     """
     if f.nvars != 3 or not f.is_homogeneous(3) or f.is_zero():
         raise ValueError("expected a nonzero ternary homogeneous cubic")
-    if method not in ("auto", "exact", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "exact"):
-        flex = find_rational_flex(f)
-        if flex is not None:
-            a, b = canonicalize_pair(*_reduce_exact(f, flex))
-            return ReductionResult(a=a, b=b, exact=True, flex=flex, residual=0.0)
-        if method == "exact":
-            raise ValueError(f"no rational flex of height <= {_FLEX_HEIGHT} found")
-    flexes = flex_points(f, config)
-    if not flexes.certified or flexes.count() == 0:
-        raise solve.UncertifiedSolveError("numeric flex search was not certified")
+    flex = find_rational_flex(f)
+    if flex is None:
+        flexes = flex_points(f, config)
+        if not flexes.certified or flexes.count() == 0:
+            raise solve.UncertifiedSolveError("numeric flex search was not certified")
+        promoted = (_promote_flex(f, c.point.coordinates) for c in flexes.clusters)
+        flex = next((p for p in promoted if p is not None), None)
+    if flex is not None:
+        a, b = canonicalize_pair(*_reduce_exact(f, flex))
+        return ReductionResult(a=a, b=b, exact=True, flex=flex, residual=0.0)
     for cluster in flexes.clusters:
         coords = cluster.point.coordinates
-        if promote:
-            promoted = _promote_flex(f, coords)
-            if promoted is not None:
-                a, b = canonicalize_pair(*_reduce_exact(f, promoted))
-                return ReductionResult(a=a, b=b, exact=True, flex=promoted, residual=0.0)
         reduced = _reduce_numeric_from(f, coords)
         if reduced is not None:
             a, b, residual = reduced
@@ -349,15 +333,10 @@ def weierstrass_reduce(
     raise ValueError("reduction failed at every flex candidate")
 
 
-def j_invariant(
-    f: MultiPoly,
-    method: str = "auto",
-    config: Optional[solve.SolveConfig] = None,
-    promote: bool = True,
-) -> JInvariant:
+def j_invariant(f: MultiPoly, config: Optional[solve.SolveConfig] = None) -> JInvariant:
     """The j-invariant of a smooth plane cubic, exact whenever the
     Weierstrass reduction ran exactly."""
-    return j_from_reduction(weierstrass_reduce(f, method=method, config=config, promote=promote))
+    return j_from_reduction(weierstrass_reduce(f, config))
 
 
 def j_from_reduction(result: ReductionResult) -> JInvariant:

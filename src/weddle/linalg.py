@@ -16,26 +16,6 @@ def identity(n: int) -> list:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
-    a = to_matrix(a)
-    b = to_matrix(b)
-    if not a or not b or len(a[0]) != len(b):
-        raise ValueError("incompatible shapes")
-    cols = len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    a = to_matrix(a)
-    vv = [as_rat(x) for x in v]
-    if a and len(a[0]) != len(vv):
-        raise ValueError("incompatible shapes")
-    return [sum((row[j] * vv[j] for j in range(len(vv))), Fraction(0)) for row in a]
-
-
 def rref(rows: Sequence[Sequence]) -> tuple:
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     m = to_matrix(rows)
@@ -115,6 +95,3 @@ def det(rows: Sequence[Sequence]) -> Fraction:
                 m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
     return sign * result
 
-
-def is_invertible(rows: Sequence[Sequence]) -> bool:
-    return det(rows) != 0

@@ -477,11 +477,7 @@ def rank_lower_bound_certificate(system: LinearSystem, config=None) -> RankCerti
 _SAMPLE_DRAWS = 16
 
 
-def sample_general_cyclic(
-    dim: int,
-    seed: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-):
+def sample_general_cyclic(dim: int, rng: random.Random):
     """Draw random cyclic tensors until the Weddle polynomial is nonzero.
 
     Returns (tensor, system, weddle_data); raises RuntimeError after
@@ -489,8 +485,6 @@ def sample_general_cyclic(
     """
     from .tensor import random_n1
 
-    if rng is None:
-        rng = random.Random(seed)
     for _ in range(_SAMPLE_DRAWS):
         t = random_n1(dim, rng=rng)
         system = LinearSystem.from_tensor(t)
@@ -504,7 +498,7 @@ def sweep_trials(dims: Sequence[int], trials: int, seed: int):
     """Certified base-point counts of random general cyclic systems.
 
     Returns an iterator of (dim, trial_seed, status, count, tensor), with
-    ``trials`` draws per dim; status is certified (count == J_dim),
+    ``trials`` >= 1 draws per dim; status is certified (count == J_dim),
     mismatch (certified, count != J_dim), uncertified, or error (count None
     unless certified, tensor None on error).  Error means a degenerate
     draw: no nondegenerate sample, or base_points rejecting the system
@@ -518,6 +512,8 @@ def sweep_trials(dims: Sequence[int], trials: int, seed: int):
         raise ValueError(f"dims must lie in 2..{top}")
     if len(set(dims)) != len(dims):
         raise ValueError("dims must be distinct")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     master = random.Random(seed)
     return (_sweep_trial(dim, master) for dim in dims for _ in range(trials))
 

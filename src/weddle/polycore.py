@@ -382,6 +382,8 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> MultiPoly:
 
     def parse_factor():
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError("unexpected end of polynomial text")
         kind, value = tokens[pos]
         if kind == "num":
             pos += 1
@@ -428,8 +430,6 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> MultiPoly:
         if kind != "op" or value not in "+-":
             raise ValueError(f"expected '+' or '-' before {tokens[pos]!r}")
         pos += 1
-        if pos >= len(tokens):
-            raise ValueError("dangling sign at end of polynomial")
         parse_term(1 if value == "+" else -1)
     return MultiPoly(nvars, terms)
 

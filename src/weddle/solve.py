@@ -1,16 +1,18 @@
 """Desk-scale numerical algebraic geometry.
 
-Total-degree homotopy continuation for square systems of degree at most
-three in at most _MAX_VARS = 4 unknowns (the package's one size limit), plus
-the projective layer that counts base points of quadric systems and singular
-points of their determinantal loci.  All Bezout paths of one homotopy are
-tracked together (_track_paths): each path has its own t, step size and
+Certified projective point counts: base points of quadric systems, singular
+points of hypersurfaces and (for weddle.cubic) flexes of plane cubics, all
+through one solve path (_projective_solve).  A square subsystem is
+dehomogenized onto two random rational charts, and each chart runs a
+total-degree homotopy of degree at most three in at most _MAX_VARS = 4
+unknowns (the package's one size limit).  All Bezout paths of one homotopy
+are tracked together (_track_paths): each path has its own t, step size and
 status, every iteration advances the paths still running with one stacked
 RK4 predictor step and Newton corrector, and a final Newton polish on the
 target system classifies each endpoint as finite, at infinity or failed.
 One routine (_certify) clusters, residual-certifies and rationally
-cross-checks results; projective solves also account for every path a chart
-loses to infinity (see _projective_solve).
+cross-checks a chart's endpoints, and the two charts must agree and account
+for every path either one loses to infinity.
 Anything that cannot be certified is reported as such rather than guessed.
 """
 
@@ -117,10 +119,10 @@ class Cluster:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Clustered output of one solve.
+    """Clustered output of one projective solve.
 
-    Path statistics describe the primary run (for projective solves, the
-    first chart; per-chart numbers live in chart_reports).  The invariant
+    Path statistics describe the first chart; per-chart numbers live in
+    chart_reports.  The invariant
     paths_tracked + paths_failed == bezout_bound always holds (a run that
     breaks it raises RuntimeError), with paths_tracked counting finite
     endpoints plus paths that diverged to infinity.
@@ -132,7 +134,6 @@ class SolutionSet:
     paths_failed: int
     at_infinity: int
     certified: bool
-    projective: bool
     notes: tuple = ()
     chart_reports: tuple = ()
 
@@ -146,7 +147,7 @@ class SolutionSet:
             "paths_failed": self.paths_failed,
             "at_infinity": self.at_infinity,
             "certified": self.certified,
-            "projective": self.projective,
+            "projective": True,
             "count": self.count(),
             "clusters": [c.to_json() for c in self.clusters],
             "notes": list(self.notes),
@@ -418,13 +419,6 @@ def _track_paths(hom: _Homotopy, starts):
     return statuses, x
 
 
-@dataclass
-class _Attempt:
-    finite: list
-    at_infinity: int
-    failed: int
-
-
 def _start_points(degrees: Sequence[int], phases: Sequence[float]):
     """All Bezout-many start solutions of x_i^{d_i} = exp(2*pi*i*phase_i)."""
     axes = []
@@ -436,31 +430,26 @@ def _start_points(degrees: Sequence[int], phases: Sequence[float]):
     return [np.array(p, dtype=np.complex128) for p in points]
 
 
-def _solve_attempt(target: _Compiled, degrees, rng: random.Random) -> _Attempt:
-    phases = [rng.random() for _ in degrees]
-    roots = [cmath.exp(2j * cmath.pi * p) for p in phases]
-    gamma = cmath.exp(2j * cmath.pi * rng.random())
-    hom = _Homotopy(target, degrees, roots, gamma)
-    statuses, endpoints = _track_paths(hom, _start_points(degrees, phases))
-    return _Attempt(
-        finite=[x for status, x in zip(statuses, endpoints) if status == "finite"],
-        at_infinity=statuses.count("at_infinity"),
-        failed=statuses.count("failed"),
-    )
-
-
 def _run_square(target: _Compiled, degrees, rng: random.Random):
-    """Run all paths; rerun wholesale with fresh randomness on failures."""
+    """Run all paths; rerun wholesale with fresh randomness on failures.
+
+    Returns (finite endpoints, at_infinity, failed, attempts) of the run
+    with the fewest failed paths (the first of them on ties).
+    """
     best = None
-    attempts = 0
-    for _ in range(_MAX_RETRIES + 1):
-        attempts += 1
-        attempt = _solve_attempt(target, degrees, rng)
-        if best is None or attempt.failed < best.failed:
-            best = attempt
-        if best.failed == 0:
+    for attempts in range(1, _MAX_RETRIES + 2):
+        phases = [rng.random() for _ in degrees]
+        roots = [cmath.exp(2j * cmath.pi * p) for p in phases]
+        gamma = cmath.exp(2j * cmath.pi * rng.random())
+        hom = _Homotopy(target, degrees, roots, gamma)
+        statuses, endpoints = _track_paths(hom, _start_points(degrees, phases))
+        failed = statuses.count("failed")
+        if best is None or failed < best[2]:
+            finite = [x for status, x in zip(statuses, endpoints) if status == "finite"]
+            best = finite, statuses.count("at_infinity"), failed
+        if best[2] == 0:
             break
-    return best, attempts
+    return (*best, attempts)
 
 
 def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
@@ -474,39 +463,9 @@ def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
 
 # ---- clustering and certification ----
 
-def _cluster_indices(points: list, radius: float, dist: Callable) -> list:
-    groups: list = []
-    for idx, p in enumerate(points):
-        for g in groups:
-            if dist(points[g[0]], p) <= radius:
-                g.append(idx)
-                break
-        else:
-            groups.append([idx])
-    return groups
-
-
 def _chordal_distance(a: np.ndarray, b: np.ndarray) -> float:
     inner = abs(np.vdot(a, b))
     return math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, inner)))
-
-
-def _affine_residual(target: _Compiled, degrees, x: np.ndarray) -> float:
-    scale = max(1.0, float(np.linalg.norm(x)))
-    values = target.value(x)
-    return max(abs(v) / scale**d for v, d in zip(values, degrees))
-
-
-def _rational_vector(values, height: int, tol: float) -> Optional[tuple]:
-    """Nearest fractions of height <= ``height`` to the real parts of the
-    values, or None when any value lies farther than ``tol`` from its own."""
-    candidate = []
-    for v in values:
-        q = Fraction(float(v.real)).limit_denominator(height)
-        if abs(q.numerator) > height or abs(complex(v) - complex(q)) > tol:
-            return None
-        candidate.append(q)
-    return tuple(candidate)
 
 
 def _primitive(vec: Sequence[Fraction]) -> Optional[tuple]:
@@ -523,33 +482,53 @@ def _primitive(vec: Sequence[Fraction]) -> Optional[tuple]:
 
 
 def _rational_point(coords: np.ndarray, height: int, tol: float) -> Optional[tuple]:
-    """Primitive integer representative of a projective point whose ratios
-    to its largest coordinate pass _rational_vector, or None."""
-    candidate = _rational_vector(coords / coords[int(np.argmax(np.abs(coords)))], height, tol)
-    return None if candidate is None else _primitive(candidate)
+    """Primitive integer representative of a projective point, or None.
 
-
-def _certify(points, failed, dist, residual, rational, exact_polys, filter_tol=None):
-    """Cluster endpoints around their minimum-residual members; a member's
-    ``rational(rep, _RATIONAL_HEIGHT, _CLUSTER_RADIUS)`` is kept when it is
-    an exact common zero of exact_polys, else it is a mismatch.  Clusters
-    whose best residual reaches ``filter_tol`` are discarded.
-    Returns (sorted clusters, discarded, mismatch, ok), ok meaning no failed
-    path, no mismatch, residuals within tolerance and simple clusters.
+    Each ratio of a coordinate to the largest one is replaced by the
+    nearest fraction of height <= ``height`` to its real part; the point is
+    None when any ratio lies farther than ``tol`` from its fraction.
     """
+    candidate = []
+    for v in coords / coords[int(np.argmax(np.abs(coords)))]:
+        q = Fraction(float(v.real)).limit_denominator(height)
+        if abs(q.numerator) > height or abs(complex(v) - complex(q)) > tol:
+            return None
+        candidate.append(q)
+    return _primitive(candidate)
+
+
+def _certify(points, failed, filters: _Compiled, filter_polys):
+    """Cluster normalized projective endpoints (chordal distance within
+    _CLUSTER_RADIUS of a cluster's first member) and certify the clusters.
+
+    A cluster's residual is the smallest filter residual of its members;
+    clusters where it reaches _FILTER_TOL are discarded.  The minimum-
+    residual member's _rational_point is kept when it is an exact common
+    zero of filter_polys, else it is a mismatch.  Returns (sorted clusters,
+    discarded, mismatch, ok), ok meaning no failed path, no mismatch,
+    residuals within _RESIDUAL_TOL and simple clusters.
+    """
+    groups: list = []
+    for idx, p in enumerate(points):
+        for g in groups:
+            if _chordal_distance(points[g[0]], p) <= _CLUSTER_RADIUS:
+                g.append(idx)
+                break
+        else:
+            groups.append([idx])
     clusters = []
     discarded = 0
     mismatch = False
-    for g in _cluster_indices(points, _CLUSTER_RADIUS, dist):
+    for g in groups:
         members = [points[i] for i in g]
-        residuals = [residual(m) for m in members]
+        residuals = [float(np.max(np.abs(filters.value(m)))) for m in members]
         best = min(residuals)
-        if filter_tol is not None and best >= filter_tol:
+        if best >= _FILTER_TOL:
             discarded += 1
             continue
         rep = members[residuals.index(best)]
-        exact = rational(rep, _RATIONAL_HEIGHT, _CLUSTER_RADIUS)
-        if exact is not None and any(p.evaluate(exact) != 0 for p in exact_polys):
+        exact = _rational_point(rep, _RATIONAL_HEIGHT, _CLUSTER_RADIUS)
+        if exact is not None and any(p.evaluate(exact) != 0 for p in filter_polys):
             exact, mismatch = None, True
         clusters.append(
             Cluster(
@@ -564,74 +543,6 @@ def _certify(points, failed, dist, residual, rational, exact_polys, filter_tol=N
         c.residual <= _RESIDUAL_TOL and c.multiplicity == 1 for c in clusters
     )
     return clusters, discarded, mismatch, ok
-
-
-# ---- the affine front end ----
-
-def _validate_system(polys: Sequence[MultiPoly], degrees: Optional[Sequence[int]]):
-    if not polys:
-        raise ValueError("empty system")
-    nvars = polys[0].nvars
-    if len(polys) != nvars:
-        raise ValueError("system must be square (n polynomials in n unknowns)")
-    if nvars > _MAX_VARS:
-        raise ValueError(f"at most {_MAX_VARS} unknowns supported")
-    if degrees is None:
-        degrees = [p.total_degree() for p in polys]
-    degrees = [int(d) for d in degrees]
-    for p, d in zip(polys, degrees):
-        if p.is_zero() or p.total_degree() < 1:
-            raise ValueError("system contains a constant polynomial")
-        if d < p.total_degree():
-            raise ValueError("declared degree below actual degree")
-        if d > _MAX_DEGREE:
-            raise ValueError(f"degrees above {_MAX_DEGREE} not supported")
-    return list(polys), degrees
-
-
-def solve_square(
-    polys: Sequence[MultiPoly],
-    config: Optional[SolveConfig] = None,
-    rng: Optional[random.Random] = None,
-    degrees: Optional[Sequence[int]] = None,
-) -> SolutionSet:
-    """Solve a square system of affine polynomial equations.
-
-    Tracks the full Bezout count of total-degree start paths, clusters the
-    finite endpoints, certifies residuals, and attempts exact rational
-    reconstruction of every solution near a small-height rational point.
-    Any multiplicity above one, failed path, or rational mismatch leaves
-    the result uncertified (never a silent wrong count).
-    """
-    polys, degrees = _validate_system(polys, degrees)
-    if rng is None:
-        rng = random.Random((config or DEFAULT_CONFIG).seed)
-    target = _Compiled(polys)
-    bezout = math.prod(degrees)
-    attempt, attempts = _run_square(target, degrees, rng)
-    _check_path_accounting(len(attempt.finite) + attempt.at_infinity, attempt.failed, bezout)
-    notes = [] if attempts == 1 else [f"retried {attempts - 1} time(s) with fresh gamma"]
-
-    clusters, _, mismatch, certified = _certify(
-        attempt.finite,
-        attempt.failed,
-        lambda a, b: float(np.linalg.norm(a - b)),
-        lambda x: _affine_residual(target, degrees, x),
-        _rational_vector,
-        polys,
-    )
-    if mismatch:
-        notes.append("rational cross-check mismatch")
-    return SolutionSet(
-        clusters=tuple(clusters),
-        bezout_bound=bezout,
-        paths_tracked=len(attempt.finite) + attempt.at_infinity,
-        paths_failed=attempt.failed,
-        at_infinity=attempt.at_infinity,
-        certified=certified,
-        projective=False,
-        notes=tuple(notes),
-    )
 
 
 # ---- projective layer ----
@@ -699,31 +610,21 @@ def _solve_chart(square, filter_polys, degrees, chart, rng):
     """
     target = _Compiled([_chart_substitute(p, chart) for p in square])
     filters = _Compiled(filter_polys)
-    attempt, attempts = _run_square(target, degrees, rng)
+    finite, at_infinity, failed, attempts = _run_square(target, degrees, rng)
     lifted = []
-    dropped = 0
-    for endpoint in attempt.finite:
+    for endpoint in finite:
         point = _lift_from_chart(endpoint, chart)
         norm = np.linalg.norm(point)
         if norm > _DIVERGENCE_THRESHOLD or norm == 0:
-            dropped += 1
+            at_infinity += 1
             continue
         lifted.append(np.asarray(CPoint.projective(point).coordinates))
-    at_infinity = attempt.at_infinity + dropped
-    survivors, discarded, mismatch, ok = _certify(
-        lifted,
-        attempt.failed,
-        _chordal_distance,
-        lambda x: float(np.max(np.abs(filters.value(x)))),
-        _rational_point,
-        filter_polys,
-        _FILTER_TOL,
-    )
+    survivors, discarded, mismatch, ok = _certify(lifted, failed, filters, filter_polys)
     report = {
         "chart": [str(c) for c in chart[0]],
         "bezout_bound": math.prod(degrees),
         "paths_tracked": len(lifted) + at_infinity,
-        "paths_failed": attempt.failed,
+        "paths_failed": failed,
         "at_infinity": at_infinity,
         "attempts": attempts,
         "survivors": len(survivors),
@@ -809,7 +710,6 @@ def _projective_solve(square, filter_polys, degrees, rng) -> SolutionSet:
         paths_failed=report1["paths_failed"],
         at_infinity=report1["at_infinity"],
         certified=certified,
-        projective=True,
         notes=tuple(notes),
         chart_reports=(report1, report2),
     )

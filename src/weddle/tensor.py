@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .polycore import as_rat
@@ -185,11 +185,6 @@ def sym_part(t: Tensor3) -> Tensor3:
 def skew_part(t: Tensor3) -> Tensor3:
     """Signed symmetrization A."""
     return _apply(_OPERATOR_TERMS[SymmetryClass.SKEW], t)
-
-
-def residual_part(t: Tensor3) -> Tensor3:
-    """N = Id - S - A, the projector killing both symmetrizations."""
-    return _apply(_OPERATOR_TERMS[SymmetryClass.RESIDUAL], t)
 
 
 def n1_part(t: Tensor3) -> Tensor3:
@@ -358,11 +353,9 @@ def extend(t: Tensor3, free: Sequence[Sequence]) -> Tensor3:
     return out
 
 
-def random_n1(dim: int, seed: Optional[int] = None, rng: Optional[random.Random] = None) -> Tensor3:
+def random_n1(dim: int, rng: random.Random) -> Tensor3:
     """Random cyclic partially symmetric tensor: integer coefficients drawn
     uniformly from [-9, 9] against the distinguished N1 basis."""
-    if rng is None:
-        rng = random.Random(seed)
     acc = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for b in basis(SymmetryClass.RESIDUAL1, dim):
         c = rng.randint(-9, 9)

@@ -196,6 +196,33 @@ def test_sweep_rejects_repeated_dims(capsys):
     assert "dims must be distinct" in err
 
 
+def test_sweep_rejects_a_trial_count_below_one(capsys):
+    code, out, err = run_cli(capsys, "jacobsthal-sweep", "--dims", "2", "--trials", "-1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "trials must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("number.json", "5"),
+        ("list.json", '[{"n": 1}]'),
+        ("float.json", '{"n": 1, "quadrics": [[[1.5, 0], [0, 0]], [[0, 0], [0, 1]]]}'),
+        ("trailing-operator.poly", "x0^3 + 2*"),
+        ("lone-sign.poly", "-"),
+    ],
+)
+def test_malformed_input_files_are_usage_errors(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    for command in ("weddle", "singular"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 # ---- the installed console script ----
 
 def test_console_script_runs_end_to_end():

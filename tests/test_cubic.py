@@ -124,11 +124,38 @@ def test_fermat_cubic_has_j_zero_on_both_routes():
     assert (exact.a, exact.b) == (0, Fraction(-27, 4))
     assert cubic.j_invariant(fermat).value == 0
 
-    numeric = cubic.weierstrass_reduce(fermat, method="numeric", promote=False)
+    # x0^3 + 2 x1^3 + 3 x2^3 has j = 0 too, but no rational flex at all
+    diagonal = parse_poly("x0^3 + 2*x1^3 + 3*x2^3")
+    numeric = cubic.weierstrass_reduce(diagonal)
     assert not numeric.exact
     assert abs(complex(numeric.a)) < 1e-9
-    assert abs(complex(numeric.b) - complex(Fraction(-27, 4))) < 1e-9
+    assert abs(cubic.j_from_reduction(numeric).value) < 1e-9
     assert numeric.residual < 1e-10
+
+
+def test_a_flex_beyond_the_search_height_is_promoted_to_an_exact_one():
+    # reduces to (a, b) = (1, 0) through its rational flex (0:1:9), which
+    # lies beyond the search height
+    f = parse_poly("x0^3 + 81*x0*x1^2 - 18*x0*x1*x2 + x0*x2^2 + 9*x1^3 - x1^2*x2")
+    assert cubic.find_rational_flex(f) is None
+    r = cubic.weierstrass_reduce(f)
+    assert r.exact
+    assert r.flex == (0, 1, 9)
+    assert (r.a, r.b) == (1, 0)
+
+
+def test_a_rational_flex_listed_after_irrational_ones_is_still_promoted():
+    # y^2 z = x^3 + x z^2 under x0 -> x0 - 9 x1: its rational flex (9:1:0)
+    # lies beyond the search height and is not the first certified flex
+    g = parse_poly(
+        "x0^3 - 27*x0^2*x1 + 243*x0*x1^2 + x0*x2^2 - 729*x1^3 - x1^2*x2 - 9*x1*x2^2"
+    )
+    assert cubic.find_rational_flex(g) is None
+    r = cubic.weierstrass_reduce(g)
+    assert r.exact
+    assert r.flex == (9, 1, 0)
+    assert (r.a, r.b) == (1, 0)
+    assert cubic.j_invariant(g).value == 1728
 
 
 def test_pair_canonicalization_collapses_the_scaling_orbit():
@@ -144,11 +171,11 @@ def test_j_is_invariant_under_rational_changes_of_coordinates():
         attempts = 0
         while attempts < 3:
             matrix = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-            if not linalg.is_invertible(matrix):
+            if linalg.det(matrix) == 0:
                 continue
             attempts += 1
             g = f.compose([linear_form(3, row) for row in matrix])
-            result = cubic.j_invariant(g, method="numeric")
+            result = cubic.j_invariant(g)
             if result.exact:
                 assert result.value == expected
             else:
@@ -172,6 +199,10 @@ def test_reduction_validates_input():
         cubic.weierstrass_reduce(parse_poly("x0*x1*x2"))  # singular
 
 
-def test_exact_method_requires_a_rational_flex_in_range():
+def test_reduction_runs_at_the_first_rational_flex_in_range():
     f = fixtures.poly("witness-C1")
-    assert cubic.weierstrass_reduce(f, method="exact").exact
+    flex = cubic.find_rational_flex(f)
+    assert max(abs(c) for c in flex) <= cubic._FLEX_HEIGHT
+    r = cubic.weierstrass_reduce(f)
+    assert r.exact
+    assert r.flex == flex

@@ -191,7 +191,7 @@ def test_recombination_scales_the_weddle_polynomial():
     system = fixtures.system("witness-C1-system")
     base = loci.weddle_matrix(system).polynomial
     matrix = [[1, 2, 0], [0, 1, 1], [1, 0, 3]]
-    assert linalg.is_invertible(matrix)
+    assert linalg.det(matrix) != 0
     recombined = loci.recombine(system, matrix)
     assert loci.weddle_matrix(recombined).polynomial.proportional(base)
     with pytest.raises(ValueError):
@@ -317,8 +317,8 @@ def test_from_tensor_requires_partial_symmetry():
 
 
 def test_sampling_is_deterministic_and_nondegenerate():
-    t1, s1, d1 = loci.sample_general_cyclic(3, seed=9)
-    t2, s2, d2 = loci.sample_general_cyclic(3, seed=9)
+    t1, s1, d1 = loci.sample_general_cyclic(3, rng=random.Random(9))
+    t2, s2, d2 = loci.sample_general_cyclic(3, rng=random.Random(9))
     assert t1 == t2
     assert s1 == s2
     assert not d1.degenerate

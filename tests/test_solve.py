@@ -1,4 +1,4 @@
-"""Homotopy continuation: square solves, certified projective counts."""
+"""Homotopy continuation: certified projective counts."""
 
 import random
 from fractions import Fraction
@@ -10,39 +10,36 @@ from weddle.polycore import MultiPoly, parse_poly
 from weddle.solve import SolveConfig
 
 
-def _poly2(text):
-    return parse_poly(text, nvars=2)
+def _solve_projective(texts, seed=0):
+    """Common zeros in P^2 of homogeneous polynomials, each its own filter,
+    through the solve path of every shipped caller."""
+    polys = [parse_poly(text, nvars=3) for text in texts]
+    degrees = [p.total_degree() for p in polys]
+    return solve._projective_solve(polys, polys, degrees, random.Random(seed))
 
 
-# ---- affine square systems ----
+# ---- the projective solve on small systems ----
 
 def test_two_circles_give_four_simple_rational_solutions():
-    result = solve.solve_square([_poly2("x0^2 - 1"), _poly2("x1^2 - 1")])
+    result = _solve_projective(["x0^2 - x2^2", "x1^2 - x2^2"])
     assert result.bezout_bound == 4
     assert result.count() == 4
     assert result.certified
     assert result.paths_failed == 0
     found = sorted(c.rational for c in result.clusters)
-    assert found == [
-        (Fraction(-1), Fraction(-1)),
-        (Fraction(-1), Fraction(1)),
-        (Fraction(1), Fraction(-1)),
-        (Fraction(1), Fraction(1)),
-    ]
+    assert found == [(1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]
     for c in result.clusters:
         assert c.multiplicity == 1
         assert c.residual <= 1e-10
 
 
 def test_tangential_intersection_reports_double_points_uncertified():
-    result = solve.solve_square([_poly2("x0^2 + x1^2 - 2"), _poly2("x0*x1 - 1")])
-    assert not result.certified  # multiplicity two is not a simple-root count
-    assert result.count() == 2
-    assert sorted(c.rational for c in result.clusters) == [
-        (Fraction(-1), Fraction(-1)),
-        (Fraction(1), Fraction(1)),
-    ]
-    assert all(c.multiplicity == 2 for c in result.clusters)
+    # the conics touch at (1:1:1) and (-1:-1:1), each a double point
+    for seed in range(4):
+        result = _solve_projective(["x0^2 + x1^2 - 2*x2^2", "x0*x1 - x2^2"], seed)
+        assert not result.certified  # multiplicity two is not a simple-root count
+        assert {c.rational for c in result.clusters} <= {(1, 1, 1), (1, 1, -1)}
+        assert any(c.multiplicity == 2 for c in result.clusters)
 
 
 def test_generic_quadric_pair_has_four_accurate_solutions():
@@ -51,15 +48,15 @@ def test_generic_quadric_pair_has_four_accurate_solutions():
         polys = []
         for _ in range(2):
             terms = {
-                (2, 0): Fraction(rng.randint(-5, 5)),
-                (1, 1): Fraction(rng.randint(-5, 5)),
-                (0, 2): Fraction(rng.randint(-5, 5)),
-                (1, 0): Fraction(rng.randint(-5, 5)),
-                (0, 1): Fraction(rng.randint(-5, 5)),
-                (0, 0): Fraction(rng.randint(1, 5)),
+                (2, 0, 0): Fraction(rng.randint(-5, 5)),
+                (1, 1, 0): Fraction(rng.randint(-5, 5)),
+                (0, 2, 0): Fraction(rng.randint(-5, 5)),
+                (1, 0, 1): Fraction(rng.randint(-5, 5)),
+                (0, 1, 1): Fraction(rng.randint(-5, 5)),
+                (0, 0, 2): Fraction(rng.randint(1, 5)),
             }
-            polys.append(MultiPoly(2, terms))
-        result = solve.solve_square(polys)
+            polys.append(MultiPoly(3, terms))
+        result = solve._projective_solve(polys, polys, [2, 2], random.Random(0))
         if not result.certified:
             continue  # a non-generic draw (tangency) is allowed to bail out
         assert result.count() == 4
@@ -67,22 +64,9 @@ def test_generic_quadric_pair_has_four_accurate_solutions():
             assert c.residual < 1e-10
 
 
-def test_solve_square_is_deterministic_for_a_fixed_seed():
-    polys = [_poly2("x0^2 + x1 - 3"), _poly2("x0*x1 - 2")]
-    a = solve.solve_square(polys, SolveConfig(seed=5))
-    b = solve.solve_square(polys, SolveConfig(seed=5))
-    assert a.to_json() == b.to_json()
-
-
-def test_solve_square_validates_input():
-    with pytest.raises(ValueError):
-        solve.solve_square([_poly2("x0^2 - 1")])  # not square
-    with pytest.raises(ValueError):
-        solve.solve_square([_poly2("x0 - 1"), MultiPoly.constant(2, 3)])
-    with pytest.raises(ValueError):
-        solve.solve_square(
-            [parse_poly("x0^4 - 1", nvars=2), _poly2("x1 - 1")]
-        )  # degree above the supported range
+def test_projective_solve_is_deterministic_for_a_fixed_seed():
+    texts = ["x0^2 + x1*x2 - 3*x2^2", "x0*x1 - 2*x2^2"]
+    assert _solve_projective(texts, 5).to_json() == _solve_projective(texts, 5).to_json()
 
 
 # ---- base points of quadric systems ----
@@ -132,7 +116,7 @@ def _projectively_same(p, q):
 
 
 def test_random_cyclic_system_in_three_space_has_five_base_points():
-    t = tensor.random_n1(4, seed=2)
+    t = tensor.random_n1(4, rng=random.Random(2))
     system = loci.LinearSystem.from_tensor(t)
     result = solve.base_points(system)
     assert result.certified
@@ -140,13 +124,24 @@ def test_random_cyclic_system_in_three_space_has_five_base_points():
 
 
 def test_base_points_rejects_oversized_or_degenerate_systems():
-    t = tensor.random_n1(6, seed=0)
+    t = tensor.random_n1(6, rng=random.Random(0))
     with pytest.raises(ValueError):
         solve.base_points(loci.LinearSystem.from_tensor(t))
     zero = loci.LinearSystem(1, [[[0, 0], [0, 0]], [[1, 0], [0, 0]]])
     with pytest.raises(ValueError):
         solve.base_points(zero)
 
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_non_reduced_base_point_is_never_certified(seed):
+    # x0^2 - x1*x2, x0*x1 and x1^2 meet only at [0:0:1], with multiplicity 3
+    polys = [parse_poly(text, nvars=3) for text in ("x0^2 - x1*x2", "x0*x1", "x1^2")]
+    result = solve.base_points(loci.LinearSystem.from_polys(polys), SolveConfig(seed=seed))
+    assert not result.certified
+    assert all(c.rational == (0, 0, 1) for c in result.clusters)
+    if seed in (2, 3):
+        assert [c.multiplicity for c in result.clusters] == [3]
 
 
 def _sweep_replay(dim, master_seed):
@@ -185,8 +180,6 @@ def test_a_path_dropped_by_the_tracker_breaks_the_accounting_loudly(monkeypatch)
         return statuses[:-1], endpoints[:-1]
 
     monkeypatch.setattr(solve, "_track_paths", drop_last_path)
-    with pytest.raises(RuntimeError, match="path accounting"):
-        solve.solve_square([_poly2("x0^2 - 1"), _poly2("x1^2 - 1")])
     with pytest.raises(RuntimeError, match="path accounting"):
         solve.base_points(fixtures.system("cyclic-dim2"))
 
