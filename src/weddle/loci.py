@@ -127,7 +127,11 @@ class LinearSystem:
     def from_json(cls, data: dict) -> "LinearSystem":
         if set(data) - {"n", "quadrics"}:
             raise ValueError("unexpected keys in system record")
-        return cls(int(data["n"]), data["quadrics"])
+        n = data["n"]
+        # bool is an int subclass, and a JSON true must not read as P^1.
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"system dimension n must be an integer, got {n!r}")
+        return cls(n, data["quadrics"])
 
     def __repr__(self) -> str:
         return f"LinearSystem(n={self.n})"

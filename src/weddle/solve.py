@@ -5,11 +5,18 @@ points of hypersurfaces and (for weddle.cubic) flexes of plane cubics, all
 through one solve path (_projective_solve).  A square subsystem is
 dehomogenized onto two random rational charts, and each chart runs a
 total-degree homotopy of degree at most three in at most _MAX_VARS = 4
-unknowns (the package's one size limit).  All Bezout paths of one homotopy
-are tracked together (_track_paths): each path has its own t, step size and
-status, every iteration advances the paths still running with one stacked
-RK4 predictor step and Newton corrector, and a final Newton polish on the
-target system classifies each endpoint as finite, at infinity or failed.
+unknowns (the package's one size limit).  Each row of a chart's target is
+divided exactly by its largest coefficient magnitude before tracking
+(_unit_row), which keeps large coefficients from collapsing the first
+steps and makes tracking exactly invariant under multiplying the input by
+a positive rational factor; certification still sees the unscaled
+polynomials.  All Bezout paths of one homotopy are tracked together
+(_track_paths): each path has its own t, step size and status, every
+iteration advances the paths still running with one stacked RK4 predictor
+step and Newton corrector, and a final Newton polish on the target system
+classifies each endpoint as finite, at infinity or failed.  Every stage
+evaluates the target once per point, taking value and Jacobian from one
+table of monomial values.
 One routine (_certify) clusters, residual-certifies and rationally
 cross-checks a chart's endpoints, and the two charts must agree and account
 for every path either one loses to infinity.
@@ -159,7 +166,13 @@ class SolutionSet:
 
 class _Compiled:
     """Union-monomial tables for fast complex evaluation of a system at one
-    point (shape (nvars,)) or a stack of points (shape (..., nvars))."""
+    point (shape (nvars,)) or a stack of points (shape (..., nvars)).
+
+    value_and_jacobian computes one table of monomial values per point: the
+    system's monomials together with the monomial of each term's partial
+    derivative in each variable.  The value and every Jacobian column are
+    gathered from that table, so a point's monomials are computed once.
+    """
 
     def __init__(self, polys: Sequence[MultiPoly]):
         if not polys:
@@ -176,23 +189,30 @@ class _Compiled:
             for m, c in p.terms.items():
                 coeff[r, index[m]] = complex(c)
         self.coeff = coeff
-        self._dexp = []
-        self._dcoeff = []
-        for v in range(nvars):
-            shifted = self.exponents.copy()
-            shifted[:, v] = np.maximum(shifted[:, v] - 1, 0)
-            self._dexp.append(shifted)
-            # One separately allocated table per variable, not slices of one
-            # stacked table: BLAS kernels may choose their code path, and so
-            # their rounding, by the alignment of the matrix.
-            self._dcoeff.append(coeff * self.exponents[:, v].astype(np.float64))
+        # The derivative of a term along variable v lowers its exponent of v
+        # by one (a term constant in v gets multiplier 0 in _dcoeff).
+        shifted = [
+            [m[:v] + (max(m[v] - 1, 0),) + m[v + 1 :] for m in monos] for v in range(nvars)
+        ]
+        table = sorted(set(monos).union(*shifted))
+        position = {m: i for i, m in enumerate(table)}
+        self._table = np.array(table, dtype=np.int64)
+        self._value_index = np.array([position[m] for m in monos], dtype=np.int64)
+        self._dindex = [np.array([position[m] for m in ms], dtype=np.int64) for ms in shifted]
+        # One separately allocated table per variable, not slices of one
+        # stacked table: BLAS kernels may choose their code path, and so
+        # their rounding, by the alignment of the matrix.
+        self._dcoeff = [coeff * self.exponents[:, v].astype(np.float64) for v in range(nvars)]
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return _matvec(self.coeff, _monomials(x, self.exponents))
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        cols = [_matvec(c, _monomials(x, e)) for c, e in zip(self._dcoeff, self._dexp)]
-        return np.stack(cols, axis=-1)
+    def value_and_jacobian(self, x: np.ndarray):
+        """(value, Jacobian) at x, both from one monomial table."""
+        table = _monomials(x, self._table)
+        value = _matvec(self.coeff, table[..., self._value_index])
+        cols = [_matvec(c, table[..., i]) for c, i in zip(self._dcoeff, self._dindex)]
+        return value, np.stack(cols, axis=-1)
 
 
 def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -235,9 +255,12 @@ def _solve_stack(a: np.ndarray, b: np.ndarray):
 
 
 class _Homotopy:
-    """H(x, t) = gamma * t * G(x) + (1 - t) * F(x), tracked from t=1 to 0,
-    with G the start system x_i^{d_i} = r_i (unit-modulus r_i).  Evaluated
-    on a stack of points x of shape (P, n), each with its own t (shape (P,)).
+    """H(x, t) = gamma * t * G(x) + (1 - t) * D * F(x), tracked from t=1 to 0,
+    with G the start system x_i^{d_i} = r_i (unit-modulus r_i) and D the
+    positive diagonal row scaling that _solve_chart applies to the chart
+    target F (each row divided by its largest coefficient magnitude; the
+    target passed in is D * F).  Evaluated on a stack of points x of shape
+    (P, n), each with its own t (shape (P,)).
     """
 
     def __init__(self, target: _Compiled, degrees: Sequence[int], roots, gamma: complex):
@@ -246,22 +269,20 @@ class _Homotopy:
         self.roots = np.array(roots, dtype=np.complex128)
         self.gamma = gamma
 
-    def _start_value(self, x: np.ndarray) -> np.ndarray:
-        return x ** self.degrees - self.roots
-
-    def value(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        t = t[:, np.newaxis]
-        return self.gamma * t * self._start_value(x) + (1.0 - t) * self.target.value(x)
-
-    def jacobian(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def evaluate(self, x: np.ndarray, t: np.ndarray):
+        """(H, dH/dx, dH/dt) at every point of the stack, from one
+        evaluation of the target."""
+        value, jacobian = self.target.value_and_jacobian(x)
+        start = x ** self.degrees - self.roots
         n = len(self.degrees)
-        start = np.zeros(x.shape + (n,), dtype=np.complex128)
-        start[..., range(n), range(n)] = self.degrees * x ** (self.degrees - 1)
-        t = t[:, np.newaxis, np.newaxis]
-        return self.gamma * t * start + (1.0 - t) * self.target.jacobian(x)
-
-    def t_derivative(self, x: np.ndarray) -> np.ndarray:
-        return self.gamma * self._start_value(x) - self.target.value(x)
+        start_jacobian = np.zeros(x.shape + (n,), dtype=np.complex128)
+        start_jacobian[..., range(n), range(n)] = self.degrees * x ** (self.degrees - 1)
+        tv, tm = t[:, np.newaxis], t[:, np.newaxis, np.newaxis]
+        return (
+            self.gamma * tv * start + (1.0 - tv) * value,
+            self.gamma * tm * start_jacobian + (1.0 - tm) * jacobian,
+            self.gamma * start - value,
+        )
 
 
 # ---- path tracking ----
@@ -274,7 +295,7 @@ class _Homotopy:
 
 def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit: float = math.inf):
     """Up to ``iterations`` Newton steps per row, where ``system(y, rows)``
-    returns the Jacobians and values at the points y of the given rows.  A
+    returns the values and Jacobians at the points y of the given rows.  A
     row stops when its step is below ``tol`` relative to its norm
     (converged), when its Jacobian is singular, or when it turns non-finite
     or leaves the ball of radius ``limit``.  Returns (converged, points)."""
@@ -285,7 +306,8 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
         if not rows.size:
             break
         y = x[rows]
-        ok, delta = _solve_stack(*system(y, rows))
+        values, jacobians = system(y, rows)
+        ok, delta = _solve_stack(jacobians, values)
         rows, y, delta = rows[ok], y[ok] - delta[ok], delta[ok]
         x[rows] = y
         keep = np.isfinite(y).all(axis=-1)
@@ -312,7 +334,8 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
             y, s = x[rows] - step[:, np.newaxis] * tangents[-1], t[rows] - step
         else:
             y, s = x, t
-        ok, k = _solve_stack(hom.jacobian(y, s), -hom.t_derivative(y))
+        _, jacobian, t_derivative = hom.evaluate(y, s)
+        ok, k = _solve_stack(jacobian, -t_derivative)
         rows, tangents = rows[ok], [v[ok] for v in tangents] + [k[ok]]
     k1, k2, k3, k4 = tangents
     h = h[rows]
@@ -320,7 +343,7 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
     finite = np.isfinite(predicted).all(axis=-1)
     rows, t_next = rows[finite], t[rows][finite] - h[finite]
     converged, corrected = _newton(
-        lambda y, r: (hom.jacobian(y, t_next[r]), hom.value(y, t_next[r])),
+        lambda y, r: hom.evaluate(y, t_next[r])[:2],
         predicted[finite],
         _TRACK_TOL,
         _CORRECTOR_ITERATIONS,
@@ -335,7 +358,7 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
 def _polish(target: _Compiled, x: np.ndarray):
     """Plain Newton on the target system per row; returns (converged, points)."""
     return _newton(
-        lambda y, _: (target.jacobian(y), target.value(y)),
+        lambda y, _: target.value_and_jacobian(y),
         x,
         1e-13,
         _POLISH_ITERATIONS,
@@ -584,6 +607,18 @@ def _chart_substitute(poly: MultiPoly, chart) -> MultiPoly:
     return poly.compose(args)
 
 
+def _unit_row(poly: MultiPoly) -> MultiPoly:
+    """poly divided, exactly, by its largest coefficient magnitude.
+
+    Scaling a row of the chart target does not move its zeros, but it
+    balances (1 - t) * F against gamma * t * G near t = 1: an unscaled row
+    with large coefficients swamps the unit start system and collapses the
+    first steps.  Being exact, it gives the same row for poly and for any
+    positive rational multiple of it.
+    """
+    return poly.scale(1 / max(abs(c) for c in poly.terms.values()))
+
+
 def _lift_from_chart(y: np.ndarray, chart) -> np.ndarray:
     coeffs, pivot = chart
     nv = len(coeffs)
@@ -608,7 +643,7 @@ def _solve_chart(square, filter_polys, degrees, chart, rng):
     projective representatives, ok as in _certify, and lifted every finite
     endpoint's normalized lift before clustering and filtering.
     """
-    target = _Compiled([_chart_substitute(p, chart) for p in square])
+    target = _Compiled([_unit_row(_chart_substitute(p, chart)) for p in square])
     filters = _Compiled(filter_polys)
     finite, at_infinity, failed, attempts = _run_square(target, degrees, rng)
     lifted = []

@@ -223,6 +223,17 @@ def test_malformed_input_files_are_usage_errors(capsys, tmp_path, name, text):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", ["1.5", '"2"', "true"])
+def test_non_integer_system_dimension_is_a_usage_error(capsys, tmp_path, n):
+    path = tmp_path / "system.json"
+    path.write_text(f'{{"n": {n}, "quadrics": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}}', encoding="utf-8")
+    for command in ("weddle", "decompose"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "n must be an integer" in err
+
+
 # ---- the installed console script ----
 
 def test_console_script_runs_end_to_end():

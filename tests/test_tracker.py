@@ -7,6 +7,7 @@ endpoints must agree exactly, not within a tolerance.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,6 +190,28 @@ def test_lockstep_matches_reference_on_cyclic_systems(monkeypatch, dim):
     _, system, _ = loci.sample_general_cyclic(dim, rng=random.Random(100 + dim))
     calls = _recorded_homotopies(monkeypatch, lambda: solve.base_points(system))
     assert "finite" in _assert_matches_reference(calls)
+
+
+@pytest.mark.parametrize("factor", [Fraction(2**20), Fraction(1, 2**20)])
+def test_tracking_is_invariant_under_rescaling_every_quadric(monkeypatch, factor):
+    """Each chart target row is divided exactly by its largest coefficient
+    before tracking, so multiplying every quadric by the same positive
+    factor leaves every tracker call bit-identical.  Only the tracker output
+    is compared: the certificate itself still changes (at 2^-20 this system
+    comes back uncertified with 7 points instead of certified with 5),
+    because the filter and residual thresholds are absolute bounds on raw
+    polynomial values."""
+    _, system, _ = loci.sample_general_cyclic(4, rng=random.Random(104))
+    scaled = loci.LinearSystem(
+        system.n, [[[x * factor for x in row] for row in q] for q in system.quadrics]
+    )
+    plain = _recorded_homotopies(monkeypatch, lambda: solve.base_points(system))
+    monkeypatch.undo()
+    rescaled = _recorded_homotopies(monkeypatch, lambda: solve.base_points(scaled))
+    assert len(plain) == len(rescaled)
+    for (_, _, statuses, endpoints), (_, _, scaled_statuses, scaled_endpoints) in zip(plain, rescaled):
+        assert scaled_statuses == statuses
+        assert np.array_equal(scaled_endpoints, endpoints)
 
 
 def test_lockstep_matches_reference_on_degenerate_conics(monkeypatch):
