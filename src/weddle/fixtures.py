@@ -13,7 +13,7 @@ import json
 from importlib import resources
 
 from .loci import LinearSystem, rank5_canonical_system, system_through_points
-from .polycore import MultiPoly, as_rat, parse_poly
+from .polycore import MultiPoly, as_int, as_rat, parse_poly
 from .tensor import Tensor3
 
 # name -> (kind, filename); kinds: system | tensor | matrix | points | poly
@@ -60,7 +60,8 @@ def parse_payload(kind_name: str, text: str):
     if kind_name == "matrix":
         return [[as_rat(x) for x in row] for row in data["matrix"]]
     if kind_name == "points":
-        return int(data["n"]), [[as_rat(x) for x in p] for p in data["points"]]
+        n = as_int(data["n"], "points dimension n")
+        return n, [[as_rat(x) for x in p] for p in data["points"]]
     raise ValueError(f"unknown fixture kind {kind_name!r}")
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg, solve
-from .polycore import MultiPoly, PolyMatrix, as_rat, divides, linear_form
+from .polycore import MultiPoly, PolyMatrix, as_int, as_rat, divides, linear_form
 
 
 # ---- quadrics as matrices and polynomials ----
@@ -127,11 +127,7 @@ class LinearSystem:
     def from_json(cls, data: dict) -> "LinearSystem":
         if set(data) - {"n", "quadrics"}:
             raise ValueError("unexpected keys in system record")
-        n = data["n"]
-        # bool is an int subclass, and a JSON true must not read as P^1.
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"system dimension n must be an integer, got {n!r}")
-        return cls(n, data["quadrics"])
+        return cls(as_int(data["n"], "system dimension n"), data["quadrics"])
 
     def __repr__(self) -> str:
         return f"LinearSystem(n={self.n})"
@@ -479,22 +475,59 @@ def rank_lower_bound_certificate(system: LinearSystem, config=None) -> RankCerti
 # ---- sampling helpers ----
 
 _SAMPLE_DRAWS = 16
+_WITNESS_HEIGHT = 2**16
+
+
+def _weddle_witness(system: LinearSystem) -> Optional[tuple]:
+    """An integer point where the Weddle polynomial is nonzero, or None when
+    the polynomial is identically zero.
+
+    The contraction matrix is evaluated at integer points of height up to
+    _WITNESS_HEIGHT and its determinant taken exactly; a nonzero value
+    proves the polynomial nonzero, and a nonzero polynomial of degree n+1
+    vanishes at a random such point with probability at most
+    (n+1) / (2 * _WITNESS_HEIGHT + 1) (Schwartz-Zippel).  Points come from
+    a fixed generator keyed by the dimension, so the witness depends only
+    on the system.  Only a zero at the first point falls back to the
+    symbolic determinant; when that is nonzero, further points are drawn
+    until one witnesses it.
+    """
+    nv = system.n + 1
+    points = random.Random(nv)
+    contraction = contraction_matrix(system)
+
+    def draw() -> tuple:
+        return tuple(points.randint(-_WITNESS_HEIGHT, _WITNESS_HEIGHT) for _ in range(nv))
+
+    def determinant(point) -> Fraction:
+        return linalg.det([[entry.evaluate(point) for entry in row] for row in contraction.entries])
+
+    witness = draw()
+    if determinant(witness) == 0:
+        if weddle_matrix(system).degenerate:
+            return None
+        while determinant(witness) == 0:
+            witness = draw()
+    return witness
 
 
 def sample_general_cyclic(dim: int, rng: random.Random):
     """Draw random cyclic tensors until the Weddle polynomial is nonzero.
 
-    Returns (tensor, system, weddle_data); raises RuntimeError after
-    _SAMPLE_DRAWS consecutive degenerate draws.
+    Returns (tensor, system, witness), with witness an integer point where
+    the Weddle polynomial is nonzero (_weddle_witness).  The witness is not
+    drawn from rng, so the tensors drawn are those of a symbolic
+    nondegeneracy test.  Raises RuntimeError after _SAMPLE_DRAWS
+    consecutive degenerate draws.
     """
     from .tensor import random_n1
 
     for _ in range(_SAMPLE_DRAWS):
         t = random_n1(dim, rng=rng)
         system = LinearSystem.from_tensor(t)
-        data = weddle_matrix(system)
-        if not data.degenerate:
-            return t, system, data
+        witness = _weddle_witness(system)
+        if witness is not None:
+            return t, system, witness
     raise RuntimeError(f"no nondegenerate sample found in {_SAMPLE_DRAWS} draws")
 
 

@@ -33,6 +33,17 @@ def as_rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def as_int(value, name: str) -> int:
+    """An integer read from an input record; anything else is a ValueError.
+
+    A float is rejected rather than truncated, and bool too, although it is
+    an int subclass: a JSON true must not read as 1.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def grlex_key(mono: Monomial):
     """Sort key realizing graded lexicographic order (total degree first)."""
     return (sum(mono), mono)

@@ -10,13 +10,14 @@ divided exactly by its largest coefficient magnitude before tracking
 (_unit_row), which keeps large coefficients from collapsing the first
 steps and makes tracking exactly invariant under multiplying the input by
 a positive rational factor; certification still sees the unscaled
-polynomials.  All Bezout paths of one homotopy are tracked together
-(_track_paths): each path has its own t, step size and status, every
-iteration advances the paths still running with one stacked RK4 predictor
-step and Newton corrector, and a final Newton polish on the target system
-classifies each endpoint as finite, at infinity or failed.  Every stage
-evaluates the target once per point, taking value and Jacobian from one
-table of monomial values.
+polynomials.  The Bezout paths of both charts are tracked together in one
+stack (_track_paths): each path has its own chart, start roots, gamma, t,
+step size and status, every iteration advances the paths still running
+with one stacked RK4 predictor step and Newton corrector, and a final
+Newton polish on each path's chart target classifies each endpoint as
+finite, at infinity or failed.  Only a chart that must retry after failed
+paths runs on its own.  Every stage evaluates the target once per point,
+taking value and Jacobian from one table of monomial values.
 One routine (_certify) clusters, residual-certifies and rationally
 cross-checks a chart's endpoints, and the two charts must agree and account
 for every path either one loses to infinity.
@@ -26,6 +27,7 @@ Anything that cannot be certified is reported as such rather than guessed.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -165,16 +167,20 @@ class SolutionSet:
 # ---- compiled evaluation ----
 
 class _Compiled:
-    """Union-monomial tables for fast complex evaluation of a system at one
-    point (shape (nvars,)) or a stack of points (shape (..., nvars)).
+    """Union-monomial tables for fast complex evaluation of one or more
+    systems of equal size at one point (shape (nvars,)) or a stack of
+    points (shape (..., nvars)), each row on its own system.
 
-    value_and_jacobian computes one table of monomial values per point: the
-    system's monomials together with the monomial of each term's partial
-    derivative in each variable.  The value and every Jacobian column are
-    gathered from that table, so a point's monomials are computed once.
+    coeff[k] is system k's table on the union of all supports, zero where
+    system k lacks a monomial.  value_and_jacobian computes one table of
+    monomial values per point: the monomials together with the monomial of
+    each term's partial derivative in each variable.  The value and every
+    Jacobian column are gathered from that table, so a point's monomials
+    are computed once.
     """
 
-    def __init__(self, polys: Sequence[MultiPoly]):
+    def __init__(self, *systems: Sequence[MultiPoly]):
+        polys = [p for system in systems for p in system]
         if not polys:
             raise ValueError("empty system")
         nvars = polys[0].nvars
@@ -184,10 +190,11 @@ class _Compiled:
         self.nvars = nvars
         self.exponents = np.array(monos, dtype=np.int64)
         index = {m: i for i, m in enumerate(monos)}
-        coeff = np.zeros((len(polys), len(monos)), dtype=np.complex128)
-        for r, p in enumerate(polys):
-            for m, c in p.terms.items():
-                coeff[r, index[m]] = complex(c)
+        coeff = np.zeros((len(systems), len(systems[0]), len(monos)), dtype=np.complex128)
+        for k, system in enumerate(systems):
+            for r, p in enumerate(system):
+                for m, c in p.terms.items():
+                    coeff[k, r, index[m]] = complex(c)
         self.coeff = coeff
         # The derivative of a term along variable v lowers its exponent of v
         # by one (a term constant in v gets multiplier 0 in _dcoeff).
@@ -205,13 +212,15 @@ class _Compiled:
         self._dcoeff = [coeff * self.exponents[:, v].astype(np.float64) for v in range(nvars)]
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return _matvec(self.coeff, _monomials(x, self.exponents))
+        """The first system's value at x."""
+        return _matvec(self.coeff[0], _monomials(x, self.exponents))
 
-    def value_and_jacobian(self, x: np.ndarray):
-        """(value, Jacobian) at x, both from one monomial table."""
+    def value_and_jacobian(self, x: np.ndarray, systems):
+        """(value, Jacobian) at each point of the stack x, row p on system
+        systems[p], both from one monomial table."""
         table = _monomials(x, self._table)
-        value = _matvec(self.coeff, table[..., self._value_index])
-        cols = [_matvec(c, table[..., i]) for c, i in zip(self._dcoeff, self._dindex)]
+        value = _matvec(self.coeff[systems], table[..., self._value_index])
+        cols = [_matvec(c[systems], table[..., i]) for c, i in zip(self._dcoeff, self._dindex)]
         return value, np.stack(cols, axis=-1)
 
 
@@ -220,7 +229,8 @@ def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 
 
 def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """matrix @ v for every v in a stack, one BLAS matvec per vector."""
+    """matrix @ v for every v in a stack (with one matrix per v when matrix
+    is a stack too), one BLAS matvec per vector."""
     return np.matmul(matrix, vectors[..., np.newaxis])[..., 0]
 
 
@@ -256,42 +266,47 @@ def _solve_stack(a: np.ndarray, b: np.ndarray):
 
 class _Homotopy:
     """H(x, t) = gamma * t * G(x) + (1 - t) * D * F(x), tracked from t=1 to 0,
-    with G the start system x_i^{d_i} = r_i (unit-modulus r_i) and D the
-    positive diagonal row scaling that _solve_chart applies to the chart
-    target F (each row divided by its largest coefficient magnitude; the
-    target passed in is D * F).  Evaluated on a stack of points x of shape
-    (P, n), each with its own t (shape (P,)).
+    for paths that each carry their own chart, start roots and gamma: on
+    path p, F is system charts[p] of target, G the start system
+    x_i^{d_i} = r_i with unit-modulus r = roots[p], and gamma = gamma[p].
+    D is the positive diagonal row scaling of each chart target (each row
+    divided by its largest coefficient magnitude; the target passed in is
+    D * F).  Evaluated on a stack of points x (P, n) of the given paths,
+    each with its own t (shape (P,)).
     """
 
-    def __init__(self, target: _Compiled, degrees: Sequence[int], roots, gamma: complex):
+    def __init__(self, target: _Compiled, degrees: Sequence[int], charts, roots, gamma):
         self.target = target
         self.degrees = np.array(degrees, dtype=np.float64)
+        self.charts = np.array(charts, dtype=np.int64)
         self.roots = np.array(roots, dtype=np.complex128)
-        self.gamma = gamma
+        self.gamma = np.array(gamma, dtype=np.complex128)
 
-    def evaluate(self, x: np.ndarray, t: np.ndarray):
-        """(H, dH/dx, dH/dt) at every point of the stack, from one
+    def evaluate(self, x: np.ndarray, t: np.ndarray, paths: np.ndarray):
+        """(H, dH/dx, dH/dt) at the points of the given paths, from one
         evaluation of the target."""
-        value, jacobian = self.target.value_and_jacobian(x)
-        start = x ** self.degrees - self.roots
+        value, jacobian = self.target.value_and_jacobian(x, self.charts[paths])
+        start = x ** self.degrees - self.roots[paths]
         n = len(self.degrees)
         start_jacobian = np.zeros(x.shape + (n,), dtype=np.complex128)
         start_jacobian[..., range(n), range(n)] = self.degrees * x ** (self.degrees - 1)
         tv, tm = t[:, np.newaxis], t[:, np.newaxis, np.newaxis]
+        gv, gm = self.gamma[paths, np.newaxis], self.gamma[paths, np.newaxis, np.newaxis]
         return (
-            self.gamma * tv * start + (1.0 - tv) * value,
-            self.gamma * tm * start_jacobian + (1.0 - tm) * jacobian,
-            self.gamma * start - value,
+            gv * tv * start + (1.0 - tv) * value,
+            gm * tm * start_jacobian + (1.0 - tm) * jacobian,
+            gv * start - value,
         )
 
 
 # ---- path tracking ----
 #
 # All paths of one homotopy are tracked in lockstep on stacked arrays: every
-# routine below takes a stack of points (P, n) and works on the masked
-# subset of rows still running.  Per row, the floating-point operations are
-# those of tracking that path alone, in the same order, so an endpoint does
-# not depend on which other paths share its stack.
+# routine below takes a stack of points (P, n) with the homotopy path of
+# each row, and works on the masked subset of rows still running.  Per row,
+# the floating-point operations are those of tracking that path alone, in
+# the same order, so an endpoint does not depend on which other paths
+# share its stack.
 
 def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit: float = math.inf):
     """Up to ``iterations`` Newton steps per row, where ``system(y, rows)``
@@ -321,7 +336,7 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
     return converged, x
 
 
-def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
+def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths: np.ndarray):
     """RK4 predictor from t to t - h, then the Newton corrector, per row.
     Returns (ok, points); a rejected row keeps its point."""
     rows = np.arange(len(x))
@@ -334,7 +349,7 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
             y, s = x[rows] - step[:, np.newaxis] * tangents[-1], t[rows] - step
         else:
             y, s = x, t
-        _, jacobian, t_derivative = hom.evaluate(y, s)
+        _, jacobian, t_derivative = hom.evaluate(y, s, paths[rows])
         ok, k = _solve_stack(jacobian, -t_derivative)
         rows, tangents = rows[ok], [v[ok] for v in tangents] + [k[ok]]
     k1, k2, k3, k4 = tangents
@@ -342,8 +357,9 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
     predicted = x[rows] - (h / 6.0)[:, np.newaxis] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     finite = np.isfinite(predicted).all(axis=-1)
     rows, t_next = rows[finite], t[rows][finite] - h[finite]
+    live = paths[rows]
     converged, corrected = _newton(
-        lambda y, r: hom.evaluate(y, t_next[r])[:2],
+        lambda y, r: hom.evaluate(y, t_next[r], live[r])[:2],
         predicted[finite],
         _TRACK_TOL,
         _CORRECTOR_ITERATIONS,
@@ -355,10 +371,10 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
     return ok, x
 
 
-def _polish(target: _Compiled, x: np.ndarray):
-    """Plain Newton on the target system per row; returns (converged, points)."""
+def _polish(target: _Compiled, x: np.ndarray, charts: np.ndarray):
+    """Plain Newton on each row's chart target; returns (converged, points)."""
     return _newton(
-        lambda y, _: target.value_and_jacobian(y),
+        lambda y, r: target.value_and_jacobian(y, charts[r]),
         x,
         1e-13,
         _POLISH_ITERATIONS,
@@ -400,7 +416,7 @@ def _track_paths(hom: _Homotopy, starts):
         first = rows[late & np.isnan(endgame_norm[rows])]
         endgame_norm[first] = np.maximum(1.0, _norms(x[first]))
         step = np.where(late, np.minimum(h[rows], 0.9 * now), np.minimum(h[rows], now))
-        ok, x_new = _rk4_step(hom, x[rows], now, step)
+        ok, x_new = _rk4_step(hom, x[rows], now, step, rows)
 
         accepted = rows[ok]
         x[accepted] = x_new[ok]
@@ -427,7 +443,7 @@ def _track_paths(hom: _Homotopy, starts):
     for i in settled[lost]:
         statuses[i] = "at_infinity"
     rows, norms = settled[~lost], norms[~lost]
-    converged, polished = _polish(hom.target, x[rows])
+    converged, polished = _polish(hom.target, x[rows], hom.charts[rows])
     jumps = _norms(polished - x[rows])
     for i, norm, ok, jump, point in zip(rows, norms, converged, jumps, polished):
         if ok:
@@ -442,30 +458,42 @@ def _track_paths(hom: _Homotopy, starts):
     return statuses, x
 
 
-def _start_points(degrees: Sequence[int], phases: Sequence[float]):
-    """All Bezout-many start solutions of x_i^{d_i} = exp(2*pi*i*phase_i)."""
-    axes = []
-    for d, phase in zip(degrees, phases):
-        axes.append([cmath.exp(2j * cmath.pi * (phase + k) / d) for k in range(d)])
-    points = [[]]
-    for axis in axes:
-        points = [p + [root] for p in points for root in axis]
-    return [np.array(p, dtype=np.complex128) for p in points]
+def _draw_attempt(chart: int, degrees: Sequence[int], rng: random.Random):
+    """One attempt's random start system x_i^{d_i} = r_i = exp(2*pi*i*phase_i)
+    and gamma on one chart, as per-path columns (starts, charts, roots,
+    gammas) over its Bezout-many start solutions."""
+    phases = [rng.random() for _ in degrees]
+    roots = [cmath.exp(2j * cmath.pi * p) for p in phases]
+    gamma = cmath.exp(2j * cmath.pi * rng.random())
+    axes = [
+        [cmath.exp(2j * cmath.pi * (p + k) / d) for k in range(d)] for d, p in zip(degrees, phases)
+    ]
+    starts = [np.array(point, dtype=np.complex128) for point in itertools.product(*axes)]
+    return starts, [chart] * len(starts), [roots] * len(starts), [gamma] * len(starts)
 
 
-def _run_square(target: _Compiled, degrees, rng: random.Random):
-    """Run all paths; rerun wholesale with fresh randomness on failures.
+def _track_attempts(target: _Compiled, degrees, attempts) -> list:
+    """Track the paths of every attempt in one lockstep stack; returns one
+    (statuses, endpoints) per attempt."""
+    starts, charts, roots, gammas = (sum(column, []) for column in zip(*attempts))
+    statuses, endpoints = _track_paths(_Homotopy(target, degrees, charts, roots, gammas), starts)
+    size = math.prod(degrees)
+    return [(statuses[k : k + size], endpoints[k : k + size]) for k in range(0, len(starts), size)]
+
+
+def _run_square(target: _Compiled, degrees, chart: int, rng: random.Random, first=None):
+    """Run all paths of one chart; rerun wholesale with fresh randomness on
+    failures.  ``first`` is the (statuses, endpoints) of the first attempt
+    when it was already tracked.
 
     Returns (finite endpoints, at_infinity, failed, attempts) of the run
     with the fewest failed paths (the first of them on ties).
     """
     best = None
     for attempts in range(1, _MAX_RETRIES + 2):
-        phases = [rng.random() for _ in degrees]
-        roots = [cmath.exp(2j * cmath.pi * p) for p in phases]
-        gamma = cmath.exp(2j * cmath.pi * rng.random())
-        hom = _Homotopy(target, degrees, roots, gamma)
-        statuses, endpoints = _track_paths(hom, _start_points(degrees, phases))
+        if attempts > 1 or first is None:
+            (first,) = _track_attempts(target, degrees, [_draw_attempt(chart, degrees, rng)])
+        statuses, endpoints = first
         failed = statuses.count("failed")
         if best is None or failed < best[2]:
             finite = [x for status, x in zip(statuses, endpoints) if status == "finite"]
@@ -634,18 +662,17 @@ def _lift_from_chart(y: np.ndarray, chart) -> np.ndarray:
     return x
 
 
-def _solve_chart(square, filter_polys, degrees, chart, rng):
-    """Solve the square subsystem on one chart and certify the survivors:
-    clusters whose filter_polys residual stays below _FILTER_TOL, with the
-    rational cross-check against the same filter_polys.
+def _finish_chart(run, chart, degrees, filters: _Compiled, filter_polys):
+    """Lift one chart's run (as _run_square returns it) and certify the
+    survivors: clusters whose filter_polys residual stays below
+    _FILTER_TOL, with the rational cross-check against the same
+    filter_polys.
 
     Returns (survivors, report, ok, lifted) with survivors on normalized
     projective representatives, ok as in _certify, and lifted every finite
     endpoint's normalized lift before clustering and filtering.
     """
-    target = _Compiled([_unit_row(_chart_substitute(p, chart)) for p in square])
-    filters = _Compiled(filter_polys)
-    finite, at_infinity, failed, attempts = _run_square(target, degrees, rng)
+    finite, at_infinity, failed, attempts = run
     lifted = []
     for endpoint in finite:
         point = _lift_from_chart(endpoint, chart)
@@ -690,15 +717,28 @@ def _projective_solve(square, filter_polys, degrees, rng) -> SolutionSet:
     clustering and filtering; an unmatched loss may be a point on both
     hyperplanes, seen by neither chart.  Any other discrepancy leaves the
     merged result uncertified.
+
+    Both charts' first attempts share one lockstep stack, drawn in the
+    order of two charts run in turn; when chart 1 must retry, its retries
+    resume right after its own first draws and chart 2 runs afresh, so the
+    stacking never changes a result.
     """
     nvars = square[0].nvars
     charts = [_random_chart(nvars, rng), _random_chart(nvars, rng)]
     while projectively_equal(charts[1][0], charts[0][0]):
         charts[1] = _random_chart(nvars, rng)
-    runs = [
-        _solve_chart(square, filter_polys, degrees, chart, rng)
-        for chart in charts
-    ]
+    target = _Compiled(*([_unit_row(_chart_substitute(p, c)) for p in square] for c in charts))
+    filters = _Compiled(filter_polys)
+    first = _draw_attempt(0, degrees, rng)
+    after_first = rng.getstate()
+    tracked = _track_attempts(target, degrees, [first, _draw_attempt(1, degrees, rng)])
+    if "failed" in tracked[0][0]:
+        rng.setstate(after_first)
+        tracked[1] = None
+    runs = []
+    for k, chart in enumerate(charts):
+        run = _run_square(target, degrees, k, rng, tracked[k])
+        runs.append(_finish_chart(run, chart, degrees, filters, filter_polys))
     (surv1, report1, _, _), (surv2, report2, _, _) = runs
 
     match_radius = max(_CLUSTER_RADIUS, 10 * _RESIDUAL_TOL)

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from . import linalg
-from .polycore import as_rat
+from .polycore import as_int, as_rat
 
 
 class SymmetryClass(Enum):
@@ -110,7 +110,7 @@ class Tensor3:
         if set(data) - {"dim", "faces"}:
             raise ValueError("unexpected keys in tensor record")
         t = cls(data["faces"])
-        if t.dim != int(data["dim"]):
+        if t.dim != as_int(data["dim"], "tensor dimension dim"):
             raise ValueError("declared dim disagrees with the face data")
         return t
 

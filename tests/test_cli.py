@@ -234,6 +234,28 @@ def test_non_integer_system_dimension_is_a_usage_error(capsys, tmp_path, n):
         assert "n must be an integer" in err
 
 
+@pytest.mark.parametrize("n", ["3.7", "true"])
+def test_non_integer_points_dimension_is_a_usage_error(capsys, tmp_path, n):
+    payload = json.loads(fixtures.read_text("weddle-6pts"))
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(payload).replace('"n": 3', f'"n": {n}'), encoding="utf-8")
+    code, out, err = run_cli(capsys, "weddle", str(path))
+    assert code == 2
+    assert out == ""
+    assert "n must be an integer" in err
+
+
+@pytest.mark.parametrize("dim", ["2.5", "true"])
+def test_non_integer_tensor_dimension_is_a_usage_error(capsys, tmp_path, dim):
+    faces = [[[0, 1], [1, 4]], [[-2, -2], [-2, 0]]]
+    path = tmp_path / "tensor.json"
+    path.write_text(f'{{"dim": {dim}, "faces": {json.dumps(faces)}}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""
+    assert "dim must be an integer" in err
+
+
 # ---- the installed console script ----
 
 def test_console_script_runs_end_to_end():

@@ -2,9 +2,10 @@
 
 `golden_reports.json` holds the `--json --seed 0` report of every
 (subcommand, fixture) pair of decompose, weddle, basepoints, singular and
-jinv that produces a report, plus one small jacobsthal-sweep.  Each report
-is compared without `elapsed_s`: floats within 1e-9 absolute, everything
-else exactly.  After a deliberate change of output, regenerate with
+jinv that produces a report, plus two small jacobsthal-sweeps: dims 2..4,
+and dim 5 (the largest solve).  Each report is compared without
+`elapsed_s`: floats within 1e-9 absolute, everything else exactly.  After
+a deliberate change of output, regenerate with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 """
@@ -21,7 +22,11 @@ from weddle import cli, fixtures
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 SUBCOMMANDS = ("decompose", "weddle", "basepoints", "singular", "jinv")
-SWEEP = ["jacobsthal-sweep", "--dims", "2..4", "--trials", "2", "--seed", "0"]
+# `--dims=5` keeps the second sweep's test id distinct from the first's.
+SWEEPS = (
+    ["jacobsthal-sweep", "--dims", "2..4", "--trials", "2", "--seed", "0"],
+    ["jacobsthal-sweep", "--dims=5", "--trials", "2", "--seed", "0"],
+)
 
 
 def _run(argv):
@@ -76,8 +81,9 @@ def _write():
             code, report = _run(argv)
             if report is not None:
                 cases.append({"argv": argv, "exit": code, "report": report})
-    code, report = _run(SWEEP)
-    cases.append({"argv": SWEEP, "exit": code, "report": report})
+    for argv in SWEEPS:
+        code, report = _run(argv)
+        cases.append({"argv": argv, "exit": code, "report": report})
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} reports to {GOLDEN}")
 

@@ -316,13 +316,36 @@ def test_from_tensor_requires_partial_symmetry():
         LinearSystem.from_tensor(t)
 
 
+def _contraction_det_at(system, point):
+    matrix = loci.contraction_matrix(system)
+    return linalg.det([[entry.evaluate(point) for entry in row] for row in matrix.entries])
+
+
 def test_sampling_is_deterministic_and_nondegenerate():
-    t1, s1, d1 = loci.sample_general_cyclic(3, rng=random.Random(9))
-    t2, s2, d2 = loci.sample_general_cyclic(3, rng=random.Random(9))
+    t1, s1, w1 = loci.sample_general_cyclic(3, rng=random.Random(9))
+    t2, s2, w2 = loci.sample_general_cyclic(3, rng=random.Random(9))
     assert t1 == t2
     assert s1 == s2
-    assert not d1.degenerate
-    assert d1.polynomial == d2.polynomial
+    assert w1 == w2
+    assert _contraction_det_at(s1, w1) != 0
+    assert not loci.weddle_matrix(s1).degenerate
+
+
+def test_a_zero_at_the_first_witness_point_falls_back_to_the_symbolic_test():
+    # With Q0 = I and Q1 = [[a, b], [b, c]] the Weddle polynomial of the
+    # pencil is b x0^2 + (c - a) x0 x1 - b x1^2; this b and c - a make it
+    # vanish at the first point the witness search draws in P^1, although
+    # it is not identically zero.
+    height = loci._WITNESS_HEIGHT
+    points = random.Random(2)
+    w0, w1 = points.randint(-height, height), points.randint(-height, height)
+    system = LinearSystem(1, [[[1, 0], [0, 1]], [[0, w0 * w1], [w0 * w1, w1**2 - w0**2]]])
+    assert _contraction_det_at(system, (w0, w1)) == 0
+    witness = loci._weddle_witness(system)
+    assert witness != (w0, w1)
+    assert _contraction_det_at(system, witness) != 0
+    proportional = LinearSystem(1, [[[1, 0], [0, 1]], [[2, 0], [0, 2]]])
+    assert loci._weddle_witness(proportional) is None
 
 
 def test_rank_conclusion_labels():

@@ -3,7 +3,9 @@
 The reference below is the scalar tracker that solve.py used before paths
 were tracked together on stacked arrays.  The lockstep tracker performs the
 same floating-point operations per path in the same order, so statuses and
-endpoints must agree exactly, not within a tolerance.
+endpoints must agree exactly, not within a tolerance.  One lockstep stack
+can hold the paths of both charts of a solve, so the reference tracks each
+path on its own chart's target with its own start roots and gamma.
 """
 
 import random
@@ -33,12 +35,23 @@ def _ref_jacobian(compiled, x):
     return np.stack(cols, axis=1)
 
 
+class _RefTarget:
+    """One chart's system of a stacked compiled target."""
+
+    def __init__(self, compiled, chart):
+        self.nvars = compiled.nvars
+        self.exponents = compiled.exponents
+        self.coeff = compiled.coeff[chart]
+
+
 class _RefHomotopy:
-    def __init__(self, hom):
-        self.target = hom.target
+    """The homotopy of one path of a stacked homotopy."""
+
+    def __init__(self, hom, path):
+        self.target = _RefTarget(hom.target, hom.charts[path])
         self.degrees = hom.degrees
-        self.roots = hom.roots
-        self.gamma = hom.gamma
+        self.roots = hom.roots[path]
+        self.gamma = hom.gamma[path]
 
     def start_value(self, x):
         return x ** self.degrees - self.roots
@@ -176,9 +189,8 @@ def _assert_matches_reference(calls):
     seen = set()
     for hom, starts, statuses, endpoints in calls:
         assert len(statuses) == len(starts) == len(endpoints)
-        reference = _RefHomotopy(hom)
-        for start, status, endpoint in zip(starts, statuses, endpoints):
-            ref_status, ref_endpoint = _track_path(reference, start)
+        for path, (start, status, endpoint) in enumerate(zip(starts, statuses, endpoints)):
+            ref_status, ref_endpoint = _track_path(_RefHomotopy(hom, path), start)
             assert status == ref_status
             assert np.array_equal(endpoint, ref_endpoint)
             seen.add(status)
@@ -237,6 +249,26 @@ def test_lockstep_matches_reference_on_a_weddle_quartic_chart(monkeypatch):
     (hom, starts, _, _), = calls
     assert list(hom.degrees) == [3, 3, 3]
     assert "finite" in _assert_matches_reference(calls)
+
+
+# ---- both charts in one stack ----
+
+def test_both_charts_share_one_lockstep_stack(monkeypatch):
+    _, system, _ = loci.sample_general_cyclic(3, rng=random.Random(103))
+    calls = _recorded_homotopies(monkeypatch, lambda: solve.base_points(system))
+    (hom, starts, statuses, _), = calls
+    assert len(starts) == 2 * 4
+    assert hom.charts.tolist() == [0] * 4 + [1] * 4
+    assert "failed" not in statuses
+
+
+def test_chart_1_retries_alone_and_then_chart_2_runs_afresh(monkeypatch):
+    calls = _recorded_homotopies(
+        monkeypatch, lambda: solve.base_points(fixtures.system("degenerate-conics"))
+    )
+    charts = [hom.charts.tolist() for hom, _, _, _ in calls]
+    assert charts[0] == [0] * 4 + [1] * 4
+    assert charts[1:] == [[0] * 4] * 3 + [[1] * 4] * 4
 
 
 # ---- the stacked linear solve ----
