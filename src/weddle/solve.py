@@ -15,9 +15,11 @@ stack (_track_paths): each path has its own chart, start roots, gamma, t,
 step size and status, every iteration advances the paths still running
 with one stacked RK4 predictor step and Newton corrector, and a final
 Newton polish on each path's chart target classifies each endpoint as
-finite, at infinity or failed.  Only a chart that must retry after failed
-paths runs on its own.  Every stage evaluates the target once per point,
-taking value and Jacobian from one table of monomial values.
+finite, at infinity or failed.  A path's next step follows from the
+corrector's first update, which estimates the predictor's local error.
+Only a chart that must retry after failed paths runs on its own.  Every
+stage evaluates the target once per point, taking value and Jacobian from
+one table of monomial values.
 One routine (_certify) clusters, residual-certifies and rationally
 cross-checks a chart's endpoints, and the two charts must agree and account
 for every path either one loses to infinity.
@@ -67,12 +69,13 @@ _RESIDUAL_TOL = 1e-8
 _FILTER_TOL = 1e-6
 _CLUSTER_RADIUS = 1e-6
 _RATIONAL_HEIGHT = 32
-# Tracking: step control, Newton corrector and polish, divergence, and the
-# number of wholesale reruns with fresh randomness after failed paths.
+# Tracking: step control (first step, collapse floor, and the predictor error
+# an accepted step is sized for), Newton corrector and polish, divergence,
+# and the number of wholesale reruns with fresh randomness after failed paths.
 _TRACK_TOL = 1e-10
 _INITIAL_STEP = 0.05
-_MAX_STEP = 0.1
 _MIN_STEP = 1e-11
+_PREDICTOR_TOL = 1e-4
 _ENDGAME_T = 1e-4
 _DIVERGENCE_THRESHOLD = 1e8
 _CORRECTOR_ITERATIONS = 3
@@ -313,11 +316,14 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
     returns the values and Jacobians at the points y of the given rows.  A
     row stops when its step is below ``tol`` relative to its norm
     (converged), when its Jacobian is singular, or when it turns non-finite
-    or leaves the ball of radius ``limit``.  Returns (converged, points)."""
+    or leaves the ball of radius ``limit``.  Returns (converged, points,
+    first), first being each row's first step relative to its norm (inf for
+    a row stopped before that step was measured)."""
     x = x.copy()
     converged = np.zeros(len(x), dtype=bool)
+    first = np.full(len(x), np.inf)
     rows = np.arange(len(x))
-    for _ in range(iterations):
+    for k in range(iterations):
         if not rows.size:
             break
         y = x[rows]
@@ -330,15 +336,20 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
         norms = _norms(y)
         keep = ~(norms > limit)
         rows, delta, norms = rows[keep], delta[keep], norms[keep]
-        done = _norms(delta) < tol * np.maximum(1.0, norms)
+        size, scale = _norms(delta), np.maximum(1.0, norms)
+        if k == 0:
+            first[rows] = size / scale
+        done = size < tol * scale
         converged[rows[done]] = True
         rows = rows[~done]
-    return converged, x
+    return converged, x, first
 
 
 def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths: np.ndarray):
     """RK4 predictor from t to t - h, then the Newton corrector, per row.
-    Returns (ok, points); a rejected row keeps its point."""
+    Returns (ok, points, error): a rejected row keeps its point, and error
+    is the corrector's first step relative to the point's norm, which
+    measures the predictor's local error."""
     rows = np.arange(len(x))
     tangents = []
     # k1 at (x, t); k2 and k3 half a step along k1 and k2; k4 a full step
@@ -358,7 +369,7 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
     finite = np.isfinite(predicted).all(axis=-1)
     rows, t_next = rows[finite], t[rows][finite] - h[finite]
     live = paths[rows]
-    converged, corrected = _newton(
+    converged, corrected, first = _newton(
         lambda y, r: hom.evaluate(y, t_next[r], live[r])[:2],
         predicted[finite],
         _TRACK_TOL,
@@ -366,9 +377,11 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
     )
     ok = np.zeros(len(x), dtype=bool)
     ok[rows[converged]] = True
+    error = np.full(len(x), np.inf)
+    error[rows] = first
     x = x.copy()
     x[rows[converged]] = corrected[converged]
-    return ok, x
+    return ok, x, error
 
 
 def _polish(target: _Compiled, x: np.ndarray, charts: np.ndarray):
@@ -379,15 +392,24 @@ def _polish(target: _Compiled, x: np.ndarray, charts: np.ndarray):
         1e-13,
         _POLISH_ITERATIONS,
         _DIVERGENCE_THRESHOLD,
-    )
+    )[:2]
 
 
 def _track_paths(hom: _Homotopy, starts):
     """Track every start path from t=1 to t=0 in lockstep.
 
-    Each path keeps its own t, step size, success counter, endgame norm and
-    status.  Returns (statuses, endpoints), one status finite | at_infinity
-    | failed and one endpoint row per start.  Divergence is decided by a
+    Each path keeps its own t, step size, endgame norm and status.  A step
+    is accepted when the corrector converges within _CORRECTOR_ITERATIONS;
+    its first Newton update e, relative to max(1, |x|), is the RK4
+    predictor's local error, O(h^5), so the next step is the accepted one
+    times 0.8 (_PREDICTOR_TOL / e)^(1/5), kept within [1/2, 2].  A rejected
+    step is halved; once it falls below the collapse floor (_MIN_STEP,
+    scaled by t), the path fails before _ENDGAME_T and stops where it
+    stands after it.  Below _ENDGAME_T a step is at most 0.9 t, so t falls
+    geometrically to _T_STOP instead of jumping to 0.
+
+    Returns (statuses, endpoints), one status finite | at_infinity | failed
+    and one endpoint row per start.  Divergence is decided by a
     hard norm threshold at any time plus a growth test across the endgame
     phase, so that slowly diverging paths are not handed to the final
     Newton polish (which would pull them onto a finite root and corrupt
@@ -396,7 +418,6 @@ def _track_paths(hom: _Homotopy, starts):
     x = np.array(starts, dtype=np.complex128)
     t = np.ones(len(x))
     h = np.full(len(x), _INITIAL_STEP)
-    successes = np.zeros(len(x), dtype=np.int64)
     endgame_norm = np.full(len(x), np.nan)  # NaN, failing every test, until the endgame
     statuses = ["failed"] * len(x)
     settled = []
@@ -416,19 +437,15 @@ def _track_paths(hom: _Homotopy, starts):
         first = rows[late & np.isnan(endgame_norm[rows])]
         endgame_norm[first] = np.maximum(1.0, _norms(x[first]))
         step = np.where(late, np.minimum(h[rows], 0.9 * now), np.minimum(h[rows], now))
-        ok, x_new = _rk4_step(hom, x[rows], now, step, rows)
+        ok, x_new, error = _rk4_step(hom, x[rows], now, step, rows)
 
         accepted = rows[ok]
         x[accepted] = x_new[ok]
         t[accepted] -= step[ok]
-        successes[accepted] += 1
-        grown = accepted[successes[accepted] >= 4]
-        h[grown] = np.minimum(h[grown] * 1.25, _MAX_STEP)
-        successes[grown] = 0
-
-        rejected = rows[~ok]
-        successes[rejected] = 0
-        h[rejected] *= 0.5
+        # An error below 1e-300 (even 0) gives growth 2 like any below 1e-6.
+        growth = 0.8 * (_PREDICTOR_TOL / np.maximum(error[ok], 1e-300)) ** 0.2
+        h[accepted] = step[ok] * np.clip(growth, 0.5, 2.0)
+        h[rows[~ok]] *= 0.5
         floor = np.maximum(1e-16, _MIN_STEP * np.minimum(1.0, t[rows]))
         collapsed = ~ok & (h[rows] < floor)
         # A collapse before the endgame fails the path; in the endgame it

@@ -1,8 +1,10 @@
 """The lockstep path tracker against a one-path-at-a-time reference.
 
-The reference below is the scalar tracker that solve.py used before paths
-were tracked together on stacked arrays.  The lockstep tracker performs the
-same floating-point operations per path in the same order, so statuses and
+The reference below tracks one path at a time with scalar code: the
+tracker that solve.py used before paths were tracked together on stacked
+arrays, with the step control that sizes each accepted step from the
+corrector's first update.  The lockstep tracker performs the same
+floating-point operations per path in the same order, so statuses and
 endpoints must agree exactly, not within a tolerance.  One lockstep stack
 can hold the paths of both charts of a solve, so the reference tracks each
 path on its own chart's target with its own start roots and gamma.
@@ -72,17 +74,22 @@ def _tangent(hom, x, t):
 
 
 def _newton(hom, x, t, tol, iterations):
-    for _ in range(iterations):
+    """Returns (converged, point, first step relative to the point's norm)."""
+    first = np.inf
+    for k in range(iterations):
         try:
             delta = np.linalg.solve(hom.jacobian(x, t), hom.value(x, t))
         except np.linalg.LinAlgError:
-            return False, x
+            return False, x, first
         x = x - delta
         if not np.all(np.isfinite(x)):
-            return False, x
-        if np.linalg.norm(delta) < tol * max(1.0, np.linalg.norm(x)):
-            return True, x
-    return False, x
+            return False, x, first
+        size, scale = np.linalg.norm(delta), max(1.0, np.linalg.norm(x))
+        if k == 0:
+            first = size / scale
+        if size < tol * scale:
+            return True, x, first
+    return False, x, first
 
 
 def _rk4_step(hom, x, t, h):
@@ -92,10 +99,10 @@ def _rk4_step(hom, x, t, h):
         k3 = _tangent(hom, x - 0.5 * h * k2, t - 0.5 * h)
         k4 = _tangent(hom, x - h * k3, t - h)
     except np.linalg.LinAlgError:
-        return False, x
+        return False, x, np.inf
     predicted = x - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(predicted)):
-        return False, x
+        return False, x, np.inf
     return _newton(hom, predicted, t - h, solve._TRACK_TOL, solve._CORRECTOR_ITERATIONS)
 
 
@@ -115,11 +122,17 @@ def _polish(target, x):
     return x, False
 
 
+def _step_factor(error):
+    # One-element arrays, so that the power is numpy's array power, as in the
+    # lockstep tracker (a float or numpy scalar power may round differently).
+    error = np.array([max(error, 1e-300)])
+    return float(np.clip(0.8 * (solve._PREDICTOR_TOL / error) ** 0.2, 0.5, 2.0)[0])
+
+
 def _track_path(hom, start_point):
     x = np.array(start_point, dtype=np.complex128)
     t = 1.0
     h = solve._INITIAL_STEP
-    successes = 0
     endgame_norm = None
     while t > solve._T_STOP:
         if np.linalg.norm(x) > solve._DIVERGENCE_THRESHOLD:
@@ -127,16 +140,12 @@ def _track_path(hom, start_point):
         if endgame_norm is None and t < solve._ENDGAME_T:
             endgame_norm = max(1.0, float(np.linalg.norm(x)))
         step = min(h, 0.9 * t) if t < solve._ENDGAME_T else min(h, t)
-        ok, x_new = _rk4_step(hom, x, t, step)
+        ok, x_new, error = _rk4_step(hom, x, t, step)
         if ok:
             x = x_new
             t -= step
-            successes += 1
-            if successes >= 4:
-                h = min(h * 1.25, solve._MAX_STEP)
-                successes = 0
+            h = step * _step_factor(error)
         else:
-            successes = 0
             h *= 0.5
             if h < max(1e-16, solve._MIN_STEP * min(1.0, t)):
                 if t >= solve._ENDGAME_T:
@@ -204,7 +213,27 @@ def test_lockstep_matches_reference_on_cyclic_systems(monkeypatch, dim):
     assert "finite" in _assert_matches_reference(calls)
 
 
-@pytest.mark.parametrize("factor", [Fraction(2**20), Fraction(1, 2**20)])
+def test_predictor_error_control_keeps_the_lockstep_iteration_count(monkeypatch):
+    """Lockstep iterations (_rk4_step calls) of the four seeded solves
+    above.  The controller that grew a step by 1.25 after every 4 accepted
+    steps, capped at 0.1, needed 41 + 57 + 56 + 144 = 298; sizing each step
+    from the corrector's estimate of the predictor error needs
+    33 + 51 + 49 + 66 = 199."""
+    calls = []
+    step = solve._rk4_step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(solve, "_rk4_step", counting)
+    for dim in (2, 3, 4, 5):
+        _, system, _ = loci.sample_general_cyclic(dim, rng=random.Random(100 + dim))
+        solve.base_points(system)
+    assert len(calls) <= 199
+
+
+@pytest.mark.parametrize("factor",[Fraction(2**20), Fraction(1, 2**20)])
 def test_tracking_is_invariant_under_rescaling_every_quadric(monkeypatch, factor):
     """Each chart target row is divided exactly by its largest coefficient
     before tracking, so multiplying every quadric by the same positive
