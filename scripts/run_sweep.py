@@ -3,7 +3,8 @@
 `weddle.loci.sweep_trials`, which also backs `weddle jacobsthal-sweep`.
 
 Prints one line per trial (seed, count, wall time) and a summary table
-against the Jacobsthal numbers J_n = 1, 3, 5, 11 for dims 2..5; with --out
+against the Jacobsthal numbers J_n = 1, 3, 5, 11 for dims 2..5, the dims
+whose 2^(n-1) Bezout paths per chart fit the solver's cap; with --out
 the full per-trial record is written as a JSON artifact.  Dims are read
 as the CLI reads them and the seed convention is the library's, so any
 trial printed here can be replayed through `weddle jacobsthal-sweep` with

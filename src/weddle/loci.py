@@ -532,7 +532,9 @@ def sample_general_cyclic(dim: int, rng: random.Random):
 
 
 def sweep_trials(dims: Sequence[int], trials: int, seed: int):
-    """Certified base-point counts of random general cyclic systems.
+    """Certified base-point counts of random general cyclic systems at
+    distinct dims in 2..5, the dims whose 2^(dim-1) Bezout paths per chart
+    fit solve._MAX_PATHS.
 
     Returns an iterator of (dim, trial_seed, status, count, tensor), with
     ``trials`` >= 1 draws per dim; status is certified (count == J_dim),
@@ -544,7 +546,7 @@ def sweep_trials(dims: Sequence[int], trials: int, seed: int):
     Random(seed), trial_seed = master.randrange(2**30), then the tensor is
     drawn from the master, then base_points runs with seed trial_seed.
     """
-    top = solve._MAX_VARS + 1
+    top = solve._MAX_PATHS.bit_length()  # the largest d with 2^(d-1) <= _MAX_PATHS
     if not dims or any(not 2 <= d <= top for d in dims):
         raise ValueError(f"dims must lie in 2..{top}")
     if len(set(dims)) != len(dims):

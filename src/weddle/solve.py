@@ -4,8 +4,8 @@ Certified projective point counts: base points of quadric systems, singular
 points of hypersurfaces and (for weddle.cubic) flexes of plane cubics, all
 through one solve path (_projective_solve).  A square subsystem is
 dehomogenized onto two random rational charts, and each chart runs a
-total-degree homotopy of degree at most three in at most _MAX_VARS = 4
-unknowns (the package's one size limit).  Each row of a chart's target is
+total-degree homotopy of at most _MAX_PATHS Bezout paths, the package's one
+size limit.  Each row of a chart's target is
 divided exactly by its largest coefficient magnitude before tracking
 (_unit_row), which keeps large coefficients from collapsing the first
 steps and makes tracking exactly invariant under multiplying the input by
@@ -56,8 +56,9 @@ class SolveConfig:
 
 DEFAULT_CONFIG = SolveConfig()
 
-_MAX_VARS = 4
-_MAX_DEGREE = 3
+# The one size limit: Bezout paths per chart (the product of the degrees), the
+# cost of a solve.  27 admits the singular points of a quartic surface.
+_MAX_PATHS = 27
 _T_STOP = 1e-14
 _PHASE_TOL = 1e-9
 
@@ -738,8 +739,12 @@ def _projective_solve(square, filter_polys, degrees, rng) -> SolutionSet:
     Both charts' first attempts share one lockstep stack, drawn in the
     order of two charts run in turn; when chart 1 must retry, its retries
     resume right after its own first draws and chart 2 runs afresh, so the
-    stacking never changes a result.
+    stacking never changes a result.  Raises ValueError when the square
+    system has more than _MAX_PATHS Bezout paths per chart.
     """
+    paths = math.prod(degrees)
+    if paths > _MAX_PATHS:
+        raise ValueError(f"{paths} Bezout paths per chart exceed the cap of {_MAX_PATHS}")
     nvars = square[0].nvars
     charts = [_random_chart(nvars, rng), _random_chart(nvars, rng)]
     while projectively_equal(charts[1][0], charts[0][0]):
@@ -837,16 +842,15 @@ def _random_square_subsystem(polys: Sequence[MultiPoly], count: int, rng) -> lis
 
 
 def base_points(system, config: Optional[SolveConfig] = None) -> SolutionSet:
-    """Certified base points of a linear system of quadrics in P^n, n <= 4.
+    """Certified base points of a linear system of quadrics in P^n.
 
     Solves a square subsystem of n random full-rank combinations of the
     n+1 quadrics on two random rational charts and keeps the solutions
     where every generating quadric has residual below the filter
-    threshold (with an exact rational cross-check on top).
+    threshold (with an exact rational cross-check on top).  Path count is
+    2^n per chart, so the cap _MAX_PATHS allows n <= 4.
     """
     n = system.n
-    if n > _MAX_VARS:
-        raise ValueError(f"at most P^{_MAX_VARS} supported")
     polys = system.quadric_polys()
     if any(p.is_zero() for p in polys):
         raise ValueError("system contains an identically zero quadric")
@@ -856,23 +860,17 @@ def base_points(system, config: Optional[SolveConfig] = None) -> SolutionSet:
 
 
 def singular_points(f: MultiPoly, config: Optional[SolveConfig] = None) -> SolutionSet:
-    """Certified singular points of a hypersurface {f = 0}, <= 4 variables.
+    """Certified singular points of a hypersurface {f = 0}.
 
     The square subsystem consists of nvars-1 random full-rank rational
     combinations of all partial derivatives; survivors are filtered by the
     residual of the full gradient (plus the exact rational cross-check).
-    Path count is (deg f - 1)^(nvars - 1) per chart.
+    Path count is (deg f - 1)^(nvars - 1) per chart, at most _MAX_PATHS.
     """
     nv = f.nvars
-    if nv > _MAX_VARS:
-        raise ValueError(f"at most {_MAX_VARS} variables supported")
-    if not f.is_homogeneous() or f.is_zero():
-        raise ValueError("expected a nonzero homogeneous polynomial")
-    if f.total_degree() > _MAX_DEGREE + 1:
-        raise ValueError("degree above 4 not supported")
+    if not f.is_homogeneous() or nv < 2 or f.total_degree() < 2:
+        raise ValueError("expected a homogeneous polynomial of degree >= 2 in >= 2 variables")
     grads = f.gradient()
-    if all(g.is_zero() for g in grads):
-        raise ValueError("gradient system is identically zero")
     rng = random.Random((config or DEFAULT_CONFIG).seed)
     try:
         combos = _random_square_subsystem(grads, nv - 1, rng)

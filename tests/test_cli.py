@@ -211,6 +211,8 @@ def test_sweep_rejects_a_trial_count_below_one(capsys):
         ("float.json", '{"n": 1, "quadrics": [[[1.5, 0], [0, 0]], [[0, 0], [0, 1]]]}'),
         ("trailing-operator.poly", "x0^3 + 2*"),
         ("lone-sign.poly", "-"),
+        ("one-variable.poly", "x0^3"),
+        ("linear.poly", "x0 + x1"),
     ],
 )
 def test_malformed_input_files_are_usage_errors(capsys, tmp_path, name, text):

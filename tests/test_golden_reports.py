@@ -1,11 +1,12 @@
 """Golden CLI reports: fixed-seed JSON reports must not drift.
 
 `golden_reports.json` holds the `--json --seed 0` report of every
-(subcommand, fixture) pair of decompose, weddle, basepoints, singular and
-jinv that produces a report, plus two small jacobsthal-sweeps: dims 2..4,
-and dim 5 (the largest solve).  Each report is compared without
-`elapsed_s`: floats within 1e-9 absolute, everything else exactly.  After
-a deliberate change of output, regenerate with
+(subcommand, fixture) pair of decompose, weddle, basepoints, singular, jinv
+and certify that produces a report, plus two small jacobsthal-sweeps: dims
+2..4, and dim 5 (the largest base-point solve).  The certify reports are
+27-path solves, exactly at the path cap solve._MAX_PATHS.  Each report is
+compared without `elapsed_s`: floats within 1e-9 absolute, everything else
+exactly.  After a deliberate change of output, regenerate with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 """
@@ -21,7 +22,7 @@ import pytest
 from weddle import cli, fixtures
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
-SUBCOMMANDS = ("decompose", "weddle", "basepoints", "singular", "jinv")
+SUBCOMMANDS = ("decompose", "weddle", "basepoints", "singular", "jinv", "certify")
 # `--dims=5` keeps the second sweep's test id distinct from the first's.
 SWEEPS = (
     ["jacobsthal-sweep", "--dims", "2..4", "--trials", "2", "--seed", "0"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weddle import fixtures, linalg, loci, tensor
+from weddle import fixtures, linalg, loci, solve, tensor
 from weddle.loci import LinearSystem
 from weddle.polycore import MultiPoly, parse_poly
 
@@ -346,6 +346,14 @@ def test_a_zero_at_the_first_witness_point_falls_back_to_the_symbolic_test():
     assert _contraction_det_at(system, witness) != 0
     proportional = LinearSystem(1, [[[1, 0], [0, 1]], [[2, 0], [0, 2]]])
     assert loci._weddle_witness(proportional) is None
+
+
+def test_sweep_top_dim_is_the_last_whose_paths_fit_the_cap():
+    # A dim-d base-point solve tracks 2^(d-1) paths per chart.
+    top = max(d for d in range(2, 64) if 2 ** (d - 1) <= solve._MAX_PATHS)
+    loci.sweep_trials([top], 1, 0)  # dims are checked at the call; no trial runs
+    with pytest.raises(ValueError, match="dims"):
+        loci.sweep_trials([top + 1], 1, 0)
 
 
 def test_rank_conclusion_labels():

@@ -1,12 +1,15 @@
 """Homotopy continuation: certified projective counts."""
 
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from weddle import fixtures, loci, solve, tensor
-from weddle.polycore import MultiPoly, parse_poly
+from weddle.polycore import MultiPoly, linear_form, parse_poly
 from weddle.solve import SolveConfig
 
 
@@ -247,9 +250,54 @@ def test_singular_points_validates_input():
     with pytest.raises(ValueError):
         solve.singular_points(parse_poly("x0^2 + x1"))  # inhomogeneous
     with pytest.raises(ValueError):
-        solve.singular_points(parse_poly("x0^5"))  # degree above 4
+        solve.singular_points(parse_poly("x0^5"))  # one variable
     with pytest.raises(ValueError):
         solve.singular_points(MultiPoly.zero(3))
+
+
+# ---- the path cap ----
+
+def test_over_cap_solves_name_their_path_count_and_the_cap():
+    _, system, _ = loci.sample_general_cyclic(6, rng=random.Random(0))
+    with pytest.raises(ValueError, match=rf"\b32\b.*\b{solve._MAX_PATHS}\b"):
+        solve.base_points(system)  # 2^5 paths per chart
+    with pytest.raises(ValueError, match=rf"\b81\b.*\b{solve._MAX_PATHS}\b"):
+        solve.singular_points(parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x4^4"))  # 3^4 paths
+
+
+def test_segre_cubic_threefold_is_never_miscounted():
+    # Five variables but 2^4 = 16 paths per chart, within the cap.  The ten
+    # nodes are the permutations of (1, 1, 1, -1, -1).
+    f = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3") - parse_poly("x0 + x1 + x2 + x3 + x4") ** 3
+    nodes = {tuple(p[0] * v for v in p) for p in itertools.permutations((1, 1, 1, -1, -1))}
+    assert len(nodes) == 10 and all(loci.singular_at(f, list(p)) for p in nodes)
+    certified = 0
+    for seed in range(4):
+        result = solve.singular_points(f, SolveConfig(seed=seed))
+        assert result.bezout_bound == 16
+        if result.certified:
+            certified += 1
+            assert result.count() == 10
+            assert {c.rational for c in result.clusters} == nodes
+    assert certified
+
+
+def test_five_lines_in_the_plane_have_ten_certified_nodes():
+    # A plane quintic, 4^2 = 16 paths per chart, within the cap: its nodes
+    # are the pairwise intersections of the lines, their cross products.
+    lines = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
+    f = functools.reduce(operator.mul, (linear_form(3, a) for a in lines))
+    nodes = set()
+    for (a0, a1, a2), (b0, b1, b2) in itertools.combinations(lines, 2):
+        cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        nodes.add(solve._primitive([Fraction(v) for v in cross]))
+    assert len(nodes) == 10
+    for seed in range(4):
+        result = solve.singular_points(f, SolveConfig(seed=seed))
+        assert result.bezout_bound == 16
+        assert result.certified
+        assert result.count() == 10
+        assert {c.rational for c in result.clusters} == nodes
 
 
 # ---- reporting ----
