@@ -246,7 +246,7 @@ def flex_points(f: MultiPoly, config: Optional[solve.SolveConfig] = None) -> sol
         raise ValueError("Hessian determinant vanishes identically")
     system = [f, hess_det]
     seed = (config or solve.DEFAULT_CONFIG).seed
-    return solve._projective_solve(system, system, [3, 3], random.Random(seed))
+    return solve._projective_solve(system, [3, 3], random.Random(seed))
 
 
 _PROMOTION_HEIGHT = 10**6

@@ -4,9 +4,9 @@ Certified projective point counts: base points of quadric systems, singular
 points of hypersurfaces and (for weddle.cubic) flexes of plane cubics, all
 through one solve path (_projective_solve).  A square subsystem is
 dehomogenized onto two random rational charts, and each chart runs a
-total-degree homotopy of at most _MAX_PATHS Bezout paths, the package's one
-size limit.  Each row of a chart's target is
-divided exactly by its largest coefficient magnitude before tracking
+total-degree homotopy of at most _MAX_PATHS Bezout paths (each degree
+counted as at least 2), the package's one size limit.  Each row of a chart's
+target is divided exactly by its largest coefficient magnitude before tracking
 (_unit_row), which keeps large coefficients from collapsing the first
 steps and makes tracking exactly invariant under multiplying the input by
 a positive rational factor; certification still sees the unscaled
@@ -56,8 +56,9 @@ class SolveConfig:
 
 DEFAULT_CONFIG = SolveConfig()
 
-# The one size limit: Bezout paths per chart (the product of the degrees), the
-# cost of a solve.  27 admits the singular points of a quartic surface.
+# The one size limit: Bezout paths per chart, the product of the degrees with
+# each counted as at least 2, since cost grows with the unknowns too (a linear
+# system in k unknowns counts 2^k).  27 admits a quartic surface's singularities.
 _MAX_PATHS = 27
 _T_STOP = 1e-14
 _PHASE_TOL = 1e-9
@@ -720,9 +721,11 @@ def _near_chart_infinity(coords, chart, tol: float) -> bool:
     return abs(np.sum(a * np.asarray(coords))) <= tol * float(np.linalg.norm(a))
 
 
-def _projective_solve(square, filter_polys, degrees, rng) -> SolutionSet:
+def _projective_solve(polys, degrees, rng) -> SolutionSet:
     """Two-chart projective solve with bijective merge: the common zeros of
-    filter_polys, cut out inside the finite zero set of the square system.
+    polys, cut out inside the finite zero set of a square system of the
+    given degrees: polys itself when they number len(degrees), else random
+    combinations of them, drawn only after the size check.
 
     The square subsystem is solved on two random charts that are not
     proportional (such charts share their infinity hyperplane and lose the
@@ -740,17 +743,22 @@ def _projective_solve(square, filter_polys, degrees, rng) -> SolutionSet:
     order of two charts run in turn; when chart 1 must retry, its retries
     resume right after its own first draws and chart 2 runs afresh, so the
     stacking never changes a result.  Raises ValueError when the square
-    system has more than _MAX_PATHS Bezout paths per chart.
+    system exceeds _MAX_PATHS.
     """
-    paths = math.prod(degrees)
-    if paths > _MAX_PATHS:
-        raise ValueError(f"{paths} Bezout paths per chart exceed the cap of {_MAX_PATHS}")
+    if math.prod(max(d, 2) for d in degrees) > _MAX_PATHS:
+        raise ValueError(
+            f"{math.prod(degrees)} Bezout paths per chart in {len(degrees)} unknowns "
+            f"exceed the cap of {_MAX_PATHS} (each degree counted as at least 2)"
+        )
+    square = polys
+    if len(polys) != len(degrees):
+        square = _random_square_subsystem(polys, len(degrees), rng)
     nvars = square[0].nvars
     charts = [_random_chart(nvars, rng), _random_chart(nvars, rng)]
     while projectively_equal(charts[1][0], charts[0][0]):
         charts[1] = _random_chart(nvars, rng)
     target = _Compiled(*([_unit_row(_chart_substitute(p, c)) for p in square] for c in charts))
-    filters = _Compiled(filter_polys)
+    filters = _Compiled(polys)
     first = _draw_attempt(0, degrees, rng)
     after_first = rng.getstate()
     tracked = _track_attempts(target, degrees, [first, _draw_attempt(1, degrees, rng)])
@@ -760,7 +768,7 @@ def _projective_solve(square, filter_polys, degrees, rng) -> SolutionSet:
     runs = []
     for k, chart in enumerate(charts):
         run = _run_square(target, degrees, k, rng, tracked[k])
-        runs.append(_finish_chart(run, chart, degrees, filters, filter_polys))
+        runs.append(_finish_chart(run, chart, degrees, filters, polys))
     (surv1, report1, _, _), (surv2, report2, _, _) = runs
 
     match_radius = max(_CLUSTER_RADIUS, 10 * _RESIDUAL_TOL)
@@ -850,13 +858,10 @@ def base_points(system, config: Optional[SolveConfig] = None) -> SolutionSet:
     threshold (with an exact rational cross-check on top).  Path count is
     2^n per chart, so the cap _MAX_PATHS allows n <= 4.
     """
-    n = system.n
     polys = system.quadric_polys()
     if any(p.is_zero() for p in polys):
         raise ValueError("system contains an identically zero quadric")
-    rng = random.Random((config or DEFAULT_CONFIG).seed)
-    square = _random_square_subsystem(polys, n, rng)
-    return _projective_solve(square, polys, [2] * n, rng)
+    return _projective_solve(polys, [2] * system.n, random.Random((config or DEFAULT_CONFIG).seed))
 
 
 def singular_points(f: MultiPoly, config: Optional[SolveConfig] = None) -> SolutionSet:
@@ -865,19 +870,14 @@ def singular_points(f: MultiPoly, config: Optional[SolveConfig] = None) -> Solut
     The square subsystem consists of nvars-1 random full-rank rational
     combinations of all partial derivatives; survivors are filtered by the
     residual of the full gradient (plus the exact rational cross-check).
-    Path count is (deg f - 1)^(nvars - 1) per chart, at most _MAX_PATHS.
+    Path count is (deg f - 1)^(nvars - 1) per chart, capped by _MAX_PATHS
+    with each degree counted as at least 2.
     """
     nv = f.nvars
     if not f.is_homogeneous() or nv < 2 or f.total_degree() < 2:
         raise ValueError("expected a homogeneous polynomial of degree >= 2 in >= 2 variables")
-    grads = f.gradient()
-    rng = random.Random((config or DEFAULT_CONFIG).seed)
-    try:
-        combos = _random_square_subsystem(grads, nv - 1, rng)
-    except ValueError as exc:
-        raise ValueError("gradient system is degenerate") from exc
     degrees = [f.total_degree() - 1] * (nv - 1)
-    return _projective_solve(combos, grads, degrees, rng)
+    return _projective_solve(f.gradient(), degrees, random.Random((config or DEFAULT_CONFIG).seed))
 
 
 # ---- Jacobsthal numbers ----

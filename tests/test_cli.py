@@ -213,6 +213,8 @@ def test_sweep_rejects_a_trial_count_below_one(capsys):
         ("lone-sign.poly", "-"),
         ("one-variable.poly", "x0^3"),
         ("linear.poly", "x0 + x1"),
+        ("wide-quadric.poly", "x0^2 + x199^2"),
+        ("wide-cubic.poly", "x0^3 + x199^3"),
     ],
 )
 def test_malformed_input_files_are_usage_errors(capsys, tmp_path, name, text):

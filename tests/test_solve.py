@@ -18,7 +18,7 @@ def _solve_projective(texts, seed=0):
     through the solve path of every shipped caller."""
     polys = [parse_poly(text, nvars=3) for text in texts]
     degrees = [p.total_degree() for p in polys]
-    return solve._projective_solve(polys, polys, degrees, random.Random(seed))
+    return solve._projective_solve(polys, degrees, random.Random(seed))
 
 
 # ---- the projective solve on small systems ----
@@ -59,7 +59,7 @@ def test_generic_quadric_pair_has_four_accurate_solutions():
                 (0, 0, 2): Fraction(rng.randint(1, 5)),
             }
             polys.append(MultiPoly(3, terms))
-        result = solve._projective_solve(polys, polys, [2, 2], random.Random(0))
+        result = solve._projective_solve(polys, [2, 2], random.Random(0))
         if not result.certified:
             continue  # a non-generic draw (tangency) is allowed to bail out
         assert result.count() == 4
@@ -257,12 +257,26 @@ def test_singular_points_validates_input():
 
 # ---- the path cap ----
 
-def test_over_cap_solves_name_their_path_count_and_the_cap():
+def test_over_cap_solves_name_their_path_count_and_the_cap(monkeypatch):
     _, system, _ = loci.sample_general_cyclic(6, rng=random.Random(0))
-    with pytest.raises(ValueError, match=rf"\b32\b.*\b{solve._MAX_PATHS}\b"):
+    cap = solve._MAX_PATHS
+
+    def fail(*args, **kwargs):
+        raise AssertionError("exact work before the size check")
+
+    # Every refusal comes before the square subsystem's exact rank, which
+    # for 200 variables is that of a 199 x 200 weight matrix.
+    monkeypatch.setattr(solve, "_random_square_subsystem", fail)
+    with pytest.raises(ValueError, match=rf"^32 .*\b{cap}\b"):
         solve.base_points(system)  # 2^5 paths per chart
-    with pytest.raises(ValueError, match=rf"\b81\b.*\b{solve._MAX_PATHS}\b"):
+    with pytest.raises(ValueError, match=rf"^81 .*\b{cap}\b"):
         solve.singular_points(parse_poly("x0^4 + x1^4 + x2^4 + x3^4 + x4^4"))  # 3^4 paths
+    # A linear gradient system has one Bezout path, but its unknowns count:
+    # each degree is charged at least 2.
+    with pytest.raises(ValueError, match=rf"^1 .* 199 unknowns .*\b{cap}\b"):
+        solve.singular_points(parse_poly("x0^2 + x199^2"))
+    with pytest.raises(ValueError, match=rf"^{2**199} .* 199 unknowns .*\b{cap}\b"):
+        solve.singular_points(parse_poly("x0^3 + x199^3"))
 
 
 def test_segre_cubic_threefold_is_never_miscounted():
