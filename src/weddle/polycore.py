@@ -6,6 +6,11 @@ polynomial matrices, and divisibility tests are all exact.  Monomials are
 ordered in graded lexicographic order wherever they are enumerated or
 printed; together with primitive normalization this gives every polynomial
 a canonical, regression-stable representative.
+
+PolyMatrix.det, the hot spot of Weddle loci, does not use this
+representation inside: it clears each row's denominators, packs every
+monomial into one int and expands over the integers, building a MultiPoly
+only for the result.
 """
 
 from __future__ import annotations
@@ -592,34 +597,68 @@ class PolyMatrix:
         return PolyMatrix(self.nvars, [[e.scale(value) for e in row] for row in self.entries])
 
     def det(self) -> MultiPoly:
-        """Cofactor expansion with minors memoized by column subsets.
+        """Division-free cofactor expansion, exact over the integers.
 
-        Intended for the small matrices this library produces; sizes above
-        MAX_DET_SIZE are refused rather than silently taking forever.
+        Each row is multiplied by the lcm of its coefficient denominators,
+        and each monomial is packed into one int: variable i takes the bits
+        from i*w, where w is the bit length of the determinant's degree
+        bound (the sum over rows of the row's largest entry degree), so a
+        product of monomials is one int addition that never carries.  The
+        minors of the first k rows are memoized by their column subsets as
+        dicts from packed monomial to int coefficient, built row by row.
+        The result is unpacked once and divided by the product of the row
+        lcms.  Sizes above MAX_DET_SIZE are refused rather than silently
+        taking forever.
         """
         n = self.size
         if n > MAX_DET_SIZE:
             raise ValueError(f"determinant limited to size {MAX_DET_SIZE}")
-        if n == 0:
-            return MultiPoly.constant(self.nvars, 1)
-        minors = {0: MultiPoly.constant(self.nvars, 1)}
-        masks = sorted(range(1, 1 << n), key=lambda m: m.bit_count())
-        for mask in masks:
-            row = mask.bit_count() - 1
-            total = MultiPoly.zero(self.nvars)
-            position = 0
-            for col in range(n):
-                if not mask & (1 << col):
-                    continue
-                entry = self.entries[row][col]
-                if not entry.is_zero():
-                    piece = entry * minors[mask ^ (1 << col)]
-                    if (row + position) % 2:
-                        piece = -piece
-                    total = total + piece
-                position += 1
-            minors[mask] = total
-        return minors[(1 << n) - 1]
+        bound = sum(max(0, *(e.total_degree() for e in row)) for row in self.entries)
+        width = bound.bit_length()
+
+        def pack(mono) -> int:
+            return sum(e << (width * i) for i, e in enumerate(mono))
+
+        denominator = 1
+        rows = []
+        for row in self.entries:
+            lcm = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+            denominator *= lcm
+            rows.append([
+                (col, {pack(m): c.numerator * (lcm // c.denominator) for m, c in e.terms.items()})
+                for col, e in enumerate(row)
+                if e.terms
+            ])
+
+        # minors[mask]: the minor of the rows so far on the columns in mask.
+        minors = {0: {0: 1}}
+        for row, entries in enumerate(rows):
+            extended: dict = {}
+            for mask, minor in minors.items():
+                for col, entry in entries:
+                    bit = 1 << col
+                    if mask & bit:
+                        continue
+                    # Laplace sign of (row, col) in the extended minor.
+                    negate = (row + (mask & (bit - 1)).bit_count()) % 2
+                    total = extended.setdefault(mask | bit, {})
+                    for m1, c1 in entry.items():
+                        if negate:
+                            c1 = -c1
+                        for m2, c2 in minor.items():
+                            m = m1 + m2
+                            total[m] = total.get(m, 0) + c1 * c2
+            minors = {}
+            for mask, total in extended.items():
+                kept = {m: c for m, c in total.items() if c}
+                if kept:
+                    minors[mask] = kept
+
+        field = (1 << width) - 1
+        return MultiPoly(self.nvars, {
+            tuple((m >> (width * i)) & field for i in range(self.nvars)): Fraction(c, denominator)
+            for m, c in minors.get((1 << n) - 1, {}).items()
+        })
 
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

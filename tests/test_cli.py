@@ -1,12 +1,13 @@
 """Command-line interface: reports, exit codes, fixture resolution."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from weddle import fixtures
+from weddle import fixtures, tensor
 from weddle.cli import main
 
 
@@ -225,6 +226,15 @@ def test_malformed_input_files_are_usage_errors(capsys, tmp_path, name, text):
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_weddle_on_a_p8_system_exceeds_the_determinant_limit(capsys, tmp_path):
+    path = tmp_path / "tensor.json"
+    path.write_text(tensor.random_n1(9, random.Random(9)).dumps(), encoding="utf-8")
+    code, out, err = run_cli(capsys, "weddle", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: determinant limited to size 8" in err
 
 
 @pytest.mark.parametrize("n", ["1.5", '"2"', "true"])

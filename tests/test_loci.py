@@ -1,6 +1,7 @@
 """Linear systems of quadrics, Weddle matrices, and rank certificates."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from weddle import fixtures, linalg, loci, solve, tensor
 from weddle.loci import LinearSystem
 from weddle.polycore import MultiPoly, parse_poly
+from test_polycore import reference_det
 
 
 def _random_system(dim, rng):
@@ -80,6 +82,34 @@ def test_degenerate_system_has_zero_weddle_polynomial():
     data = loci.weddle_matrix(fixtures.system("degenerate-conics"))
     assert data.degenerate
     assert data.polynomial.is_zero()
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_weddle_polynomial_equals_the_reference_determinant(dim):
+    rng = random.Random(70 + dim)
+    for _ in range(2):
+        system = _random_system(dim, rng)
+        expected = reference_det(loci.contraction_matrix(system)).primitive_normalized()
+        assert loci.weddle_matrix(system).polynomial == expected
+
+
+def test_dim7_weddle_polynomial_at_integer_points_within_budget():
+    system = _random_system(7, random.Random(77))
+    start = time.perf_counter()
+    data = loci.weddle_matrix(system)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"dim-7 Weddle determinant took {elapsed:.2f}s"
+    assert data.polynomial.is_homogeneous(7)
+    # The polynomial is the primitive normalization of the determinant, so
+    # the two agree up to one nonzero constant at every point.
+    points = random.Random(7)
+    ratios = set()
+    for _ in range(3):
+        point = [points.randint(-20, 20) for _ in range(7)]
+        value = linalg.det([[e.evaluate(point) for e in row] for row in data.matrix.entries])
+        assert value != 0
+        ratios.add(value / data.polynomial.evaluate(point))
+    assert len(ratios) == 1
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

@@ -1,4 +1,9 @@
-"""Exact polynomial arithmetic: ring axioms, parsing, calculus, determinants."""
+"""Exact polynomial arithmetic: ring axioms, parsing, calculus, determinants.
+
+PolyMatrix.det runs on packed monomials and integer coefficients.  The
+reference determinant below is the cofactor expansion on MultiPoly
+arithmetic that it replaced; both must give the same polynomial.
+"""
 
 from fractions import Fraction
 
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 
 from weddle import linalg
 from weddle.polycore import (
+    MAX_DET_SIZE,
     MultiPoly,
     PolyMatrix,
     divides,
@@ -240,3 +246,78 @@ def test_polynomial_determinant_agrees_with_scalar_determinant(pt):
         [m.entry(i, j).evaluate(pt) for j in range(3)] for i in range(3)
     ]
     assert m.det().evaluate(pt) == linalg.det(evaluated)
+
+
+# ---- the integer determinant kernel against the MultiPoly reference ----
+
+def reference_det(matrix):
+    """Cofactor expansion on MultiPoly arithmetic, minors memoized by
+    column subsets."""
+    n = matrix.size
+    minors = {0: MultiPoly.constant(matrix.nvars, 1)}
+    for mask in sorted(range(1, 1 << n), key=lambda m: m.bit_count()):
+        row = mask.bit_count() - 1
+        total = MultiPoly.zero(matrix.nvars)
+        position = 0
+        for col in range(n):
+            if not mask & (1 << col):
+                continue
+            piece = matrix.entry(row, col) * minors[mask ^ (1 << col)]
+            total = total + (-piece if (row + position) % 2 else piece)
+            position += 1
+        minors[mask] = total
+    return minors[(1 << n) - 1]
+
+
+# A monomial of total degree 0..3 in three variables.
+_monomials = st.lists(st.integers(0, 2), max_size=3).map(
+    lambda vs: tuple(vs.count(i) for i in range(3))
+)
+
+
+def _entries(denominator):
+    """Non-homogeneous entries whose coefficients share one denominator,
+    or zero (one draw in six)."""
+    coefficients = st.integers(-6, 6).filter(bool)
+    terms = st.lists(st.tuples(_monomials, coefficients), min_size=1, max_size=3)
+    nonzero = terms.map(
+        lambda ts: sum(
+            (MultiPoly.monomial(3, m, Fraction(c, denominator)) for m, c in ts),
+            MultiPoly.zero(3),
+        )
+    )
+    return st.integers(0, 5).flatmap(lambda k: st.just(MultiPoly.zero(3)) if k == 2 else nonzero)
+
+
+def _matrices(n):
+    row = st.integers(1, 7).flatmap(lambda d: st.lists(_entries(d), min_size=n, max_size=n))
+    zero_row = [MultiPoly.zero(3)] * n
+    # One draw in ten is a zero row.
+    either = st.integers(0, 9).flatmap(lambda k: st.just(zero_row) if k == 5 else row)
+    rows = st.lists(either, min_size=n, max_size=n)
+    return rows.map(lambda rs: PolyMatrix(3, rs))
+
+
+@given(st.integers(0, 5).flatmap(_matrices))
+@settings(max_examples=150, deadline=None)
+def test_determinant_equals_the_reference_expansion(m):
+    assert m.det() == reference_det(m)
+
+
+def test_determinant_exponents_wider_than_four_bits():
+    # The degree bound is 9 + 9 + 9 = 27, five bits per variable: x0^27
+    # must not carry into the field of x1.
+    m = _matrix_from_strings(
+        [["x0^9", "x1", "0"], ["0", "x0^9", "x2^2"], ["x1^3", "0", "x0^9"]]
+    )
+    assert m.det() == parse_poly("x0^27 + x1^4*x2^2", nvars=3)
+    assert m.det() == reference_det(m)
+
+
+def test_determinant_above_the_size_limit_is_refused():
+    n = MAX_DET_SIZE + 1
+    identity = [
+        [MultiPoly.constant(3, 1 if i == j else 0) for j in range(n)] for i in range(n)
+    ]
+    with pytest.raises(ValueError, match=f"determinant limited to size {MAX_DET_SIZE}"):
+        PolyMatrix(3, identity).det()
