@@ -5,7 +5,9 @@ jacobsthal-sweep.  Inputs are file paths or fixture names; outputs are
 human-readable text or (with --json) a machine-readable run report with a
 certified flag.  All randomness flows from --seed, and every tolerance is a
 fixed constant of weddle.solve, so the same arguments reproduce a report
-exactly, apart from the timing field.
+exactly, apart from the timing field.  In text mode jacobsthal-sweep also
+prints each trial with its seed and wall time; the times stay out of the
+report.
 """
 
 from __future__ import annotations
@@ -47,25 +49,23 @@ def _resolve_input(source: str):
     """Returns (descriptor, kind, object) for a path or fixture name."""
     path = Path(source)
     if path.exists():
+        described = str(path)
         text = path.read_text(encoding="utf-8")
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if path.suffix == ".json":
-            kind = _classify_json(json.loads(text))
-        else:
-            kind = "poly"
-        try:
-            obj = fixtures.parse_payload(kind, text)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"could not parse {source}: {exc}") from exc
-        return {"source": str(path), "sha256": digest}, kind, obj
-    if source in fixtures.REGISTRY:
+        kind = _classify_json(json.loads(text)) if path.suffix == ".json" else "poly"
+    elif source in fixtures.REGISTRY:
+        described = f"fixture:{source}"
         text = fixtures.read_text(source)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         kind = fixtures.kind(source)
-        return {"source": f"fixture:{source}", "sha256": digest}, kind, fixtures.load(source)
-    raise InputError(
-        f"no such file or fixture {source!r}; fixtures: {', '.join(fixtures.names())}"
-    )
+    else:
+        raise InputError(
+            f"no such file or fixture {source!r}; fixtures: {', '.join(fixtures.names())}"
+        )
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    try:
+        obj = fixtures.parse_payload(kind, text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"could not parse {source}: {exc}") from exc
+    return {"source": described, "sha256": digest}, kind, obj
 
 
 def _as_tensor(kind: str, obj) -> Tensor3:
@@ -234,15 +234,20 @@ def _cmd_jacobsthal_sweep(args):
         expected = solve.jacobsthal(dim)
         counts = []
         mismatches = []
-        uncertified = 0
-        for _ in range(args.trials):
+        trial_lines = []
+        for trial in range(args.trials):
+            start = time.perf_counter()
             _, trial_seed, status, count, sampled = next(trials)
+            elapsed = time.perf_counter() - start
+            shown = "-" if count is None else str(count)
+            trial_lines.append(f"  dim {dim} trial {trial:2d}: count {shown:>2} [{status}] "
+                               f"seed {trial_seed} ({elapsed:.2f}s)")
             if count is None:
-                uncertified += 1
                 continue
             counts.append(count)
             if status == "mismatch":
                 mismatches.append({"tensor": sampled.to_json(), "seed": trial_seed, "count": count})
+        uncertified = args.trials - len(counts)
         matching = counts.count(expected)
         table[str(dim)] = {
             "expected": expected,
@@ -259,6 +264,7 @@ def _cmd_jacobsthal_sweep(args):
             f"dim {dim}: J = {expected}; {len(counts)}/{args.trials} trials certified, "
             f"{matching} matching, {uncertified} uncertified/excluded"
         )
+        lines += trial_lines
         for m in mismatches:
             lines.append(f"  MISMATCH (count {m['count']}, seed {m['seed']}): {m['tensor']}")
     outputs = {"dims": table}

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import linalg, solve
+from . import cubic, linalg, solve
 from .polycore import MultiPoly, PolyMatrix, as_int, as_rat, divides, linear_form
 
 
@@ -165,13 +165,10 @@ def gradient_matrix(system: LinearSystem) -> PolyMatrix:
 def weddle_matrix(system: LinearSystem) -> WeddleData:
     """Contraction matrix plus its normalized determinant.
 
-    Twice the contraction must equal the gradient matrix of the quadrics;
-    that identity is recomputed on every call as an internal cross-check.
+    Twice the contraction is the gradient matrix of the quadrics, since
+    LinearSystem accepts only symmetric faces.
     """
     contraction = contraction_matrix(system)
-    doubled = contraction.scale(2)
-    if doubled != gradient_matrix(system):
-        raise ArithmeticError("contraction and gradient matrices disagree")
     determinant = contraction.det()
     return WeddleData(
         matrix=contraction,
@@ -434,9 +431,7 @@ def hessian_equals_weddle_check(poly: MultiPoly) -> bool:
     nv = poly.nvars
     partials = poly.gradient()
     system = LinearSystem(nv - 1, [poly_to_quadric(p) for p in partials])
-    doubled = weddle_matrix(system).matrix.scale(2)
-    hessian = PolyMatrix(nv, [[poly.diff(i).diff(j) for j in range(nv)] for i in range(nv)])
-    return doubled == hessian
+    return weddle_matrix(system).matrix.scale(2) == cubic.hessian(poly)
 
 
 # ---- rank lower bounds from singular point counts ----
@@ -541,10 +536,10 @@ def sweep_trials(dims: Sequence[int], trials: int, seed: int):
     mismatch (certified, count != J_dim), uncertified, or error (count None
     unless certified, tensor None on error).  Error means a degenerate
     draw: no nondegenerate sample, or base_points rejecting the system
-    (ValueError); any other exception propagates.  Seed convention, shared
-    by every front end so trials replay: per trial of a master
-    Random(seed), trial_seed = master.randrange(2**30), then the tensor is
-    drawn from the master, then base_points runs with seed trial_seed.
+    (ValueError); any other exception propagates.  Seed convention: per
+    trial of a master Random(seed), trial_seed = master.randrange(2**30),
+    then the tensor is drawn from the master, then base_points runs with
+    seed trial_seed.
     """
     top = solve._MAX_PATHS.bit_length()  # the largest d with 2^(d-1) <= _MAX_PATHS
     if not dims or any(not 2 <= d <= top for d in dims):

@@ -2,12 +2,13 @@
 
 import json
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from weddle import fixtures, tensor
+from weddle import fixtures, loci, solve, tensor
 from weddle.cli import main
 
 
@@ -183,6 +184,78 @@ def test_sweep_text_output_mentions_the_expected_counts(capsys):
     assert code == 0
     assert "dim 2: J = 1" in out
     assert "dim 3: J = 3" in out
+
+
+_TRIAL_LINE = re.compile(r"  dim (\d+) trial +(\d+): count +(\d+|-) \[(\w+)\] seed (\d+) \(\d+\.\d\ds\)")
+
+
+def test_sweep_text_output_lists_every_trial_with_its_seed(capsys):
+    code, out, _ = run_cli(
+        capsys, "jacobsthal-sweep", "--dims", "2..3", "--trials", "2", "--seed", "4"
+    )
+    assert code == 0
+    printed = [m.groups() for m in map(_TRIAL_LINE.fullmatch, out.splitlines()) if m]
+    expected = [
+        (str(dim), str(index % 2), "-" if count is None else str(count), status, str(seed))
+        for index, (dim, seed, status, count, _) in enumerate(loci.sweep_trials([2, 3], 2, 4))
+    ]
+    assert printed == expected
+    assert "dim 2: J = 1" in out
+    assert "dim 3: J = 3" in out
+
+
+def _fake_sweep(monkeypatch, status, count):
+    """Every dim-3 trial of a sweep ends with (status, count); every other
+    trial certifies J_dim.  Trial seeds are drawn as the real trial draws
+    them, so they are the first randrange(2**30) values of the master."""
+    sampled = fixtures.load("cyclic-dim2")
+
+    def trial(dim, master):
+        seed = master.randrange(2**30)
+        if dim == 3:
+            return dim, seed, status, count, None if status == "error" else sampled
+        return dim, seed, "certified", solve.jacobsthal(dim), sampled
+
+    monkeypatch.setattr(loci, "_sweep_trial", trial)
+    return sampled
+
+
+@pytest.mark.parametrize(
+    "status, count, exit_code",
+    [("certified", 3, 0), ("mismatch", 4, 1), ("uncertified", None, 1), ("error", None, 1)],
+)
+def test_sweep_exits_1_unless_every_dim_certifies_j_n(monkeypatch, capsys, status, count, exit_code):
+    _fake_sweep(monkeypatch, status, count)
+    code, report, _ = run_json(
+        capsys, "jacobsthal-sweep", "--dims", "2..3", "--trials", "2", "--seed", "4"
+    )
+    assert code == exit_code
+    assert report["certified"] is (exit_code == 0)
+    table = report["outputs"]["dims"]
+    assert table["2"]["matching"] == table["2"]["certified"] == 2
+    assert table["3"]["certified"] == (0 if count is None else 2)
+
+
+def test_sweep_lists_a_mismatch_with_its_seed_and_tensor(monkeypatch, capsys):
+    sampled = _fake_sweep(monkeypatch, "mismatch", 4)
+    master = random.Random(4)
+    seeds = [master.randrange(2**30) for _ in range(4)]
+    code, report, _ = run_json(
+        capsys, "jacobsthal-sweep", "--dims", "2..3", "--trials", "2", "--seed", "4"
+    )
+    assert code == 1
+    assert report["certified"] is False
+    table = report["outputs"]["dims"]
+    assert table["2"]["mismatches"] == []
+    assert table["3"]["mismatches"] == [
+        {"tensor": sampled.to_json(), "seed": seed, "count": 4} for seed in seeds[2:]
+    ]
+    code, out, _ = run_cli(
+        capsys, "jacobsthal-sweep", "--dims", "2..3", "--trials", "2", "--seed", "4"
+    )
+    assert code == 1
+    assert f"  MISMATCH (count 4, seed {seeds[2]}): {sampled.to_json()}" in out
+    assert out.endswith("certified: False\n")
 
 
 def test_sweep_rejects_out_of_range_dims(capsys):
