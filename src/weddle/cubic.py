@@ -186,16 +186,24 @@ def _reduce_exact(f: MultiPoly, flex: Sequence):
 def canonicalize_pair(a: Rat, b: Rat) -> tuple:
     """Height-minimal representative of the orbit (a, b) ~ (u^4 a, u^6 b).
 
-    Scans u = s/t with 1 <= s, t <= 48 coprime and picks the pair whose
+    Picks, among u = s/t with 1 <= s, t <= 48 coprime, the pair whose
     sorted magnitude profile (numerator and denominator sizes of both
     coefficients) is lexicographically smallest, preferring u = 1 and then
-    small s + t on ties, so fixtures are reproducible.
+    small s + t on ties, so fixtures are reproducible.  Only s and t whose
+    prime factors all divide a nonzero entry of the profile of (a, b) are
+    scanned: a prime p dividing none of them cancels nowhere in u^4 a and
+    u^6 b, so removing p from u shrinks a nonzero entry and grows none, and
+    u cannot win.
     """
     a = as_rat(a)
     b = as_rat(b)
+    entries = math.prod(e for e in (a.numerator, a.denominator, b.numerator, b.denominator) if e)
+    # k <= 48 < 2^6, so k divides entries^6 exactly when every prime factor
+    # of k divides entries.
+    smooth = [k for k in range(1, 49) if pow(entries, 6, k) == 0]
     best = None
-    for s in range(1, 49):
-        for t in range(1, 49):
+    for s in smooth:
+        for t in smooth:
             if math.gcd(s, t) != 1:
                 continue
             u = Fraction(s, t)

@@ -18,8 +18,11 @@ Newton polish on each path's chart target classifies each endpoint as
 finite, at infinity or failed.  A path's next step follows from the
 corrector's first update, which estimates the predictor's local error.
 Only a chart that must retry after failed paths runs on its own.  Every
-stage evaluates the target once per point, taking value and Jacobian from
-one table of monomial values.
+stage evaluates the target once for the whole stack (_Compiled): one table
+of monomial values, one gather from one stacked coefficient array, and one
+batched matvec give value and Jacobian, and each stage returns only what its
+caller uses.  Each output entry is the dot product a path tracked alone
+forms, so a path's floats do not depend on its stack.
 One routine (_certify) clusters, residual-certifies and rationally
 cross-checks a chart's endpoints, and the two charts must agree and account
 for every path either one loses to infinity.
@@ -179,9 +182,12 @@ class _Compiled:
     coeff[k] is system k's table on the union of all supports, zero where
     system k lacks a monomial.  value_and_jacobian computes one table of
     monomial values per point: the monomials together with the monomial of
-    each term's partial derivative in each variable.  The value and every
-    Jacobian column are gathered from that table, so a point's monomials
-    are computed once.
+    each term's partial derivative in each variable.  One coefficient stack
+    of shape (systems, 1 + nvars, rows, monomials) holds each system's
+    value table followed by its derivative table in each variable, and one
+    index array of shape (1 + nvars, monomials) picks the matching monomial
+    values, so a stack of points is evaluated with one gather of each and
+    one stacked matvec: a point's monomials are computed once.
     """
 
     def __init__(self, *systems: Sequence[MultiPoly]):
@@ -202,19 +208,19 @@ class _Compiled:
                     coeff[k, r, index[m]] = complex(c)
         self.coeff = coeff
         # The derivative of a term along variable v lowers its exponent of v
-        # by one (a term constant in v gets multiplier 0 in _dcoeff).
+        # by one (a term constant in v gets multiplier 0 in its table).
         shifted = [
             [m[:v] + (max(m[v] - 1, 0),) + m[v + 1 :] for m in monos] for v in range(nvars)
         ]
         table = sorted(set(monos).union(*shifted))
         position = {m: i for i, m in enumerate(table)}
         self._table = np.array(table, dtype=np.int64)
-        self._value_index = np.array([position[m] for m in monos], dtype=np.int64)
-        self._dindex = [np.array([position[m] for m in ms], dtype=np.int64) for ms in shifted]
-        # One separately allocated table per variable, not slices of one
-        # stacked table: BLAS kernels may choose their code path, and so
-        # their rounding, by the alignment of the matrix.
-        self._dcoeff = [coeff * self.exponents[:, v].astype(np.float64) for v in range(nvars)]
+        self._index = np.array([[position[m] for m in ms] for ms in [monos, *shifted]], dtype=np.int64)
+        # Each output entry is one BLAS dot product of one table row with
+        # one vector of monomial values, the product evaluating that point
+        # alone forms, so slicing the tables from one stack moves no bit.
+        derivatives = [coeff * e for e in self.exponents.T.astype(np.float64)]
+        self._stack = np.stack([coeff, *derivatives], axis=1)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """The first system's value at x."""
@@ -222,11 +228,11 @@ class _Compiled:
 
     def value_and_jacobian(self, x: np.ndarray, systems):
         """(value, Jacobian) at each point of the stack x, row p on system
-        systems[p], both from one monomial table."""
+        systems[p], from one monomial table and one stacked matvec; the
+        Jacobian is a view into the same product."""
         table = _monomials(x, self._table)
-        value = _matvec(self.coeff[systems], table[..., self._value_index])
-        cols = [_matvec(c[systems], table[..., i]) for c, i in zip(self._dcoeff, self._dindex)]
-        return value, np.stack(cols, axis=-1)
+        out = _matvec(self._stack[systems], table[..., self._index])
+        return out[..., 0, :], np.swapaxes(out[..., 1:, :], -1, -2)
 
 
 def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -286,22 +292,26 @@ class _Homotopy:
         self.charts = np.array(charts, dtype=np.int64)
         self.roots = np.array(roots, dtype=np.complex128)
         self.gamma = np.array(gamma, dtype=np.complex128)
+        self._powers = self.degrees - 1
 
-    def evaluate(self, x: np.ndarray, t: np.ndarray, paths: np.ndarray):
-        """(H, dH/dx, dH/dt) at the points of the given paths, from one
-        evaluation of the target."""
+    def evaluate(self, x: np.ndarray, t: np.ndarray, paths: np.ndarray, corrector: bool = False):
+        """(dH/dx, dH/dt) for an RK4 stage, or (H, dH/dx) for the corrector,
+        at the points of the given paths, from one evaluation of the target.
+
+        dH/dx is the target Jacobian scaled by (1 - t) in place, with the
+        start system's diagonal gamma * t * d_i * x_i^(d_i - 1) added onto
+        its diagonal: the start Jacobian is diagonal, so no full matrix of
+        it is built."""
         value, jacobian = self.target.value_and_jacobian(x, self.charts[paths])
         start = x ** self.degrees - self.roots[paths]
-        n = len(self.degrees)
-        start_jacobian = np.zeros(x.shape + (n,), dtype=np.complex128)
-        start_jacobian[..., range(n), range(n)] = self.degrees * x ** (self.degrees - 1)
-        tv, tm = t[:, np.newaxis], t[:, np.newaxis, np.newaxis]
-        gv, gm = self.gamma[paths, np.newaxis], self.gamma[paths, np.newaxis, np.newaxis]
-        return (
-            gv * tv * start + (1.0 - tv) * value,
-            gm * tm * start_jacobian + (1.0 - tm) * jacobian,
-            gv * start - value,
-        )
+        gv, weight = self.gamma[paths, np.newaxis], (1.0 - t)[:, np.newaxis]
+        gt = gv * t[:, np.newaxis]
+        jacobian *= weight[..., np.newaxis]
+        diagonal = np.einsum("...ii->...i", jacobian)  # a writable view
+        diagonal += gt * (self.degrees * x ** self._powers)
+        if corrector:
+            return gt * start + weight * value, jacobian
+        return jacobian, gv * start - value
 
 
 # ---- path tracking ----
@@ -325,19 +335,25 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
     converged = np.zeros(len(x), dtype=bool)
     first = np.full(len(x), np.inf)
     rows = np.arange(len(x))
+    # A mask is applied only when it drops a row (usually every row
+    # survives), and the ball only when there is a limit.
     for k in range(iterations):
         if not rows.size:
             break
         y = x[rows]
         values, jacobians = system(y, rows)
         ok, delta = _solve_stack(jacobians, values)
-        rows, y, delta = rows[ok], y[ok] - delta[ok], delta[ok]
+        if not ok.all():
+            rows, y, delta = rows[ok], y[ok], delta[ok]
+        y = y - delta
         x[rows] = y
         keep = np.isfinite(y).all(axis=-1)
-        rows, y, delta = rows[keep], y[keep], delta[keep]
+        if not keep.all():
+            rows, y, delta = rows[keep], y[keep], delta[keep]
         norms = _norms(y)
-        keep = ~(norms > limit)
-        rows, delta, norms = rows[keep], delta[keep], norms[keep]
+        if limit < math.inf:
+            keep = ~(norms > limit)
+            rows, delta, norms = rows[keep], delta[keep], norms[keep]
         size, scale = _norms(delta), np.maximum(1.0, norms)
         if k == 0:
             first[rows] = size / scale
@@ -352,38 +368,42 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
     Returns (ok, points, error): a rejected row keeps its point, and error
     is the corrector's first step relative to the point's norm, which
     measures the predictor's local error."""
+    out = x.copy()
     rows = np.arange(len(x))
     tangents = []
     # k1 at (x, t); k2 and k3 half a step along k1 and k2; k4 a full step
-    # along k3.  A row whose Jacobian is singular at any stage is rejected.
+    # along k3.  A row whose Jacobian is singular at any stage is rejected;
+    # while no row is, x, t, h and paths are used as they stand.
     for scale in (0.0, 0.5, 0.5, 1.0):
         if scale:
-            step = scale * h[rows]
-            y, s = x[rows] - step[:, np.newaxis] * tangents[-1], t[rows] - step
+            step = scale * h
+            y, s = x - step[:, np.newaxis] * tangents[-1], t - step
         else:
             y, s = x, t
-        _, jacobian, t_derivative = hom.evaluate(y, s, paths[rows])
+        jacobian, t_derivative = hom.evaluate(y, s, paths)
         ok, k = _solve_stack(jacobian, -t_derivative)
-        rows, tangents = rows[ok], [v[ok] for v in tangents] + [k[ok]]
+        tangents.append(k)
+        if not ok.all():
+            rows, tangents = rows[ok], [v[ok] for v in tangents]
+            x, t, h, paths = x[ok], t[ok], h[ok], paths[ok]
     k1, k2, k3, k4 = tangents
-    h = h[rows]
-    predicted = x[rows] - (h / 6.0)[:, np.newaxis] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    predicted = x - (h / 6.0)[:, np.newaxis] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    t_next = t - h
     finite = np.isfinite(predicted).all(axis=-1)
-    rows, t_next = rows[finite], t[rows][finite] - h[finite]
-    live = paths[rows]
+    if not finite.all():
+        rows, predicted, t_next, paths = rows[finite], predicted[finite], t_next[finite], paths[finite]
     converged, corrected, first = _newton(
-        lambda y, r: hom.evaluate(y, t_next[r], live[r])[:2],
-        predicted[finite],
+        lambda y, r: hom.evaluate(y, t_next[r], paths[r], corrector=True),
+        predicted,
         _TRACK_TOL,
         _CORRECTOR_ITERATIONS,
     )
-    ok = np.zeros(len(x), dtype=bool)
+    ok = np.zeros(len(out), dtype=bool)
     ok[rows[converged]] = True
-    error = np.full(len(x), np.inf)
+    error = np.full(len(out), np.inf)
     error[rows] = first
-    x = x.copy()
-    x[rows[converged]] = corrected[converged]
-    return ok, x, error
+    out[rows[converged]] = corrected[converged]
+    return ok, out, error
 
 
 def _polish(target: _Compiled, x: np.ndarray, charts: np.ndarray):
@@ -436,8 +456,9 @@ def _track_paths(hom: _Homotopy, starts):
             break
         now = t[rows]
         late = now < _ENDGAME_T
-        first = rows[late & np.isnan(endgame_norm[rows])]
-        endgame_norm[first] = np.maximum(1.0, _norms(x[first]))
+        if late.any():  # a path's norm as it enters the endgame
+            first = rows[late & np.isnan(endgame_norm[rows])]
+            endgame_norm[first] = np.maximum(1.0, _norms(x[first]))
         step = np.where(late, np.minimum(h[rows], 0.9 * now), np.minimum(h[rows], now))
         ok, x_new, error = _rk4_step(hom, x[rows], now, step, rows)
 

@@ -1,9 +1,12 @@
 """Smooth plane cubics: flexes, short Weierstrass form, j-invariants."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weddle import cubic, fixtures, linalg
 from weddle.cubic import ShortWeierstrass
@@ -162,6 +165,44 @@ def test_pair_canonicalization_collapses_the_scaling_orbit():
     a, b = C1_PAIR
     for u in (Fraction(2, 3), Fraction(5), Fraction(1, 7)):
         assert cubic.canonicalize_pair(a * u**4, b * u**6) == (a, b)
+
+
+def _scan_every_u(a, b):
+    """The scan that canonicalize_pair narrows: every coprime u = s/t with
+    1 <= s, t <= 48, keyed as canonicalize_pair keys them."""
+    best = None
+    for s in range(1, 49):
+        for t in range(1, 49):
+            if math.gcd(s, t) != 1:
+                continue
+            u = Fraction(s, t)
+            a2, b2 = a * u**4, b * u**6
+            profile = sorted(
+                (abs(a2.numerator), a2.denominator, abs(b2.numerator), b2.denominator),
+                reverse=True,
+            )
+            key = (profile, 0 if u == 1 else 1, s + t, s)
+            if best is None or key < best[0]:
+                best = (key, a2, b2)
+    return best[1], best[2]
+
+
+_coefficients = st.builds(Fraction, st.integers(-5000, 5000), st.integers(1, 5000))
+
+
+@given(_coefficients, _coefficients, st.integers(1, 48), st.integers(1, 48))
+@settings(max_examples=60, deadline=None)
+def test_pair_canonicalization_matches_the_scan_of_every_u(a, b, s, t):
+    u = Fraction(s, t)
+    a, b = a * u**4, b * u**6
+    assert cubic.canonicalize_pair(a, b) == _scan_every_u(a, b)
+
+
+def test_pair_canonicalization_matches_the_scan_of_every_u_on_the_witnesses():
+    for a, b in (C1_PAIR, C2_PAIR, (Fraction(0), Fraction(7, 2**6)), (Fraction(3**4, 5), Fraction(0))):
+        for u in (Fraction(1), Fraction(2, 3), Fraction(35, 11)):
+            scaled = (a * u**4, b * u**6)
+            assert cubic.canonicalize_pair(*scaled) == _scan_every_u(*scaled)
 
 
 def test_j_is_invariant_under_rational_changes_of_coordinates():

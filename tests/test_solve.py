@@ -6,6 +6,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weddle import fixtures, loci, solve, tensor
@@ -312,6 +313,147 @@ def test_five_lines_in_the_plane_have_ten_certified_nodes():
         assert result.certified
         assert result.count() == 10
         assert {c.rational for c in result.clusters} == nodes
+
+
+# ---- the compiled kernel against per-row scalar evaluation ----
+#
+# The lockstep tracker must compute, for each row of a stack, exactly the
+# floats of evaluating that row's point alone (tests/test_tracker.py checks
+# whole paths).  Here the stacked value, Jacobian and both homotopy forms
+# are checked, bit for bit, against one scalar matvec per row.
+
+def _row_monomials(x, exponents):
+    return np.prod(x[np.newaxis, :] ** exponents, axis=1)
+
+
+def _row_value_and_jacobian(compiled, chart, x):
+    coeff = compiled.coeff[chart]
+    cols = []
+    for v in range(compiled.nvars):
+        shifted = compiled.exponents.copy()
+        shifted[:, v] = np.maximum(shifted[:, v] - 1, 0)
+        mult = compiled.exponents[:, v].astype(np.float64)
+        cols.append((coeff * mult) @ _row_monomials(x, shifted))
+    return coeff @ _row_monomials(x, compiled.exponents), np.stack(cols, axis=1)
+
+
+def _row_homotopy(hom, path, x, t):
+    """(H, dH/dx, dH/dt) of one path at one point, scalar t."""
+    value, jacobian = _row_value_and_jacobian(hom.target, hom.charts[path], x)
+    gamma, start = hom.gamma[path], x ** hom.degrees - hom.roots[path]
+    start_jacobian = np.diag(hom.degrees * x ** (hom.degrees - 1))
+    return (
+        gamma * t * start + (1.0 - t) * value,
+        gamma * t * start_jacobian + (1.0 - t) * jacobian,
+        gamma * start - value,
+    )
+
+
+def _assert_kernel_matches_rows(hom, x, t, paths):
+    charts = hom.charts[paths]
+    value, jacobian = hom.target.value_and_jacobian(x, charts)
+    stage = hom.evaluate(x, t, paths)
+    corrector = hom.evaluate(x, t, paths, corrector=True)
+    for p in range(len(x)):
+        want_value, want_jacobian = _row_value_and_jacobian(hom.target, charts[p], x[p])
+        assert np.array_equal(value[p], want_value)
+        assert np.array_equal(jacobian[p], want_jacobian)
+        h, dx, dt = _row_homotopy(hom, paths[p], x[p], float(t[p]))
+        assert np.array_equal(stage[0][p], dx) and np.array_equal(stage[1][p], dt)
+        assert np.array_equal(corrector[0][p], h) and np.array_equal(corrector[1][p], dx)
+        one = slice(p, p + 1)
+        alone = hom.target.value_and_jacobian(x[one], charts[one])
+        assert np.array_equal(alone[0][0], value[p]) and np.array_equal(alone[1][0], jacobian[p])
+        alone = hom.evaluate(x[one], t[one], paths[one])
+        assert np.array_equal(alone[0][0], stage[0][p]) and np.array_equal(alone[1][0], stage[1][p])
+
+
+def _random_homotopy(nvars, rng):
+    """Two charts' random dense systems of nvars polynomials of degree <= 3
+    in nvars unknowns, with random start roots and gamma per path, and a
+    stack whose rows take both charts in shuffled order."""
+    monos = [m for m in itertools.product(range(4), repeat=nvars) if sum(m) <= 3]
+
+    def poly():
+        chosen = rng.sample(monos, min(len(monos), 6))
+        return MultiPoly(nvars, {m: Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for m in chosen})
+
+    target = solve._Compiled(*([poly() for _ in range(nvars)] for _ in range(2)))
+    paths = 12
+    unit = lambda: np.exp(2j * np.pi * rng.random())
+    hom = solve._Homotopy(
+        target,
+        [rng.randint(2, 3) for _ in range(nvars)],
+        rng.sample([0, 1] * (paths // 2), paths),
+        [[unit() for _ in range(nvars)] for _ in range(paths)],
+        [unit() for _ in range(paths)],
+    )
+    x = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(nvars)] for _ in range(paths)])
+    t = np.array([rng.random() for _ in range(paths)])
+    return hom, x, t, np.array(rng.sample(range(paths), paths))
+
+
+@pytest.mark.parametrize("nvars", [1, 4])
+def test_stacked_kernel_matches_per_row_evaluation(nvars):
+    hom, x, t, paths = _random_homotopy(nvars, random.Random(nvars))
+    assert sorted(hom.charts.tolist()) == [0] * 6 + [1] * 6
+    _assert_kernel_matches_rows(hom, x, t, paths)
+
+
+def test_stacked_kernel_matches_per_row_evaluation_on_a_weddle_quartic_chart(monkeypatch):
+    recorded = []
+
+    class _Recorded(Exception):
+        pass
+
+    def record(hom, starts):
+        recorded.append((hom, np.array(starts)))
+        raise _Recorded
+
+    monkeypatch.setattr(solve, "_track_paths", record)
+    quartic = loci.weddle_matrix(fixtures.system("random-quartic-sys")).polynomial
+    with pytest.raises(_Recorded):
+        solve.singular_points(quartic)
+    (hom, starts), = recorded
+    assert hom.degrees.tolist() == [3, 3, 3] and len(starts) == 2 * 27
+    rng = np.random.default_rng(3)
+    x = starts * (1 + 0.1 * rng.standard_normal(starts.shape))
+    paths = rng.permutation(len(starts))
+    _assert_kernel_matches_rows(hom, x, rng.random(len(starts)), paths)
+
+
+def test_one_row_stack_steps_exactly_as_its_row_of_the_full_stack():
+    """Rows dropped mid-stack make the RK4 stages and the Newton loop mask
+    their stacks; a healthy row stepped alone takes the branch where every
+    row survives.  Both give each row the same floats."""
+    hom, _, t, paths = _random_homotopy(4, random.Random(11))
+    t[:] = 1.0
+    x = hom.roots[paths] ** (1.0 / hom.degrees)  # start solutions: on the paths
+    x[0, 2] = 0.0  # at t = 1 the Jacobian is gamma * diag(d x^(d-1)): singular
+    x[1] = np.nan  # not finite
+    x[2] *= 1e9  # outside the Newton limit below
+    h = np.full(len(x), 1e-4)
+
+    def step(rows):
+        return solve._rk4_step(hom, x[rows], t[rows], h[rows], paths[rows])
+
+    def newton(rows):
+        corrector = lambda y, r: hom.evaluate(y, t[rows][r], paths[rows][r], corrector=True)
+        return solve._newton(corrector, x[rows], 1e-13, 4, 1e8)
+
+    everything = slice(None)
+    ok, stepped, error = step(everything)
+    assert ok.tolist()[:2] == [False, False] and ok[3:].all()
+    assert np.array_equal(stepped[0], x[0]) and error[0] == error[1] == np.inf
+    converged, polished, first = newton(everything)
+    assert not converged[:3].any() and np.isinf(first[:3]).all() and np.isfinite(first[3:]).all()
+    for p in range(len(x)):
+        alone = step(slice(p, p + 1))
+        assert (alone[0][0], alone[2][0]) == (ok[p], error[p])
+        assert np.array_equal(alone[1][0], stepped[p], equal_nan=True)
+        alone = newton(slice(p, p + 1))
+        assert (alone[0][0], alone[2][0]) == (converged[p], first[p])
+        assert np.array_equal(alone[1][0], polished[p], equal_nan=True)
 
 
 # ---- reporting ----
