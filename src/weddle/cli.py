@@ -6,8 +6,8 @@ human-readable text or (with --json) a machine-readable run report with a
 certified flag.  All randomness flows from --seed, and every tolerance is a
 fixed constant of weddle.solve, so the same arguments reproduce a report
 exactly, apart from the timing field.  In text mode jacobsthal-sweep also
-prints each trial with its seed and wall time; the times stay out of the
-report.
+prints each trial with its seed and wall time as the trial finishes, and
+each dim's summary after its trials; the times stay out of the report.
 """
 
 from __future__ import annotations
@@ -229,19 +229,23 @@ def _cmd_jacobsthal_sweep(args):
     trials = loci.sweep_trials(dims, args.trials, args.seed)
     table = {}
     all_match = True
-    lines = []
+
+    def emit(line):
+        # Text mode streams each line as it is made; a sweep runs for minutes.
+        if not args.json:
+            print(line, flush=True)
+
     for dim in dims:
         expected = solve.jacobsthal(dim)
         counts = []
         mismatches = []
-        trial_lines = []
         for trial in range(args.trials):
             start = time.perf_counter()
             _, trial_seed, status, count, sampled = next(trials)
             elapsed = time.perf_counter() - start
             shown = "-" if count is None else str(count)
-            trial_lines.append(f"  dim {dim} trial {trial:2d}: count {shown:>2} [{status}] "
-                               f"seed {trial_seed} ({elapsed:.2f}s)")
+            emit(f"  dim {dim} trial {trial:2d}: count {shown:>2} [{status}] "
+                 f"seed {trial_seed} ({elapsed:.2f}s)")
             if count is None:
                 continue
             counts.append(count)
@@ -260,15 +264,14 @@ def _cmd_jacobsthal_sweep(args):
             "mismatches": mismatches,
         }
         all_match = all_match and bool(counts) and not mismatches
-        lines.append(
+        emit(
             f"dim {dim}: J = {expected}; {len(counts)}/{args.trials} trials certified, "
             f"{matching} matching, {uncertified} uncertified/excluded"
         )
-        lines += trial_lines
         for m in mismatches:
-            lines.append(f"  MISMATCH (count {m['count']}, seed {m['seed']}): {m['tensor']}")
+            emit(f"  MISMATCH (count {m['count']}, seed {m['seed']}): {m['tensor']}")
     outputs = {"dims": table}
-    return {"source": None, "sha256": None}, outputs, all_match, lines
+    return {"source": None, "sha256": None}, outputs, all_match, []
 
 
 _COMMANDS = {

@@ -7,10 +7,11 @@ ordered in graded lexicographic order wherever they are enumerated or
 printed; together with primitive normalization this gives every polynomial
 a canonical, regression-stable representative.
 
-PolyMatrix.det, the hot spot of Weddle loci, does not use this
-representation inside: it clears each row's denominators, packs every
-monomial into one int and expands over the integers, building a MultiPoly
-only for the result.
+The two hot kernels, PolyMatrix.det (Weddle loci) and MultiPoly.compose
+(chart substitution before every numeric solve), do not use this
+representation inside: they clear denominators, pack every monomial into
+one int and expand over the integers, building a MultiPoly only for the
+result.
 """
 
 from __future__ import annotations
@@ -259,7 +260,18 @@ class MultiPoly:
         return total
 
     def compose(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute args[i] for variable i; args live in a common ring."""
+        """Substitute args[i] for variable i; args live in a common ring.
+
+        Runs over the integers on packed monomials, like PolyMatrix.det:
+        each argument is multiplied by the lcm L_i of its coefficient
+        denominators and packed (see _packed), with fields wide enough for
+        deg(self) times the largest argument degree.  A term c * x^e of
+        self then contributes c * prod L_i^(E_i - e_i) * prod (L_i g_i)^e_i,
+        where E_i is the largest exponent of variable i in self, so every
+        term shares the denominator prod L_i^E_i.  The powers of each
+        scaled argument are cached as packed dicts, every term accumulates
+        into one dict, and one MultiPoly is built at the end.
+        """
         if len(args) != self.nvars:
             raise ValueError("need one substitution polynomial per variable")
         if not args:
@@ -267,25 +279,33 @@ class MultiPoly:
         out_vars = args[0].nvars
         if any(g.nvars != out_vars for g in args):
             raise ValueError("substitution polynomials live in different rings")
-        cache: dict = {}
+        if not self.terms:
+            return MultiPoly(out_vars)
+        width = (self.total_degree() * max(0, *(g.total_degree() for g in args))).bit_length()
+        top = [max(mono[i] for mono in self.terms) for i in range(self.nvars)]
+        lcms = [_denominator_lcm([g]) for g in args]
+        # powers[i][e]: (L_i * g_i)^e as a packed dict.
+        powers = []
+        for g, lcm, e in zip(args, lcms, top):
+            scaled = _packed(g, width, lcm)
+            powers.append([{0: 1}])
+            for _ in range(e):
+                powers[-1].append(_add_product({}, powers[-1][-1], scaled))
 
-        def power_of(i: int, e: int) -> MultiPoly:
-            if e == 0:
-                return MultiPoly.constant(out_vars, 1)
-            got = cache.get((i, e))
-            if got is None:
-                got = power_of(i, e - 1) * args[i]
-                cache[(i, e)] = got
-            return got
-
-        result = MultiPoly.zero(out_vars)
+        self_lcm = _denominator_lcm([self])
+        denominator = self_lcm * math.prod(lcm**e for lcm, e in zip(lcms, top))
+        total: dict = {}
         for mono, c in self.terms.items():
-            term = MultiPoly.constant(out_vars, c)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * power_of(i, e)
-            result = result + term
-        return result
+            factor = c.numerator * (self_lcm // c.denominator) * math.prod(
+                lcm ** (t - e) for lcm, t, e in zip(lcms, top, mono)
+            )
+            # The largest power is multiplied last, straight into total.
+            parts = sorted((powers[i][e] for i, e in enumerate(mono) if e), key=len)
+            part = {0: factor}
+            for other in parts[:-1]:
+                part = _add_product({}, part, other)
+            _add_product(total, part, parts[-1] if parts else {0: 1})
+        return _unpacked(out_vars, width, total, denominator)
 
     # ---- normalization ----
 
@@ -552,6 +572,49 @@ def vanishes_on_line(poly: MultiPoly, p: Sequence, q: Sequence) -> bool:
     return poly.compose(lines).is_zero()
 
 
+# ---- packed integer polynomials ----
+#
+# The exact kernels (MultiPoly.compose, PolyMatrix.det) work on dicts from a
+# packed monomial to an int coefficient: variable i takes the bits from
+# i*width, where width is the bit length of a bound on every exponent the
+# kernel can reach, so a product of monomials is one int addition that
+# never carries into the next field.
+
+
+def _denominator_lcm(polys: Sequence[MultiPoly]) -> int:
+    """The lcm of the coefficient denominators of polys (1 if all are zero)."""
+    return math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+
+def _packed(poly: MultiPoly, width: int, lcm: int) -> dict:
+    """poly times lcm, a multiple of its coefficient denominators, as a
+    packed integer dict."""
+    return {
+        sum(e << (width * i) for i, e in enumerate(m)): c.numerator * (lcm // c.denominator)
+        for m, c in poly.terms.items()
+    }
+
+
+def _add_product(total: dict, a: dict, b: dict) -> dict:
+    """Add the product of the packed polynomials a and b into total, and
+    return total.  Coefficients that cancel stay in as zeros."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            total[m] = total.get(m, 0) + c1 * c2
+    return total
+
+
+def _unpacked(nvars: int, width: int, terms: dict, denominator: int) -> MultiPoly:
+    """The MultiPoly of a packed integer dict, divided by denominator."""
+    field = (1 << width) - 1
+    return MultiPoly(nvars, {
+        tuple((m >> (width * i)) & field for i in range(nvars)): Fraction(c, denominator)
+        for m, c in terms.items()
+        if c
+    })
+
+
 # ---- matrices of polynomials ----
 
 MAX_DET_SIZE = 8
@@ -599,13 +662,11 @@ class PolyMatrix:
     def det(self) -> MultiPoly:
         """Division-free cofactor expansion, exact over the integers.
 
-        Each row is multiplied by the lcm of its coefficient denominators,
-        and each monomial is packed into one int: variable i takes the bits
-        from i*w, where w is the bit length of the determinant's degree
-        bound (the sum over rows of the row's largest entry degree), so a
-        product of monomials is one int addition that never carries.  The
-        minors of the first k rows are memoized by their column subsets as
-        dicts from packed monomial to int coefficient, built row by row.
+        Each row is multiplied by the lcm of its coefficient denominators
+        and packed (see _packed), with fields as wide as the bit length of
+        the determinant's degree bound: the sum over rows of the row's
+        largest entry degree.  The minors of the first k rows are memoized
+        by their column subsets as packed integer dicts, built row by row.
         The result is unpacked once and divided by the product of the row
         lcms.  Sizes above MAX_DET_SIZE are refused rather than silently
         taking forever.
@@ -615,19 +676,16 @@ class PolyMatrix:
             raise ValueError(f"determinant limited to size {MAX_DET_SIZE}")
         bound = sum(max(0, *(e.total_degree() for e in row)) for row in self.entries)
         width = bound.bit_length()
-
-        def pack(mono) -> int:
-            return sum(e << (width * i) for i, e in enumerate(mono))
-
         denominator = 1
         rows = []
         for row in self.entries:
-            lcm = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+            lcm = _denominator_lcm(row)
             denominator *= lcm
+            packed = (_packed(e, width, lcm) for e in row)
             rows.append([
-                (col, {pack(m): c.numerator * (lcm // c.denominator) for m, c in e.terms.items()})
-                for col, e in enumerate(row)
-                if e.terms
+                (col, (entry, {m: -c for m, c in entry.items()}))
+                for col, entry in enumerate(packed)
+                if entry
             ])
 
         # minors[mask]: the minor of the rows so far on the columns in mask.
@@ -635,30 +693,19 @@ class PolyMatrix:
         for row, entries in enumerate(rows):
             extended: dict = {}
             for mask, minor in minors.items():
-                for col, entry in entries:
+                for col, signed in entries:
                     bit = 1 << col
                     if mask & bit:
                         continue
                     # Laplace sign of (row, col) in the extended minor.
                     negate = (row + (mask & (bit - 1)).bit_count()) % 2
-                    total = extended.setdefault(mask | bit, {})
-                    for m1, c1 in entry.items():
-                        if negate:
-                            c1 = -c1
-                        for m2, c2 in minor.items():
-                            m = m1 + m2
-                            total[m] = total.get(m, 0) + c1 * c2
+                    _add_product(extended.setdefault(mask | bit, {}), signed[negate], minor)
             minors = {}
             for mask, total in extended.items():
                 kept = {m: c for m, c in total.items() if c}
                 if kept:
                     minors[mask] = kept
-
-        field = (1 << width) - 1
-        return MultiPoly(self.nvars, {
-            tuple((m >> (width * i)) & field for i in range(self.nvars)): Fraction(c, denominator)
-            for m, c in minors.get((1 << n) - 1, {}).items()
-        })
+        return _unpacked(self.nvars, width, minors.get((1 << n) - 1, {}), denominator)
 
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

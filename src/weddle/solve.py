@@ -655,10 +655,15 @@ def _random_chart(nvars: int, rng: random.Random):
     return tuple(coeffs), pivot
 
 
-def _chart_substitute(poly: MultiPoly, chart) -> MultiPoly:
-    """Dehomogenize onto the rational affine chart sum_i a_i x_i = 1."""
+def _chart_substitute(polys: Sequence[MultiPoly], chart) -> list:
+    """Dehomogenize each poly onto the rational affine chart sum_i a_i x_i = 1.
+
+    The pivot variable becomes (1 - sum_{i != pivot} a_i y_i) / a_pivot and
+    the others map to the chart coordinates y in order, one exact
+    MultiPoly.compose per poly on the integer kernel.
+    """
     coeffs, pivot = chart
-    nv = poly.nvars
+    nv = len(coeffs)
     m = nv - 1
     args = []
     pivot_terms = {(0,) * m: Fraction(1) / coeffs[pivot]}
@@ -672,7 +677,7 @@ def _chart_substitute(poly: MultiPoly, chart) -> MultiPoly:
         args.append(MultiPoly(m, {mono: Fraction(1)}))
         j += 1
     args.insert(pivot, MultiPoly(m, pivot_terms))
-    return poly.compose(args)
+    return [poly.compose(args) for poly in polys]
 
 
 def _unit_row(poly: MultiPoly) -> MultiPoly:
@@ -778,7 +783,7 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
     charts = [_random_chart(nvars, rng), _random_chart(nvars, rng)]
     while projectively_equal(charts[1][0], charts[0][0]):
         charts[1] = _random_chart(nvars, rng)
-    target = _Compiled(*([_unit_row(_chart_substitute(p, c)) for p in square] for c in charts))
+    target = _Compiled(*([_unit_row(p) for p in _chart_substitute(square, c)] for c in charts))
     filters = _Compiled(polys)
     first = _draw_attempt(0, degrees, rng)
     after_first = rng.getstate()
@@ -860,11 +865,12 @@ def _random_square_subsystem(polys: Sequence[MultiPoly], count: int, rng) -> lis
             continue
         candidate = []
         for row in weights:
-            poly = MultiPoly.zero(polys[0].nvars)
+            terms: dict = {}
             for w, g in zip(row, polys):
                 if w:
-                    poly = poly + g.scale(w)
-            candidate.append(poly)
+                    for mono, c in g.terms.items():
+                        terms[mono] = terms.get(mono, 0) + w * c
+            candidate.append(MultiPoly(polys[0].nvars, terms))
         if all(not p.is_zero() for p in candidate):
             return candidate
     raise ValueError("could not draw a nondegenerate square subsystem")

@@ -204,6 +204,27 @@ def test_sweep_text_output_lists_every_trial_with_its_seed(capsys):
     assert "dim 3: J = 3" in out
 
 
+def test_sweep_prints_each_trial_line_before_the_next_trial_starts(monkeypatch, capsys):
+    # What has reached stdout when each trial starts.
+    seen = []
+
+    def trial(dim, master):
+        seen.append(capsys.readouterr().out)
+        return dim, master.randrange(2**30), "certified", solve.jacobsthal(dim), None
+
+    monkeypatch.setattr(loci, "_sweep_trial", trial)
+    code, out, _ = run_cli(
+        capsys, "jacobsthal-sweep", "--dims", "2..3", "--trials", "2", "--seed", "4"
+    )
+    assert code == 0
+    printed = [
+        [m.groups()[:2] for m in map(_TRIAL_LINE.fullmatch, text.splitlines()) if m]
+        for text in [*seen, out]
+    ]
+    # Trial k's line is out when trial k + 1 starts, the last one at the end.
+    assert printed == [[], [("2", "0")], [("2", "1")], [("3", "0")], [("3", "1")]]
+
+
 def _fake_sweep(monkeypatch, status, count):
     """Every dim-3 trial of a sweep ends with (status, count); every other
     trial certifies J_dim.  Trial seeds are drawn as the real trial draws
