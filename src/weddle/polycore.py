@@ -82,6 +82,16 @@ class MultiPoly:
     # ---- constructors ----
 
     @classmethod
+    def _canonical(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """The MultiPoly with exactly these terms, which must already be
+        canonical (exponent tuples of nvars nonnegative ints, nonzero
+        Fraction coefficients): nothing is checked or coerced."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
         return cls(nvars)
 
@@ -606,9 +616,10 @@ def _add_product(total: dict, a: dict, b: dict) -> dict:
 
 
 def _unpacked(nvars: int, width: int, terms: dict, denominator: int) -> MultiPoly:
-    """The MultiPoly of a packed integer dict, divided by denominator."""
+    """The MultiPoly of a packed integer dict, divided by denominator.  Its
+    terms are canonical as built, so they are not validated again."""
     field = (1 << width) - 1
-    return MultiPoly(nvars, {
+    return MultiPoly._canonical(nvars, {
         tuple((m >> (width * i)) & field for i in range(nvars)): Fraction(c, denominator)
         for m, c in terms.items()
         if c

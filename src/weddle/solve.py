@@ -16,7 +16,9 @@ step size and status, every iteration advances the paths still running
 with one stacked RK4 predictor step and Newton corrector, and a final
 Newton polish on each path's chart target classifies each endpoint as
 finite, at infinity or failed.  A path's next step follows from the
-corrector's first update, which estimates the predictor's local error.
+corrector's first update, which estimates the predictor's local error;
+Newton stops on a step below tolerance, or on a predicted next step below
+it once the steps converge quadratically.
 Only a chart that must retry after failed paths runs on its own.  Every
 stage evaluates the target once for the whole stack (_Compiled): one table
 of monomial values, one gather from one stacked coefficient array, and one
@@ -232,11 +234,11 @@ class _Compiled:
         Jacobian is a view into the same product."""
         table = _monomials(x, self._table)
         out = _matvec(self._stack[systems], table[..., self._index])
-        return out[..., 0, :], np.swapaxes(out[..., 1:, :], -1, -2)
+        return out[..., 0, :], out[..., 1:, :].swapaxes(-1, -2)
 
 
 def _monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    return np.prod(x[..., np.newaxis, :] ** exponents, axis=-1)
+    return np.multiply.reduce(x[..., np.newaxis, :] ** exponents, axis=-1)
 
 
 def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -251,7 +253,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
     plus one of the imaginary parts); np.linalg.norm(x, axis=-1) sums in
     another order and can differ in the last bit."""
     re, im = x.real[..., np.newaxis, :], x.imag[..., np.newaxis, :]
-    squares = np.matmul(re, np.swapaxes(re, -1, -2)) + np.matmul(im, np.swapaxes(im, -1, -2))
+    squares = np.matmul(re, re.swapaxes(-1, -2)) + np.matmul(im, im.swapaxes(-1, -2))
     return np.sqrt(squares[..., 0, 0])
 
 
@@ -301,13 +303,17 @@ class _Homotopy:
         dH/dx is the target Jacobian scaled by (1 - t) in place, with the
         start system's diagonal gamma * t * d_i * x_i^(d_i - 1) added onto
         its diagonal: the start Jacobian is diagonal, so no full matrix of
-        it is built."""
+        it is built.  The diagonal is a writable strided view: dH/dx is the
+        transpose of the target's derivative block, whose n x n entries per
+        point are contiguous, so every (n + 1)-th of them is a diagonal
+        entry."""
         value, jacobian = self.target.value_and_jacobian(x, self.charts[paths])
         start = x ** self.degrees - self.roots[paths]
         gv, weight = self.gamma[paths, np.newaxis], (1.0 - t)[:, np.newaxis]
         gt = gv * t[:, np.newaxis]
         jacobian *= weight[..., np.newaxis]
-        diagonal = np.einsum("...ii->...i", jacobian)  # a writable view
+        n = len(self.degrees)
+        diagonal = jacobian.swapaxes(-1, -2).reshape(len(x), n * n)[:, :: n + 1]
         diagonal += gt * (self.degrees * x ** self._powers)
         if corrector:
             return gt * start + weight * value, jacobian
@@ -326,14 +332,18 @@ class _Homotopy:
 def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit: float = math.inf):
     """Up to ``iterations`` Newton steps per row, where ``system(y, rows)``
     returns the values and Jacobians at the points y of the given rows.  A
-    row stops when its step is below ``tol`` relative to its norm
-    (converged), when its Jacobian is singular, or when it turns non-finite
+    row stops as converged when its step is below ``tol`` relative to its
+    norm, or, from the second step on, when the step at least halved and
+    its square over the previous step (the next step that quadratic
+    convergence predicts) is below ``tol`` relative to the norm.  It stops
+    unconverged when its Jacobian is singular, or when it turns non-finite
     or leaves the ball of radius ``limit``.  Returns (converged, points,
     first), first being each row's first step relative to its norm (inf for
     a row stopped before that step was measured)."""
     x = x.copy()
     converged = np.zeros(len(x), dtype=bool)
     first = np.full(len(x), np.inf)
+    previous = np.empty(len(x))  # each row's last step size
     rows = np.arange(len(x))
     # A mask is applied only when it drops a row (usually every row
     # survives), and the ball only when there is a limit.
@@ -355,9 +365,13 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
             keep = ~(norms > limit)
             rows, delta, norms = rows[keep], delta[keep], norms[keep]
         size, scale = _norms(delta), np.maximum(1.0, norms)
+        done = size < tol * scale
         if k == 0:
             first[rows] = size / scale
-        done = size < tol * scale
+        else:
+            last = previous[rows]
+            done |= (size * size / last < tol * scale) & (size < 0.5 * last)
+        previous[rows] = size
         converged[rows[done]] = True
         rows = rows[~done]
     return converged, x, first
@@ -365,6 +379,8 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
 
 def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths: np.ndarray):
     """RK4 predictor from t to t - h, then the Newton corrector, per row.
+    A row is accepted when _newton converges within _CORRECTOR_ITERATIONS
+    steps at tolerance _TRACK_TOL, on a step or a predicted next step.
     Returns (ok, points, error): a rejected row keeps its point, and error
     is the corrector's first step relative to the point's norm, which
     measures the predictor's local error."""
@@ -407,7 +423,11 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
 
 
 def _polish(target: _Compiled, x: np.ndarray, charts: np.ndarray):
-    """Plain Newton on each row's chart target; returns (converged, points)."""
+    """Plain Newton on each row's chart target, up to _POLISH_ITERATIONS
+    steps at tolerance 1e-13 and within the ball of radius
+    _DIVERGENCE_THRESHOLD, with _newton's two stop tests (a step, or the
+    predicted next step after a halving, below tolerance); returns
+    (converged, points)."""
     return _newton(
         lambda y, r: target.value_and_jacobian(y, charts[r]),
         x,

@@ -301,10 +301,22 @@ def _matrices(n):
     return rows.map(lambda rs: PolyMatrix(3, rs))
 
 
+def _assert_canonical(poly):
+    """The packed kernels build their result without MultiPoly's checks: its
+    terms must be what the checked constructor makes of them."""
+    assert MultiPoly(poly.nvars, poly.terms) == poly
+    for mono, c in poly.terms.items():
+        assert type(mono) is tuple and all(type(e) is int for e in mono)
+        assert type(c) is Fraction
+
+
 @given(st.integers(0, 5).flatmap(_matrices))
+@example(_matrix_from_strings([["x0", "x1"], ["x0", "x1"]]))  # a zero determinant
 @settings(max_examples=150, deadline=None)
 def test_determinant_equals_the_reference_expansion(m):
-    assert m.det() == reference_det(m)
+    det = m.det()
+    assert det == reference_det(m)
+    _assert_canonical(det)
 
 
 def test_determinant_exponents_wider_than_four_bits():
@@ -381,10 +393,13 @@ def _y(text, nvars=2):
 @example((_y("7/2"), [_y("x0"), _y("x1")]))
 @example((_y("x0*x1 - 1/3"), [_y("2/3", 0), _y("-5", 0)]))  # no output variables
 @example((_y("x0^2 - x0*x1"), [_y("1/2*x0 + 1", 1), _y("x0^2", 1)]))
+@example((_y("x0^2 - x1 + 1"), [_y("x0", 1), _y("x0^2", 1)]))  # terms cancel
 @settings(max_examples=300, deadline=None)
 def test_compose_equals_the_reference_substitution(case):
     poly, args = case
-    assert poly.compose(args) == reference_compose(poly, args)
+    composed = poly.compose(args)
+    assert composed == reference_compose(poly, args)
+    _assert_canonical(composed)
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (3, 1), (2, 2), (7, 1), (4, 2), (5, 3), (4, 4)])

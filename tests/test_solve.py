@@ -398,6 +398,10 @@ def test_stacked_kernel_matches_per_row_evaluation(nvars):
     hom, x, t, paths = _random_homotopy(nvars, random.Random(nvars))
     assert sorted(hom.charts.tolist()) == [0] * 6 + [1] * 6
     _assert_kernel_matches_rows(hom, x, t, paths)
+    # An RK4 stage whose every row was rejected evaluates an empty stack.
+    for corrector in (False, True):
+        first, second = hom.evaluate(x[:0], t[:0], paths[:0], corrector)
+        assert {first.shape, second.shape} == {(0, nvars, nvars), (0, nvars)}
 
 
 def test_stacked_kernel_matches_per_row_evaluation_on_a_weddle_quartic_chart(monkeypatch):
@@ -454,6 +458,26 @@ def test_one_row_stack_steps_exactly_as_its_row_of_the_full_stack():
         alone = newton(slice(p, p + 1))
         assert (alone[0][0], alone[2][0]) == (converged[p], first[p])
         assert np.array_equal(alone[1][0], polished[p], equal_nan=True)
+
+
+def test_newton_stops_on_a_predicted_step_only_after_a_halving():
+    """Row 0 steps 1e-3, then 1e-7: above tol = 1e-10, but quadratic
+    convergence predicts 1e-14 / 1e-3 = 1e-11 next, so it stops after two
+    steps.  Row 1 steps 1.5e-10, 1.2e-10, 1.1e-10: its prediction
+    1.2e-10^2 / 1.5e-10 = 9.6e-11 is below tol, but the step did not halve,
+    so it runs all three steps unconverged."""
+    steps = np.array([[1e-3, 1e-7, 1e-9], [1.5e-10, 1.2e-10, 1.1e-10]])
+    calls = []
+
+    def system(y, rows):  # Jacobian 1, so each Newton step is the value
+        calls.append(rows.tolist())
+        return steps[rows, len(calls) - 1, np.newaxis].astype(complex), np.ones((len(rows), 1, 1))
+
+    converged, x, first = solve._newton(system, np.full((2, 1), 0.5 + 0j), 1e-10, 3)
+    assert calls == [[0, 1], [0, 1], [1]]
+    assert converged.tolist() == [True, False]
+    assert x[0, 0] == 0.5 - 1e-3 - 1e-7 and x[1, 0] == 0.5 - 1.5e-10 - 1.2e-10 - 1.1e-10
+    assert first.tolist() == [1e-3, 1.5e-10]
 
 
 # ---- reporting ----

@@ -73,9 +73,18 @@ def _tangent(hom, x, t):
     return np.linalg.solve(hom.jacobian(x, t), -hom.t_derivative(x))
 
 
+def _converged(k, size, previous, tol, scale):
+    """The step is below tol relative to the norm, or (from the second step
+    on) it at least halved and the next step quadratic convergence predicts,
+    size^2 / previous, is."""
+    if size < tol * scale:
+        return True
+    return k > 0 and size * size / previous < tol * scale and size < 0.5 * previous
+
+
 def _newton(hom, x, t, tol, iterations):
     """Returns (converged, point, first step relative to the point's norm)."""
-    first = np.inf
+    first = previous = np.inf
     for k in range(iterations):
         try:
             delta = np.linalg.solve(hom.jacobian(x, t), hom.value(x, t))
@@ -87,8 +96,9 @@ def _newton(hom, x, t, tol, iterations):
         size, scale = np.linalg.norm(delta), max(1.0, np.linalg.norm(x))
         if k == 0:
             first = size / scale
-        if size < tol * scale:
+        if _converged(k, size, previous, tol, scale):
             return True, x, first
+        previous = size
     return False, x, first
 
 
@@ -107,7 +117,8 @@ def _rk4_step(hom, x, t, h):
 
 
 def _polish(target, x):
-    for _ in range(solve._POLISH_ITERATIONS):
+    previous = np.inf
+    for k in range(solve._POLISH_ITERATIONS):
         try:
             delta = np.linalg.solve(_ref_jacobian(target, x), _ref_value(target, x))
         except np.linalg.LinAlgError:
@@ -117,8 +128,10 @@ def _polish(target, x):
             return x, False
         if np.linalg.norm(x) > solve._DIVERGENCE_THRESHOLD:
             return x, False
-        if np.linalg.norm(delta) < 1e-13 * max(1.0, np.linalg.norm(x)):
+        size = np.linalg.norm(delta)
+        if _converged(k, size, previous, 1e-13, max(1.0, np.linalg.norm(x))):
             return x, True
+        previous = size
     return x, False
 
 
@@ -213,24 +226,38 @@ def test_lockstep_matches_reference_on_cyclic_systems(monkeypatch, dim):
     assert "finite" in _assert_matches_reference(calls)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Run the four seeded solves above and count the calls of owner.name."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    for dim in (2, 3, 4, 5):
+        _, system, _ = loci.sample_general_cyclic(dim, rng=random.Random(100 + dim))
+        solve.base_points(system)
+    return len(calls)
+
+
 def test_predictor_error_control_keeps_the_lockstep_iteration_count(monkeypatch):
     """Lockstep iterations (_rk4_step calls) of the four seeded solves
     above.  The controller that grew a step by 1.25 after every 4 accepted
     steps, capped at 0.1, needed 41 + 57 + 56 + 144 = 298; sizing each step
-    from the corrector's estimate of the predictor error needs
-    33 + 51 + 49 + 66 = 199."""
-    calls = []
-    step = solve._rk4_step
+    from the corrector's estimate of the predictor error needed
+    33 + 51 + 49 + 66 = 199; a corrector that also stops on a predicted
+    step below tolerance needs 26 + 38 + 33 + 65 = 162."""
+    assert _count_calls(monkeypatch, solve, "_rk4_step") <= 162
 
-    def counting(*args):
-        calls.append(1)
-        return step(*args)
 
-    monkeypatch.setattr(solve, "_rk4_step", counting)
-    for dim in (2, 3, 4, 5):
-        _, system, _ = loci.sample_general_cyclic(dim, rng=random.Random(100 + dim))
-        solve.base_points(system)
-    assert len(calls) <= 199
+def test_predicted_convergence_cuts_the_homotopy_evaluations(monkeypatch):
+    """Homotopy evaluations (four RK4 stages plus the corrector's Newton
+    iterations per lockstep iteration) of the same four solves: 1356 when a
+    corrector row stopped only on a step below tolerance, 1088 with the
+    predicted-step rule."""
+    assert _count_calls(monkeypatch, solve._Homotopy, "evaluate") <= 1100
 
 
 @pytest.mark.parametrize("factor",[Fraction(2**20), Fraction(1, 2**20)])
