@@ -507,50 +507,32 @@ def linear_coefficients(form: MultiPoly) -> list:
 
 def divides(form: MultiPoly, poly: MultiPoly) -> Optional[MultiPoly]:
     """Exact quotient poly / form for a nonzero homogeneous linear form,
-    or None when the division leaves a remainder."""
+    or None when the division leaves a remainder.
+
+    Write form = c * (x_p - s) with s free of x_p.  Substituting
+    x_p -> x_p + s turns form into c * x_p, so poly divides exactly when
+    every term of its image has x_p; the quotient is that image with x_p
+    lowered by one and divided by c, substituted back by x_p -> x_p - s.
+    """
     if form.nvars != poly.nvars:
         raise ValueError("operands live in different polynomial rings")
     coeffs = linear_coefficients(form)
     pivot = next(i for i, c in enumerate(coeffs) if c)
     c = coeffs[pivot]
-    if poly.is_zero():
-        return poly
-    # form = c * (x_pivot - s) with s collecting the remaining variables.
-    s_terms = {}
-    for i, ci in enumerate(coeffs):
-        if i != pivot and ci:
-            mono = tuple(1 if j == i else 0 for j in range(poly.nvars))
-            s_terms[mono] = -ci / c
-    s = MultiPoly(poly.nvars, s_terms)
+    variables = [MultiPoly.variable(poly.nvars, i) for i in range(poly.nvars)]
+    s = variables[pivot] - form.scale(1 / c)
 
-    # Split poly into slices by the exponent of the pivot variable.
-    slices: dict = {}
-    for mono, coeff in poly.terms.items():
-        e = mono[pivot]
-        flat = list(mono)
-        flat[pivot] = 0
-        level = slices.setdefault(e, {})
-        level[tuple(flat)] = coeff
-    top = max(slices)
-    levels = [MultiPoly(poly.nvars, slices.get(k, {})) for k in range(top + 1)]
+    def shift(q: MultiPoly, sign: int) -> MultiPoly:
+        return q.compose([v + sign * s if i == pivot else v for i, v in enumerate(variables)])
 
-    # Synthetic division by (x_pivot - s).
-    quotient_levels = [MultiPoly.zero(poly.nvars)] * top
-    carry = levels[top]
-    for k in range(top - 1, -1, -1):
-        quotient_levels[k] = carry
-        carry = levels[k] + s * carry
-    if not carry.is_zero():
+    image = shift(poly, 1)
+    if any(mono[pivot] == 0 for mono in image.terms):
         return None
-    result = MultiPoly.zero(poly.nvars)
-    for k, q in enumerate(quotient_levels):
-        shift = {}
-        for mono, coeff in q.terms.items():
-            lifted = list(mono)
-            lifted[pivot] += k
-            shift[tuple(lifted)] = coeff
-        result = result + MultiPoly(poly.nvars, shift)
-    return result.scale(1 / c)
+    lowered = {
+        mono[:pivot] + (mono[pivot] - 1,) + mono[pivot + 1 :]: coeff / c
+        for mono, coeff in image.terms.items()
+    }
+    return shift(MultiPoly(poly.nvars, lowered), -1)
 
 
 def projectively_equal(p: Sequence, q: Sequence) -> bool:

@@ -18,13 +18,14 @@ Newton polish on each path's chart target classifies each endpoint as
 finite, at infinity or failed.  A path's next step follows from the
 corrector's first update, which estimates the predictor's local error;
 Newton stops on a step below tolerance, or on a predicted next step below
-it once the steps converge quadratically.
-Only a chart that must retry after failed paths runs on its own.  Every
-stage evaluates the target once for the whole stack (_Compiled): one table
-of monomial values, one gather from one stacked coefficient array, and one
-batched matvec give value and Jacobian, and each stage returns only what its
-caller uses.  Each output entry is the dot product a path tracked alone
-forms, so a path's floats do not depend on its stack.
+it once the steps converge quadratically.  A chart whose run has failed
+paths reruns with fresh randomness in the next round, one stack of every
+such chart (_track_rounds).  Every stage evaluates the target once for the
+whole stack (_Compiled): one table of monomial values, one gather from one
+stacked coefficient array, and one batched matvec give value and Jacobian,
+and each stage returns only what its caller uses.  Each output entry is the
+dot product a path tracked alone forms, so a path's floats do not depend on
+its stack.
 One routine (_certify) clusters, residual-certifies and rationally
 cross-checks a chart's endpoints, and the two charts must agree and account
 for every path either one loses to infinity.
@@ -518,49 +519,54 @@ def _track_paths(hom: _Homotopy, starts):
     return statuses, x
 
 
-def _draw_attempt(chart: int, degrees: Sequence[int], rng: random.Random):
-    """One attempt's random start system x_i^{d_i} = r_i = exp(2*pi*i*phase_i)
-    and gamma on one chart, as per-path columns (starts, charts, roots,
-    gammas) over its Bezout-many start solutions."""
+def _draw_attempt(degrees: Sequence[int], rng: random.Random):
+    """One chart's random start system x_i^{d_i} = r_i = exp(2*pi*i*phase_i)
+    and gamma: (starts, roots, gamma), starts being its Bezout-many start
+    solutions."""
     phases = [rng.random() for _ in degrees]
     roots = [cmath.exp(2j * cmath.pi * p) for p in phases]
     gamma = cmath.exp(2j * cmath.pi * rng.random())
     axes = [
         [cmath.exp(2j * cmath.pi * (p + k) / d) for k in range(d)] for d, p in zip(degrees, phases)
     ]
-    starts = [np.array(point, dtype=np.complex128) for point in itertools.product(*axes)]
-    return starts, [chart] * len(starts), [roots] * len(starts), [gamma] * len(starts)
+    return list(itertools.product(*axes)), roots, gamma
 
 
-def _track_attempts(target: _Compiled, degrees, attempts) -> list:
-    """Track the paths of every attempt in one lockstep stack; returns one
-    (statuses, endpoints) per attempt."""
-    starts, charts, roots, gammas = (sum(column, []) for column in zip(*attempts))
-    statuses, endpoints = _track_paths(_Homotopy(target, degrees, charts, roots, gammas), starts)
-    size = math.prod(degrees)
-    return [(statuses[k : k + size], endpoints[k : k + size]) for k in range(0, len(starts), size)]
+def _track_rounds(target: _Compiled, degrees, charts: int, rng: random.Random) -> list:
+    """Track every chart of target, rerunning wholesale with fresh
+    randomness after failed paths, in at most 1 + _MAX_RETRIES rounds.
 
-
-def _run_square(target: _Compiled, degrees, chart: int, rng: random.Random, first=None):
-    """Run all paths of one chart; rerun wholesale with fresh randomness on
-    failures.  ``first`` is the (statuses, endpoints) of the first attempt
-    when it was already tracked.
-
-    Returns (finite endpoints, at_infinity, failed, attempts) of the run
-    with the fewest failed paths (the first of them on ties).
+    A round is one lockstep stack: a fresh start system and gamma for every
+    chart whose best run still has failed paths (every chart in round 1),
+    drawn in chart order.  Returns, per chart, (finite endpoints,
+    at_infinity, failed, attempts) of its run with the fewest failed paths
+    (the first of them on ties), attempts counting its rounds.
     """
-    best = None
-    for attempts in range(1, _MAX_RETRIES + 2):
-        if attempts > 1 or first is None:
-            (first,) = _track_attempts(target, degrees, [_draw_attempt(chart, degrees, rng)])
-        statuses, endpoints = first
-        failed = statuses.count("failed")
-        if best is None or failed < best[2]:
-            finite = [x for status, x in zip(statuses, endpoints) if status == "finite"]
-            best = finite, statuses.count("at_infinity"), failed
-        if best[2] == 0:
+    size = math.prod(degrees)
+    best: list = [None] * charts
+    attempts = [0] * charts
+    pending = list(range(charts))
+    for _ in range(_MAX_RETRIES + 1):
+        starts, roots, gammas = zip(*(_draw_attempt(degrees, rng) for _ in pending))
+        hom = _Homotopy(
+            target,
+            degrees,
+            np.repeat(pending, size),
+            np.repeat(roots, size, axis=0),
+            np.repeat(gammas, size),
+        )
+        statuses, endpoints = _track_paths(hom, np.concatenate(starts))
+        for k, chart in enumerate(pending):
+            run, ends = statuses[k * size : (k + 1) * size], endpoints[k * size : (k + 1) * size]
+            attempts[chart] += 1
+            failed = run.count("failed")
+            if best[chart] is None or failed < best[chart][2]:
+                finite = [x for status, x in zip(run, ends) if status == "finite"]
+                best[chart] = finite, run.count("at_infinity"), failed
+        pending = [chart for chart in pending if best[chart][2]]
+        if not pending:
             break
-    return (*best, attempts)
+    return [(*run, n) for run, n in zip(best, attempts)]
 
 
 def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
@@ -728,7 +734,7 @@ def _lift_from_chart(y: np.ndarray, chart) -> np.ndarray:
 
 
 def _finish_chart(run, chart, degrees, filters: _Compiled, filter_polys):
-    """Lift one chart's run (as _run_square returns it) and certify the
+    """Lift one chart's run (as _track_rounds returns it) and certify the
     survivors: clusters whose filter_polys residual stays below
     _FILTER_TOL, with the rational cross-check against the same
     filter_polys.
@@ -785,11 +791,9 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
     hyperplanes, seen by neither chart.  Any other discrepancy leaves the
     merged result uncertified.
 
-    Both charts' first attempts share one lockstep stack, drawn in the
-    order of two charts run in turn; when chart 1 must retry, its retries
-    resume right after its own first draws and chart 2 runs afresh, so the
-    stacking never changes a result.  Raises ValueError when the square
-    system exceeds _MAX_PATHS.
+    Both charts are tracked in rounds of one lockstep stack each
+    (_track_rounds), so a solve with no failed path makes one tracker call.
+    Raises ValueError when the square system exceeds _MAX_PATHS.
     """
     if math.prod(max(d, 2) for d in degrees) > _MAX_PATHS:
         raise ValueError(
@@ -805,19 +809,12 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
         charts[1] = _random_chart(nvars, rng)
     target = _Compiled(*([_unit_row(p) for p in _chart_substitute(square, c)] for c in charts))
     filters = _Compiled(polys)
-    first = _draw_attempt(0, degrees, rng)
-    after_first = rng.getstate()
-    tracked = _track_attempts(target, degrees, [first, _draw_attempt(1, degrees, rng)])
-    if "failed" in tracked[0][0]:
-        rng.setstate(after_first)
-        tracked[1] = None
-    runs = []
-    for k, chart in enumerate(charts):
-        run = _run_square(target, degrees, k, rng, tracked[k])
-        runs.append(_finish_chart(run, chart, degrees, filters, polys))
+    runs = [
+        _finish_chart(run, chart, degrees, filters, polys)
+        for run, chart in zip(_track_rounds(target, degrees, len(charts), rng), charts)
+    ]
     (surv1, report1, _, _), (surv2, report2, _, _) = runs
 
-    match_radius = max(_CLUSTER_RADIUS, 10 * _RESIDUAL_TOL)
     used = set()
     unseen_by_2 = []
     for c1 in surv1:
@@ -825,7 +822,7 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
         for j, c2 in enumerate(surv2):
             if j not in used and _chordal_distance(
                 p1, np.asarray(c2.point.coordinates)
-            ) <= match_radius:
+            ) <= _CLUSTER_RADIUS:
                 used.add(j)
                 break
         else:
@@ -930,19 +927,8 @@ def singular_points(f: MultiPoly, config: Optional[SolveConfig] = None) -> Solut
 # ---- Jacobsthal numbers ----
 
 def jacobsthal(n: int) -> int:
-    """J_0 = 0, J_1 = 1, J_n = J_{n-1} + 2 J_{n-2}, with the closed form
-    and both step identities re-verified on every call."""
+    """J_0 = 0, J_1 = 1, J_n = J_{n-1} + 2 J_{n-2}, by the closed form
+    (2^n - (-1)^n) / 3."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    values = [0, 1]
-    while len(values) <= n:
-        values.append(values[-1] + 2 * values[-2])
-    j = values[n]
-    closed, remainder = divmod(2**n - (-1) ** n, 3)
-    if remainder or j != closed:
-        raise ArithmeticError("closed form disagrees with recurrence")
-    if n >= 1 and j != 2 ** (n - 1) - values[n - 1]:
-        raise ArithmeticError("complement identity disagrees with recurrence")
-    if n >= 1 and j != 2 * values[n - 1] + (-1) ** (n - 1):
-        raise ArithmeticError("doubling identity disagrees with recurrence")
-    return j
+    return (2**n - (-1) ** n) // 3

@@ -29,7 +29,6 @@ from .polycore import as_int, as_rat
 class SymmetryClass(Enum):
     SYMMETRIC = "symmetric"
     SKEW = "skew"
-    RESIDUAL = "residual"
     RESIDUAL1 = "residual1"
     RESIDUAL2 = "residual2"
     PARTIAL_SYM12 = "partial_sym12"
@@ -145,11 +144,6 @@ _OPERATOR_TERMS = {
         (Fraction(-1, 6), (1, 0, 2)),
         (Fraction(-1, 6), (2, 1, 0)),
         (Fraction(-1, 6), (0, 2, 1)),
-    ],
-    SymmetryClass.RESIDUAL: [
-        (Fraction(2, 3), (0, 1, 2)),
-        (Fraction(-1, 3), (1, 2, 0)),
-        (Fraction(-1, 3), (2, 0, 1)),
     ],
     SymmetryClass.RESIDUAL1: [
         (Fraction(1, 3), (0, 1, 2)),
@@ -297,8 +291,6 @@ def summand_dimension(cls: SymmetryClass, dim: int) -> int:
         return math.comb(n + 1, 3)
     if cls in (SymmetryClass.RESIDUAL1, SymmetryClass.RESIDUAL2):
         return 2 * math.comb(n + 2, 3)
-    if cls is SymmetryClass.RESIDUAL:
-        return 4 * math.comb(n + 2, 3)
     raise ValueError(f"no dimension formula for {cls}")
 
 

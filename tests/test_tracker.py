@@ -318,13 +318,54 @@ def test_both_charts_share_one_lockstep_stack(monkeypatch):
     assert "failed" not in statuses
 
 
-def test_chart_1_retries_alone_and_then_chart_2_runs_afresh(monkeypatch):
+def test_retries_run_in_rounds_of_one_stack(monkeypatch):
+    """Both charts of this fixture fail paths in every round, so each of the
+    1 + _MAX_RETRIES rounds is one stack of both charts."""
     calls = _recorded_homotopies(
         monkeypatch, lambda: solve.base_points(fixtures.system("degenerate-conics"))
     )
     charts = [hom.charts.tolist() for hom, _, _, _ in calls]
-    assert charts[0] == [0] * 4 + [1] * 4
-    assert charts[1:] == [[0] * 4] * 3 + [[1] * 4] * 4
+    assert charts == [[0] * 4 + [1] * 4] * (1 + solve._MAX_RETRIES)
+
+
+def test_a_chart_leaves_the_rounds_once_it_has_a_run_with_no_failed_path(monkeypatch):
+    """_track_rounds on a scripted tracker.  Chart 0 fails 2 paths in round 1
+    and none in round 2; chart 1 fails 1, 3, 1 and 2 paths in rounds 1-4 and
+    keeps its round-1 run, the first of those with the fewest.  Each round
+    draws its start systems in chart order from one continuing random
+    stream.  (On the real degenerate-conics solve such a case depends on
+    the BLAS kernel's rounding: at seed 4 it happens with the default
+    OpenBLAS kernel, not with OPENBLAS_CORETYPE=Prescott.)"""
+    failures = {0: [2, 0], 1: [1, 3, 1, 2]}
+    calls = []
+
+    def scripted(hom, starts):
+        round_ = len(calls)
+        calls.append(hom)
+        statuses = []
+        for chart in hom.charts[::4]:
+            failed = failures[chart][round_]
+            statuses += ["failed"] * failed + ["finite"] * (4 - failed)
+        return statuses, np.full((len(starts), 2), round_, dtype=np.complex128)
+
+    monkeypatch.setattr(solve, "_track_paths", scripted)
+    (finite0, _, failed0, attempts0), (finite1, _, failed1, attempts1) = solve._track_rounds(
+        None, [2, 2], 2, random.Random(0)
+    )
+    assert [hom.charts.tolist() for hom in calls] == [[0] * 4 + [1] * 4] * 2 + [[1] * 4] * 2
+    assert (failed0, attempts0, len(finite0)) == (0, 2, 4)
+    assert (failed1, attempts1, len(finite1)) == (1, 4, 3)
+    assert all(x[0] == 1 for x in finite0) and all(x[0] == 0 for x in finite1)
+    rng = random.Random(0)
+    gammas = [solve._draw_attempt([2, 2], rng)[2] for hom in calls for _ in hom.charts[::4]]
+    assert [g for hom in calls for g in hom.gamma[::4]] == gammas
+
+
+def test_degenerate_conics_are_never_certified():
+    """The conics of this fixture share a line, so no finite count is right
+    and no seed may certify one."""
+    system = fixtures.system("degenerate-conics")
+    assert not any(solve.base_points(system, solve.SolveConfig(seed)).certified for seed in range(5))
 
 
 # ---- the stacked linear solve ----
