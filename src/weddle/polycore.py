@@ -551,19 +551,6 @@ def projectively_equal(p: Sequence, q: Sequence) -> bool:
     return True
 
 
-def vanishes_on_line(poly: MultiPoly, p: Sequence, q: Sequence) -> bool:
-    """Exact test that a homogeneous polynomial vanishes on the line
-    spanned by two distinct projective points."""
-    if not poly.is_homogeneous():
-        raise ValueError("polynomial must be homogeneous")
-    if projectively_equal(p, q):
-        raise ValueError("points must be projectively distinct")
-    pv = [as_rat(x) for x in p]
-    qv = [as_rat(x) for x in q]
-    lines = [MultiPoly(2, {(1, 0): pv[i], (0, 1): qv[i]}) for i in range(poly.nvars)]
-    return poly.compose(lines).is_zero()
-
-
 # ---- packed integer polynomials ----
 #
 # The exact kernels (MultiPoly.compose, PolyMatrix.det) work on dicts from a

@@ -6,30 +6,32 @@ through one solve path (_projective_solve).  A square subsystem is
 dehomogenized onto two random rational charts, and each chart runs a
 total-degree homotopy of at most _MAX_PATHS Bezout paths (each degree
 counted as at least 2), the package's one size limit.  Each row of a chart's
-target is divided exactly by its largest coefficient magnitude before tracking
-(_unit_row), which keeps large coefficients from collapsing the first
-steps and makes tracking exactly invariant under multiplying the input by
-a positive rational factor; certification still sees the unscaled
-polynomials.  The Bezout paths of both charts are tracked together in one
-stack (_track_paths): each path has its own chart, start roots, gamma, t,
-step size and status, every iteration advances the paths still running
-with one stacked RK4 predictor step and Newton corrector, and a final
-Newton polish on each path's chart target classifies each endpoint as
-finite, at infinity or failed.  A path's next step follows from the
-corrector's first update, which estimates the predictor's local error;
-Newton stops on a step below tolerance, or on a predicted next step below
-it once the steps converge quadratically.  A chart whose run has failed
-paths reruns with fresh randomness in the next round, one stack of every
-such chart (_track_rounds).  Every stage evaluates the target once for the
-whole stack (_Compiled): one table of monomial values, one gather from one
-stacked coefficient array, and one batched matvec give value and Jacobian,
-and each stage returns only what its caller uses.  Each output entry is the
-dot product a path tracked alone forms, so a path's floats do not depend on
-its stack.
-One routine (_certify) clusters, residual-certifies and rationally
-cross-checks a chart's endpoints, and the two charts must agree and account
-for every path either one loses to infinity.
-Anything that cannot be certified is reported as such rather than guessed.
+target, and of the polynomials a solve filters by, is divided exactly by its
+largest coefficient magnitude (_unit_row).  This keeps large coefficients
+from collapsing the first steps, makes tracking exactly invariant under
+multiplying every input polynomial by one positive rational factor, and
+makes every residual invariant under multiplying any input polynomial by a
+nonzero rational factor.  The Bezout paths of both charts are tracked
+together in one stack (_track_paths), once: each path has its own chart,
+start roots, gamma, t, step size and status, every iteration advances the
+paths still running with one stacked RK4 predictor step and Newton
+corrector, and a final Newton polish on each path's chart target
+classifies each endpoint as finite, at infinity or failed.  A path's next
+step follows from the corrector's first update, which estimates the
+predictor's local error; Newton stops on a step below tolerance, or on a
+predicted next step below it once the steps converge quadratically.
+Every stage evaluates the target once for the whole stack (_Compiled): one
+table of monomial values, one gather from one stacked coefficient array,
+and one batched matvec give value and Jacobian, and each stage returns
+only what its caller uses.  Each output entry is the dot product a path
+tracked alone forms, so a path's floats do not depend on its stack.
+One routine (_certify) clusters, residual-filters and rationally
+cross-checks a chart's endpoints.  A solve is certified by one rule:
+(A) the finite endpoints of both charts are exactly Bezout-many distinct
+points, each nonsingular for the square system (by the refined Bezout
+theorem this proves the square system finite and completely solved), and
+(B) every survivor's relative residual is at most _RESIDUAL_TOL, with no
+rational mismatch.  Anything else is reported uncertified, not guessed.
 """
 
 from __future__ import annotations
@@ -69,17 +71,20 @@ _MAX_PATHS = 27
 _T_STOP = 1e-14
 _PHASE_TOL = 1e-9
 
-# Certification: a cluster certifies when its best residual is at most
+# Certification (residuals are relative: on _unit_row polynomials at a
+# unit-norm point): a cluster certifies when its best residual is at most
 # _RESIDUAL_TOL; a projective survivor needs a filter residual below
-# _FILTER_TOL; endpoints closer than _CLUSTER_RADIUS are one cluster, and
-# rational reconstruction uses heights up to _RATIONAL_HEIGHT.
+# _FILTER_TOL; endpoints closer than _CLUSTER_RADIUS (chordal) are one point;
+# a finite endpoint is nonsingular when its chart Jacobian has
+# sigma_min / sigma_max above _SIGMA_RATIO; rational reconstruction uses
+# heights up to _RATIONAL_HEIGHT.
 _RESIDUAL_TOL = 1e-8
 _FILTER_TOL = 1e-6
 _CLUSTER_RADIUS = 1e-6
+_SIGMA_RATIO = 1e-8
 _RATIONAL_HEIGHT = 32
 # Tracking: step control (first step, collapse floor, and the predictor error
-# an accepted step is sized for), Newton corrector and polish, divergence,
-# and the number of wholesale reruns with fresh randomness after failed paths.
+# an accepted step is sized for), Newton corrector and polish, and divergence.
 _TRACK_TOL = 1e-10
 _INITIAL_STEP = 0.05
 _MIN_STEP = 1e-11
@@ -88,7 +93,6 @@ _ENDGAME_T = 1e-4
 _DIVERGENCE_THRESHOLD = 1e8
 _CORRECTOR_ITERATIONS = 3
 _POLISH_ITERATIONS = 50
-_MAX_RETRIES = 3
 
 
 # ---- points and clusters ----
@@ -519,7 +523,7 @@ def _track_paths(hom: _Homotopy, starts):
     return statuses, x
 
 
-def _draw_attempt(degrees: Sequence[int], rng: random.Random):
+def _draw_start(degrees: Sequence[int], rng: random.Random):
     """One chart's random start system x_i^{d_i} = r_i = exp(2*pi*i*phase_i)
     and gamma: (starts, roots, gamma), starts being its Bezout-many start
     solutions."""
@@ -532,41 +536,26 @@ def _draw_attempt(degrees: Sequence[int], rng: random.Random):
     return list(itertools.product(*axes)), roots, gamma
 
 
-def _track_rounds(target: _Compiled, degrees, charts: int, rng: random.Random) -> list:
-    """Track every chart of target, rerunning wholesale with fresh
-    randomness after failed paths, in at most 1 + _MAX_RETRIES rounds.
-
-    A round is one lockstep stack: a fresh start system and gamma for every
-    chart whose best run still has failed paths (every chart in round 1),
-    drawn in chart order.  Returns, per chart, (finite endpoints,
-    at_infinity, failed, attempts) of its run with the fewest failed paths
-    (the first of them on ties), attempts counting its rounds.
-    """
+def _track_charts(target: _Compiled, degrees, charts: int, rng: random.Random) -> list:
+    """Track every chart of target in one lockstep stack, each from its own
+    random start system and gamma (_draw_start), drawn once in chart
+    order.  Returns, per chart, (finite endpoints, at_infinity, failed)."""
     size = math.prod(degrees)
-    best: list = [None] * charts
-    attempts = [0] * charts
-    pending = list(range(charts))
-    for _ in range(_MAX_RETRIES + 1):
-        starts, roots, gammas = zip(*(_draw_attempt(degrees, rng) for _ in pending))
-        hom = _Homotopy(
-            target,
-            degrees,
-            np.repeat(pending, size),
-            np.repeat(roots, size, axis=0),
-            np.repeat(gammas, size),
-        )
-        statuses, endpoints = _track_paths(hom, np.concatenate(starts))
-        for k, chart in enumerate(pending):
-            run, ends = statuses[k * size : (k + 1) * size], endpoints[k * size : (k + 1) * size]
-            attempts[chart] += 1
-            failed = run.count("failed")
-            if best[chart] is None or failed < best[chart][2]:
-                finite = [x for status, x in zip(run, ends) if status == "finite"]
-                best[chart] = finite, run.count("at_infinity"), failed
-        pending = [chart for chart in pending if best[chart][2]]
-        if not pending:
-            break
-    return [(*run, n) for run, n in zip(best, attempts)]
+    starts, roots, gammas = zip(*(_draw_start(degrees, rng) for _ in range(charts)))
+    hom = _Homotopy(
+        target,
+        degrees,
+        np.repeat(np.arange(charts), size),
+        np.repeat(roots, size, axis=0),
+        np.repeat(gammas, size),
+    )
+    statuses, endpoints = _track_paths(hom, np.concatenate(starts))
+    runs = []
+    for k in range(charts):
+        run, ends = statuses[k * size : (k + 1) * size], endpoints[k * size : (k + 1) * size]
+        finite = [x for status, x in zip(run, ends) if status == "finite"]
+        runs.append((finite, run.count("at_infinity"), run.count("failed")))
+    return runs
 
 
 def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
@@ -580,9 +569,11 @@ def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
 
 # ---- clustering and certification ----
 
-def _chordal_distance(a: np.ndarray, b: np.ndarray) -> float:
-    inner = abs(np.vdot(a, b))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, inner)))
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether row i of a lies within chordal distance _CLUSTER_RADIUS of
+    row j of b, for unit-norm projective rows, from one Gram matrix:
+    sqrt(2 - 2 |<a_i, b_j>|) <= r exactly when |<a_i, b_j>| >= 1 - r^2 / 2."""
+    return np.abs(a.conj() @ b.T) >= 1.0 - _CLUSTER_RADIUS**2 / 2
 
 
 def _primitive(vec: Sequence[Fraction]) -> Optional[tuple]:
@@ -614,21 +605,25 @@ def _rational_point(coords: np.ndarray, height: int, tol: float) -> Optional[tup
     return _primitive(candidate)
 
 
-def _certify(points, failed, filters: _Compiled, filter_polys):
-    """Cluster normalized projective endpoints (chordal distance within
-    _CLUSTER_RADIUS of a cluster's first member) and certify the clusters.
+def _certify(points: np.ndarray, filters: _Compiled, filter_polys):
+    """Cluster one chart's normalized projective endpoints (rows of points
+    within _CLUSTER_RADIUS of a cluster's first member) and keep the
+    clusters that lie on filter_polys.
 
-    A cluster's residual is the smallest filter residual of its members;
-    clusters where it reaches _FILTER_TOL are discarded.  The minimum-
-    residual member's _rational_point is kept when it is an exact common
-    zero of filter_polys, else it is a mismatch.  Returns (sorted clusters,
-    discarded, mismatch, ok), ok meaning no failed path, no mismatch,
-    residuals within _RESIDUAL_TOL and simple clusters.
+    A cluster's residual is the smallest filter residual of its members,
+    filters being the _unit_row forms of filter_polys, so the residual does
+    not depend on how an input polynomial is scaled; clusters where it
+    reaches _FILTER_TOL are discarded.  The minimum-residual member's
+    _rational_point is kept when it is an exact common zero of filter_polys,
+    else it is a mismatch.  Returns (sorted clusters, discarded, mismatch);
+    rule B of _projective_solve then asks every cluster's residual to be at
+    most _RESIDUAL_TOL and no mismatch.
     """
+    close = _close(points, points)
     groups: list = []
-    for idx, p in enumerate(points):
+    for idx in range(len(points)):
         for g in groups:
-            if _chordal_distance(points[g[0]], p) <= _CLUSTER_RADIUS:
+            if close[g[0], idx]:
                 g.append(idx)
                 break
         else:
@@ -656,10 +651,7 @@ def _certify(points, failed, filters: _Compiled, filter_polys):
             )
         )
     clusters.sort(key=lambda c: c.point.sort_key())
-    ok = failed == 0 and not mismatch and all(
-        c.residual <= _RESIDUAL_TOL and c.multiplicity == 1 for c in clusters
-    )
-    return clusters, discarded, mismatch, ok
+    return clusters, discarded, mismatch
 
 
 # ---- projective layer ----
@@ -733,66 +725,73 @@ def _lift_from_chart(y: np.ndarray, chart) -> np.ndarray:
     return x
 
 
-def _finish_chart(run, chart, degrees, filters: _Compiled, filter_polys):
-    """Lift one chart's run (as _track_rounds returns it) and certify the
-    survivors: clusters whose filter_polys residual stays below
-    _FILTER_TOL, with the rational cross-check against the same
-    filter_polys.
+def _finish_chart(run, chart, k: int, target: _Compiled, degrees, filters: _Compiled, filter_polys):
+    """Lift chart k's run (as _track_charts returns it) and certify the
+    survivors on filter_polys (_certify).
 
-    Returns (survivors, report, ok, lifted) with survivors on normalized
-    projective representatives, ok as in _certify, and lifted every finite
-    endpoint's normalized lift before clustering and filtering.
+    Returns (survivors, report, lifted, nonsingular): lifted holds
+    every finite endpoint's normalized lift before clustering and
+    filtering, one row each, and nonsingular whether the chart target's
+    Jacobian there has sigma_min / sigma_max above _SIGMA_RATIO, from one
+    stacked SVD.
     """
-    finite, at_infinity, failed, attempts = run
-    lifted = []
+    finite, at_infinity, failed = run
+    lifted, kept = [], []
     for endpoint in finite:
         point = _lift_from_chart(endpoint, chart)
         norm = np.linalg.norm(point)
         if norm > _DIVERGENCE_THRESHOLD or norm == 0:
             at_infinity += 1
             continue
-        lifted.append(np.asarray(CPoint.projective(point).coordinates))
-    survivors, discarded, mismatch, ok = _certify(lifted, failed, filters, filter_polys)
+        lifted.append(CPoint.projective(point).coordinates)
+        kept.append(endpoint)
+    lifted = np.array(lifted, dtype=np.complex128).reshape(-1, len(chart[0]))
+    nonsingular = np.ones(0, dtype=bool)
+    if kept:
+        _, jacobians = target.value_and_jacobian(np.array(kept), np.full(len(kept), k))
+        sigma = np.linalg.svd(jacobians, compute_uv=False)
+        nonsingular = sigma[:, -1] > _SIGMA_RATIO * sigma[:, 0]
+    survivors, discarded, mismatch = _certify(lifted, filters, filter_polys)
     report = {
         "chart": [str(c) for c in chart[0]],
         "bezout_bound": math.prod(degrees),
         "paths_tracked": len(lifted) + at_infinity,
         "paths_failed": failed,
         "at_infinity": at_infinity,
-        "attempts": attempts,
+        "attempts": 1,  # each chart is tracked once; perfbench reads this key
         "survivors": len(survivors),
         "discarded_clusters": discarded,
         "rational_mismatch": mismatch,
     }
     _check_path_accounting(report["paths_tracked"], report["paths_failed"], report["bezout_bound"])
-    return survivors, report, ok, lifted
-
-
-def _near_chart_infinity(coords, chart, tol: float) -> bool:
-    a = np.array([float(c) for c in chart[0]], dtype=np.complex128)
-    return abs(np.sum(a * np.asarray(coords))) <= tol * float(np.linalg.norm(a))
+    return survivors, report, lifted, nonsingular
 
 
 def _projective_solve(polys, degrees, rng) -> SolutionSet:
-    """Two-chart projective solve with bijective merge: the common zeros of
-    polys, cut out inside the finite zero set of a square system of the
-    given degrees: polys itself when they number len(degrees), else random
-    combinations of them, drawn only after the size check.
+    """Two-chart projective solve: the common zeros of polys, cut out inside
+    the finite zero set of a square system of the given degrees: polys
+    itself when they number len(degrees), else random combinations of
+    them, drawn only after the size check.
 
     The square subsystem is solved on two random charts that are not
     proportional (such charts share their infinity hyperplane and lose the
-    same points), and the survivor sets must match bijectively within the
-    cluster radius.  A point seen by only one chart is still returned, and
-    is excused exactly when it lies at the other chart's infinity
-    hyperplane, where that chart provably cannot represent it.  Conversely,
-    every path a chart loses to infinity must be matched by a finite
-    endpoint of the other chart on that hyperplane, counted before
-    clustering and filtering; an unmatched loss may be a point on both
-    hyperplanes, seen by neither chart.  Any other discrepancy leaves the
-    merged result uncertified.
+    same points), tracked together once in one lockstep stack
+    (_track_charts).  The clusters are chart 1's survivors plus chart 2's
+    survivors that chart 1 does not see.  The result is certified by one
+    rule and nothing else:
 
-    Both charts are tracked in rounds of one lockstep stack each
-    (_track_rounds), so a solve with no failed path makes one tracker call.
+    (A) completeness: the lifted finite endpoints of both charts, before
+        filtering, deduplicated within _CLUSTER_RADIUS, number exactly
+        prod(degrees), and at each of them the chart target's Jacobian has
+        sigma_min / sigma_max above _SIGMA_RATIO.  By the refined Bezout
+        theorem (Fulton, Intersection Theory, 12.3) a positive-dimensional
+        component of the square system would take at least 1 from the
+        Bezout number, so these points are all of its solutions;
+    (B) membership: every survivor of either chart has relative filter
+        residual (_certify) at most _RESIDUAL_TOL, and no rational
+        reconstruction is a mismatch.
+
+    An uncertified result carries one note with the rule's numbers.
     Raises ValueError when the square system exceeds _MAX_PATHS.
     """
     if math.prod(max(d, 2) for d in degrees) > _MAX_PATHS:
@@ -808,57 +807,41 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
     while projectively_equal(charts[1][0], charts[0][0]):
         charts[1] = _random_chart(nvars, rng)
     target = _Compiled(*([_unit_row(p) for p in _chart_substitute(square, c)] for c in charts))
-    filters = _Compiled(polys)
-    runs = [
-        _finish_chart(run, chart, degrees, filters, polys)
-        for run, chart in zip(_track_rounds(target, degrees, len(charts), rng), charts)
-    ]
-    (surv1, report1, _, _), (surv2, report2, _, _) = runs
-
-    used = set()
-    unseen_by_2 = []
-    for c1 in surv1:
-        p1 = np.asarray(c1.point.coordinates)
-        for j, c2 in enumerate(surv2):
-            if j not in used and _chordal_distance(
-                p1, np.asarray(c2.point.coordinates)
-            ) <= _CLUSTER_RADIUS:
-                used.add(j)
-                break
-        else:
-            unseen_by_2.append(c1)
-    unseen_by_1 = [c2 for j, c2 in enumerate(surv2) if j not in used]
-    merged = sorted(surv1 + unseen_by_1, key=lambda c: c.point.sort_key())
-
-    unseen = ((2, unseen_by_2), (1, unseen_by_1))
-    certified = all(
-        _near_chart_infinity(c.point.coordinates, charts[k - 1], _FILTER_TOL)
-        for k, missing in unseen
-        for c in missing
+    filters = _Compiled([_unit_row(p) for p in polys if not p.is_zero()])  # a zero partial filters nothing
+    (surv1, report1, lifted1, nonsingular1), (surv2, report2, lifted2, nonsingular2) = (
+        _finish_chart(run, chart, k, target, degrees, filters, polys)
+        for k, (run, chart) in enumerate(zip(_track_charts(target, degrees, len(charts), rng), charts))
     )
-    notes = []
-    for k, missing in unseen:
-        if missing:
-            label = f"excused: at chart-{k} infinity" if certified else "chart disagreement"
-            notes.append(f"{len(missing)} point(s) unseen by chart {k} ({label})")
-    for k, (chart, (_, report, ok, _)) in enumerate(zip(charts, runs), 1):
-        if not ok:
-            certified = False
-            notes.append(f"chart {k} run uncertified")
-        lost = report["at_infinity"] - sum(
-            _near_chart_infinity(x, chart, _FILTER_TOL) for x in runs[2 - k][3]
+
+    def rows(clusters):
+        return np.array([c.point.coordinates for c in clusters], dtype=np.complex128).reshape(-1, nvars)
+
+    seen_by_1 = _close(rows(surv2), rows(surv1)).any(axis=1)
+    merged = surv1 + [c for c, seen in zip(surv2, seen_by_1) if not seen]
+    merged.sort(key=lambda c: c.point.sort_key())
+
+    bezout = report1["bezout_bound"]
+    lifted = np.concatenate([lifted1, lifted2])
+    distinct = int((~np.triu(_close(lifted, lifted), 1).any(axis=0)).sum())
+    singular = int((~np.concatenate([nonsingular1, nonsingular2])).sum())
+    residual = max((c.residual for c in surv1 + surv2), default=0.0)
+    mismatch = report1["rational_mismatch"] or report2["rational_mismatch"]
+    certified = distinct == bezout and not singular and residual <= _RESIDUAL_TOL and not mismatch
+    notes = ()
+    if not certified:
+        notes = (
+            f"uncertified: {distinct} distinct finite endpoint(s) for {bezout} Bezout paths, "
+            f"{singular} with sigma_min/sigma_max <= {_SIGMA_RATIO:g}; largest survivor "
+            f"residual {residual:.1e}{'; rational mismatch' if mismatch else ''}",
         )
-        if lost > 0:
-            certified = False
-            notes.append(f"{lost} path(s) at chart-{k} infinity unexplained by chart {3 - k}")
     return SolutionSet(
         clusters=tuple(merged),
-        bezout_bound=report1["bezout_bound"],
+        bezout_bound=bezout,
         paths_tracked=report1["paths_tracked"],
         paths_failed=report1["paths_failed"],
         at_infinity=report1["at_infinity"],
         certified=certified,
-        notes=tuple(notes),
+        notes=notes,
         chart_reports=(report1, report2),
     )
 

@@ -14,7 +14,6 @@ symmetry in the first two, respectively outer two, index positions.
 from __future__ import annotations
 
 import json
-import math
 import random
 from enum import Enum
 from fractions import Fraction
@@ -280,18 +279,6 @@ def basis(cls: SymmetryClass, dim: int) -> list:
     """Distinguished basis of the summand: projected elementary tensors
     indexed by the class's index-triple pattern, in lexicographic order."""
     return list(_basis_cached(cls, dim))
-
-
-def summand_dimension(cls: SymmetryClass, dim: int) -> int:
-    """Dimension of the summand inside the dim^3 tensor space."""
-    n = dim - 1
-    if cls is SymmetryClass.SYMMETRIC:
-        return math.comb(n + 3, 3)
-    if cls is SymmetryClass.SKEW:
-        return math.comb(n + 1, 3)
-    if cls in (SymmetryClass.RESIDUAL1, SymmetryClass.RESIDUAL2):
-        return 2 * math.comb(n + 2, 3)
-    raise ValueError(f"no dimension formula for {cls}")
 
 
 # ---- restriction and extension of cyclic partially symmetric tensors ----

@@ -24,7 +24,6 @@ from weddle.polycore import (
     linear_form,
     parse_poly,
     projectively_equal,
-    vanishes_on_line,
 )
 
 rationals = st.fractions(
@@ -192,17 +191,6 @@ def test_projective_equality_ignores_scale():
     assert not projectively_equal([1, 0, 0], [1, 0, 1])
     with pytest.raises(ValueError):
         projectively_equal([0, 0, 0], [1, 0, 0])
-
-
-def test_vanishing_on_a_line_matches_hand_checked_cases():
-    # x0*x2 vanishes identically on the line {x2 = 0} spanned by the first
-    # two coordinate points, but on the span of (1,0,0) and (0,0,1) it
-    # restricts to s*t, which is not the zero form.
-    p = parse_poly("x0*x2")
-    assert vanishes_on_line(p, [1, 0, 0], [0, 1, 0])
-    assert not vanishes_on_line(p, [1, 0, 0], [0, 0, 1])
-    conic = parse_poly("x0*x2 - x1^2")
-    assert not vanishes_on_line(conic, [1, 0, 0], [0, 0, 1])
 
 
 # ---- polynomial matrices ----

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weddle import fixtures, loci, solve, tensor
+from weddle import fixtures, linalg, loci, solve, tensor
 from weddle.polycore import MultiPoly, linear_form, parse_poly
 from weddle.solve import SolveConfig
 
@@ -173,7 +175,70 @@ def test_paths_lost_at_both_chart_infinities_break_certification():
     result = _sweep_replay(3, 338005599)
     assert [r["at_infinity"] for r in result.chart_reports] == [1, 1]
     assert not result.certified
-    assert any("unexplained" in note for note in result.notes)
+    (note,) = result.notes
+    assert note.startswith(
+        "uncertified: 3 distinct finite endpoint(s) for 4 Bezout paths, "
+        "0 with sigma_min/sigma_max <= 1e-08; largest survivor residual "
+    )
+
+
+@pytest.mark.parametrize("master_seed", [161880760, 887810380])
+def test_a_square_subsystem_with_a_common_factor_is_not_certified_short(master_seed):
+    # Both square quadrics share the factor x1, so the line x1 = 0 holds
+    # singular endpoints and one base point is all that survives; J_3 = 3.
+    result = _sweep_replay(3, master_seed)
+    assert not result.certified or result.count() == 3
+
+
+def _scaled(system, factors):
+    return loci.LinearSystem(
+        system.n, [[[x * f for x in row] for row in q] for q, f in zip(system.quadrics, factors)]
+    )
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 10**8), Fraction(10**8)])
+def test_rescaling_every_quadric_keeps_the_certified_six_points(factor):
+    system = fixtures.system("weddle-6pts")
+    result = solve.base_points(_scaled(system, [factor] * (system.n + 1)))
+    assert result.certified
+    assert result.count() == 6
+
+
+def test_a_path_jump_in_one_chart_still_certifies():
+    # Trial 13 of `sweep_trials([4], 100, 12)` (trial seed 921463033): the
+    # two charts' endpoints are 8 distinct nonsingular points together.
+    master = random.Random(12)
+    for _ in range(14):
+        trial_seed = master.randrange(2**30)
+        _, system, _ = loci.sample_general_cyclic(4, rng=master)
+    assert trial_seed == 921463033
+    result = solve.base_points(system, SolveConfig(seed=trial_seed))
+    assert result.certified
+    assert result.count() == 5 == solve.jacobsthal(4)
+    assert all(c.multiplicity == 1 for c in result.clusters)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_rescaled_or_recombined_systems_never_certify_a_wrong_count(seed, dim, recombine):
+    rng = random.Random(seed)
+    _, system, _ = loci.sample_general_cyclic(dim, rng=rng)
+    size = system.n + 1
+    if recombine:
+        matrix = None
+        while matrix is None or linalg.det(matrix) == 0:
+            matrix = [[Fraction(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)]
+        changed = loci.recombine(system, matrix)
+    else:
+        # a nonzero rational of either sign and of magnitude 10^-9 to 10^9 per quadric
+        factors = []
+        for _ in range(size):
+            ratio = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            factors.append(ratio * Fraction(10) ** rng.randint(-8, 8))
+        changed = _scaled(system, factors)
+    for candidate in (system, changed):
+        result = solve.base_points(candidate, SolveConfig(seed=seed))
+        assert not result.certified or result.count() == solve.jacobsthal(dim)
 
 
 def test_a_path_dropped_by_the_tracker_breaks_the_accounting_loudly(monkeypatch):

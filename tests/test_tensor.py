@@ -92,7 +92,6 @@ def test_projector_ranks_match_binomial_formulas(dim):
 @pytest.mark.parametrize("cls", PART_CLASSES)
 def test_trace_rank_agrees_with_elimination_rank(dim, cls):
     b = tensor.basis(cls, dim)
-    assert len(b) == tensor.summand_dimension(cls, dim)
     assert len(b) == tensor.projector_rank(cls, dim)
     assert tensor.independent(b)
     for t in b:
