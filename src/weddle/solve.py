@@ -16,7 +16,8 @@ together in one stack (_track_paths), once: each path has its own chart,
 start roots, gamma, t, step size and status, every iteration advances the
 paths still running with one stacked RK4 predictor step and Newton
 corrector, and a final Newton polish on each path's chart target
-classifies each endpoint as finite, at infinity or failed.  A path's next
+classifies each endpoint as finite, stalled (finite, but where the polish
+stalls, as it does at a multiple root), at infinity or failed.  A path's next
 step follows from the corrector's first update, which estimates the
 predictor's local error; Newton stops on a step below tolerance, or on a
 predicted next step below it once the steps converge quadratically.
@@ -40,7 +41,7 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -343,8 +344,9 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
     convergence predicts) is below ``tol`` relative to the norm.  It stops
     unconverged when its Jacobian is singular, or when it turns non-finite
     or leaves the ball of radius ``limit``.  Returns (converged, points,
-    first), first being each row's first step relative to its norm (inf for
-    a row stopped before that step was measured)."""
+    first, stalled), first being each row's first step relative to its norm
+    (inf for a row stopped before that step was measured), and stalled
+    whether a row took every iteration without converging or stopping."""
     x = x.copy()
     converged = np.zeros(len(x), dtype=bool)
     first = np.full(len(x), np.inf)
@@ -379,7 +381,9 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
         previous[rows] = size
         converged[rows[done]] = True
         rows = rows[~done]
-    return converged, x, first
+    stalled = np.zeros(len(x), dtype=bool)
+    stalled[rows] = True
+    return converged, x, first, stalled
 
 
 def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths: np.ndarray):
@@ -413,7 +417,7 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
     finite = np.isfinite(predicted).all(axis=-1)
     if not finite.all():
         rows, predicted, t_next, paths = rows[finite], predicted[finite], t_next[finite], paths[finite]
-    converged, corrected, first = _newton(
+    converged, corrected, first, _ = _newton(
         lambda y, r: hom.evaluate(y, t_next[r], paths[r], corrector=True),
         predicted,
         _TRACK_TOL,
@@ -432,14 +436,15 @@ def _polish(target: _Compiled, x: np.ndarray, charts: np.ndarray):
     steps at tolerance 1e-13 and within the ball of radius
     _DIVERGENCE_THRESHOLD, with _newton's two stop tests (a step, or the
     predicted next step after a halving, below tolerance); returns
-    (converged, points)."""
-    return _newton(
+    (converged, stalled, points), stalled as _newton marks it."""
+    converged, points, _, stalled = _newton(
         lambda y, r: target.value_and_jacobian(y, charts[r]),
         x,
         1e-13,
         _POLISH_ITERATIONS,
         _DIVERGENCE_THRESHOLD,
-    )[:2]
+    )
+    return converged, stalled, points
 
 
 def _track_paths(hom: _Homotopy, starts):
@@ -455,12 +460,13 @@ def _track_paths(hom: _Homotopy, starts):
     stands after it.  Below _ENDGAME_T a step is at most 0.9 t, so t falls
     geometrically to _T_STOP instead of jumping to 0.
 
-    Returns (statuses, endpoints), one status finite | at_infinity | failed
-    and one endpoint row per start.  Divergence is decided by a
-    hard norm threshold at any time plus a growth test across the endgame
-    phase, so that slowly diverging paths are not handed to the final
-    Newton polish (which would pull them onto a finite root and corrupt
-    multiplicities).
+    Returns (statuses, endpoints), one status finite | stalled |
+    at_infinity | failed and one endpoint row per start, stalled marking a
+    finite endpoint where the polish stalled, as it does at a multiple
+    root.  Divergence is decided by a hard norm threshold at any time plus
+    a growth test across the endgame phase, so that slowly diverging paths
+    are not handed to the final Newton polish (which would pull them onto a
+    finite root and corrupt multiplicities).
     """
     x = np.array(starts, dtype=np.complex128)
     t = np.ones(len(x))
@@ -508,12 +514,18 @@ def _track_paths(hom: _Homotopy, starts):
     for i in settled[lost]:
         statuses[i] = "at_infinity"
     rows, norms = settled[~lost], norms[~lost]
-    converged, polished = _polish(hom.target, x[rows], hom.charts[rows])
+    converged, stalled, polished = _polish(hom.target, x[rows], hom.charts[rows])
     jumps = _norms(polished - x[rows])
-    for i, norm, ok, jump, point in zip(rows, norms, converged, jumps, polished):
-        if ok:
+    # Newton converges only linearly at a multiple root, and then wanders at
+    # its noise floor, so there the polish takes every iteration without
+    # converging.  Such a path ends "stalled" at the polished point when
+    # that stayed within _CLUSTER_RADIUS of the tracked endpoint (relative
+    # to max(1, |x|)), the resolution at which a solve reports points.
+    stalled &= jumps <= _CLUSTER_RADIUS * np.maximum(1.0, norms)
+    for i, norm, ok, stall, jump, point in zip(rows, norms, converged, stalled, jumps, polished):
+        if ok or stall:
             if jump <= 0.05 * max(1.0, norm):
-                statuses[i], x[i] = "finite", point
+                statuses[i], x[i] = "finite" if ok else "stalled", point
             elif norm > 100.0:
                 # The polish jumped to an unrelated root: the tracked path
                 # was not actually settling on a finite solution.
@@ -539,7 +551,8 @@ def _draw_start(degrees: Sequence[int], rng: random.Random):
 def _track_charts(target: _Compiled, degrees, charts: int, rng: random.Random) -> list:
     """Track every chart of target in one lockstep stack, each from its own
     random start system and gamma (_draw_start), drawn once in chart
-    order.  Returns, per chart, (finite endpoints, at_infinity, failed)."""
+    order.  Returns, per chart, (finite endpoints, which of them stalled,
+    at_infinity, failed)."""
     size = math.prod(degrees)
     starts, roots, gammas = zip(*(_draw_start(degrees, rng) for _ in range(charts)))
     hom = _Homotopy(
@@ -553,8 +566,9 @@ def _track_charts(target: _Compiled, degrees, charts: int, rng: random.Random) -
     runs = []
     for k in range(charts):
         run, ends = statuses[k * size : (k + 1) * size], endpoints[k * size : (k + 1) * size]
-        finite = [x for status, x in zip(run, ends) if status == "finite"]
-        runs.append((finite, run.count("at_infinity"), run.count("failed")))
+        finite = [i for i, status in enumerate(run) if status in ("finite", "stalled")]
+        stalled = [run[i] == "stalled" for i in finite]
+        runs.append(([ends[i] for i in finite], stalled, run.count("at_infinity"), run.count("failed")))
     return runs
 
 
@@ -731,13 +745,16 @@ def _finish_chart(run, chart, k: int, target: _Compiled, degrees, filters: _Comp
 
     Returns (survivors, report, lifted, nonsingular): lifted holds
     every finite endpoint's normalized lift before clustering and
-    filtering, one row each, and nonsingular whether the chart target's
+    filtering, one row each, and nonsingular whether its polish converged
+    (a stalled one sits at a multiple root, where the Jacobian can vanish
+    altogether and the ratio below says nothing) and the chart target's
     Jacobian there has sigma_min / sigma_max above _SIGMA_RATIO, from one
-    stacked SVD.
+    stacked SVD.  A stalled endpoint within _CLUSTER_RADIUS of no other
+    endpoint of the chart counts as a failed path.
     """
-    finite, at_infinity, failed = run
-    lifted, kept = [], []
-    for endpoint in finite:
+    finite, stalled, at_infinity, failed = run
+    lifted, kept, converged = [], [], []
+    for endpoint, stall in zip(finite, stalled):
         point = _lift_from_chart(endpoint, chart)
         norm = np.linalg.norm(point)
         if norm > _DIVERGENCE_THRESHOLD or norm == 0:
@@ -745,12 +762,22 @@ def _finish_chart(run, chart, k: int, target: _Compiled, degrees, filters: _Comp
             continue
         lifted.append(CPoint.projective(point).coordinates)
         kept.append(endpoint)
+        converged.append(not stall)
     lifted = np.array(lifted, dtype=np.complex128).reshape(-1, len(chart[0]))
+    converged = np.array(converged, dtype=bool)
+    # A stalled endpoint stands for a multiple root, which more than one
+    # path of the chart reaches; one that no other endpoint meets (say, a
+    # point it wandered to on a positive-dimensional component) fails.
+    lone = ~converged & (_close(lifted, lifted).sum(axis=1) == 1)
+    if lone.any():
+        failed += int(lone.sum())
+        lifted, converged = lifted[~lone], converged[~lone]
+        kept = [endpoint for endpoint, drop in zip(kept, lone) if not drop]
     nonsingular = np.ones(0, dtype=bool)
     if kept:
         _, jacobians = target.value_and_jacobian(np.array(kept), np.full(len(kept), k))
         sigma = np.linalg.svd(jacobians, compute_uv=False)
-        nonsingular = sigma[:, -1] > _SIGMA_RATIO * sigma[:, 0]
+        nonsingular = converged & (sigma[:, -1] > _SIGMA_RATIO * sigma[:, 0])
     survivors, discarded, mismatch = _certify(lifted, filters, filter_polys)
     report = {
         "chart": [str(c) for c in chart[0]],
@@ -782,11 +809,14 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
 
     (A) completeness: the lifted finite endpoints of both charts, before
         filtering, deduplicated within _CLUSTER_RADIUS, number exactly
-        prod(degrees), and at each of them the chart target's Jacobian has
+        prod(degrees), and each of them is nonsingular: its polish
+        converged, and the chart target's Jacobian there has
         sigma_min / sigma_max above _SIGMA_RATIO.  By the refined Bezout
         theorem (Fulton, Intersection Theory, 12.3) a positive-dimensional
         component of the square system would take at least 1 from the
-        Bezout number, so these points are all of its solutions;
+        Bezout number, so these points are all of its solutions, each of
+        multiplicity 1, and every reported cluster says so, also where two
+        paths of one chart jumped onto the same root;
     (B) membership: every survivor of either chart has relative filter
         residual (_certify) at most _RESIDUAL_TOL, and no rational
         reconstruction is a mismatch.
@@ -824,9 +854,12 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
     lifted = np.concatenate([lifted1, lifted2])
     distinct = int((~np.triu(_close(lifted, lifted), 1).any(axis=0)).sum())
     singular = int((~np.concatenate([nonsingular1, nonsingular2])).sum())
+    complete = distinct == bezout and not singular
     residual = max((c.residual for c in surv1 + surv2), default=0.0)
     mismatch = report1["rational_mismatch"] or report2["rational_mismatch"]
-    certified = distinct == bezout and not singular and residual <= _RESIDUAL_TOL and not mismatch
+    certified = complete and residual <= _RESIDUAL_TOL and not mismatch
+    if complete:
+        merged = [replace(c, multiplicity=1) for c in merged]
     notes = ()
     if not certified:
         notes = (

@@ -48,6 +48,21 @@ def test_tangential_intersection_reports_double_points_uncertified():
         assert any(c.multiplicity == 2 for c in result.clusters)
 
 
+def test_a_stalled_endpoint_counts_as_singular_and_fails_alone():
+    # the four simple roots of two circles, with three of them marked as
+    # ends of a stalled polish: two of those meet, the third is alone
+    polys = [parse_poly(text, nvars=3) for text in ("x0^2 - x2^2", "x1^2 - x2^2")]
+    chart = ((Fraction(1), Fraction(2), Fraction(4)), 2)
+    target = solve._Compiled([solve._unit_row(p) for p in solve._chart_substitute(polys, chart)])
+    (finite, stalled, _, _), = solve._track_charts(target, [2, 2], 1, random.Random(0))
+    assert len(finite) == 4 and not any(stalled)
+    run = ([finite[0], finite[0], finite[1], finite[2]], [True, True, False, True], 0, 0)
+    filters = solve._Compiled([solve._unit_row(p) for p in polys])
+    _, report, lifted, nonsingular = solve._finish_chart(run, chart, 0, target, [2, 2], filters, polys)
+    assert report["paths_failed"] == 1 and len(lifted) == 3
+    assert nonsingular.tolist() == [False, False, True]
+
+
 def test_generic_quadric_pair_has_four_accurate_solutions():
     rng = random.Random(12)
     for _ in range(5):
@@ -204,15 +219,43 @@ def test_rescaling_every_quadric_keeps_the_certified_six_points(factor):
     assert result.count() == 6
 
 
-def test_a_path_jump_in_one_chart_still_certifies():
-    # Trial 13 of `sweep_trials([4], 100, 12)` (trial seed 921463033): the
-    # two charts' endpoints are 8 distinct nonsingular points together.
+def _path_jump_trial():
+    """Trial 13 of `sweep_trials([4], 100, 12)` (trial seed 921463033): two
+    paths of chart 2 end on one base point, and the two charts' endpoints
+    are 8 distinct nonsingular points together."""
     master = random.Random(12)
     for _ in range(14):
         trial_seed = master.randrange(2**30)
         _, system, _ = loci.sample_general_cyclic(4, rng=master)
     assert trial_seed == 921463033
-    result = solve.base_points(system, SolveConfig(seed=trial_seed))
+    return solve.base_points(system, SolveConfig(seed=trial_seed))
+
+
+def _swap_first_two_calls(monkeypatch, name):
+    """Make solve.<name> return its second result first and its first
+    second, drawing both on the first call, so the rng is read as before."""
+    original = getattr(solve, name)
+    held = []
+    calls = itertools.count()
+
+    def swapped(*args):
+        call = next(calls)
+        if call == 0:
+            held.append(original(*args))
+            return original(*args)
+        return held.pop() if call == 1 else original(*args)
+
+    monkeypatch.setattr(solve, name, swapped)
+
+
+@pytest.mark.parametrize("jumping_chart", [2, 1])
+def test_a_path_jump_in_one_chart_still_certifies(monkeypatch, jumping_chart):
+    if jumping_chart == 1:  # the same two charts and start systems, in the other order
+        _swap_first_two_calls(monkeypatch, "_random_chart")
+        _swap_first_two_calls(monkeypatch, "_draw_start")
+    result = _path_jump_trial()
+    clusters = [r["survivors"] + r["discarded_clusters"] for r in result.chart_reports]
+    assert clusters[jumping_chart - 1] == 7 and clusters[2 - jumping_chart] == 8
     assert result.certified
     assert result.count() == 5 == solve.jacobsthal(4)
     assert all(c.multiplicity == 1 for c in result.clusters)
@@ -514,14 +557,15 @@ def test_one_row_stack_steps_exactly_as_its_row_of_the_full_stack():
     ok, stepped, error = step(everything)
     assert ok.tolist()[:2] == [False, False] and ok[3:].all()
     assert np.array_equal(stepped[0], x[0]) and error[0] == error[1] == np.inf
-    converged, polished, first = newton(everything)
+    converged, polished, first, stalled = newton(everything)
     assert not converged[:3].any() and np.isinf(first[:3]).all() and np.isfinite(first[3:]).all()
+    assert not stalled[:3].any()
     for p in range(len(x)):
         alone = step(slice(p, p + 1))
         assert (alone[0][0], alone[2][0]) == (ok[p], error[p])
         assert np.array_equal(alone[1][0], stepped[p], equal_nan=True)
         alone = newton(slice(p, p + 1))
-        assert (alone[0][0], alone[2][0]) == (converged[p], first[p])
+        assert (alone[0][0], alone[2][0], alone[3][0]) == (converged[p], first[p], stalled[p])
         assert np.array_equal(alone[1][0], polished[p], equal_nan=True)
 
 
@@ -530,7 +574,7 @@ def test_newton_stops_on_a_predicted_step_only_after_a_halving():
     convergence predicts 1e-14 / 1e-3 = 1e-11 next, so it stops after two
     steps.  Row 1 steps 1.5e-10, 1.2e-10, 1.1e-10: its prediction
     1.2e-10^2 / 1.5e-10 = 9.6e-11 is below tol, but the step did not halve,
-    so it runs all three steps unconverged."""
+    so it runs all three steps unconverged: stalled."""
     steps = np.array([[1e-3, 1e-7, 1e-9], [1.5e-10, 1.2e-10, 1.1e-10]])
     calls = []
 
@@ -538,9 +582,10 @@ def test_newton_stops_on_a_predicted_step_only_after_a_halving():
         calls.append(rows.tolist())
         return steps[rows, len(calls) - 1, np.newaxis].astype(complex), np.ones((len(rows), 1, 1))
 
-    converged, x, first = solve._newton(system, np.full((2, 1), 0.5 + 0j), 1e-10, 3)
+    converged, x, first, stalled = solve._newton(system, np.full((2, 1), 0.5 + 0j), 1e-10, 3)
     assert calls == [[0, 1], [0, 1], [1]]
     assert converged.tolist() == [True, False]
+    assert stalled.tolist() == [False, True]
     assert x[0, 0] == 0.5 - 1e-3 - 1e-7 and x[1, 0] == 0.5 - 1.5e-10 - 1.2e-10 - 1.1e-10
     assert first.tolist() == [1e-3, 1.5e-10]
 

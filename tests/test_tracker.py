@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from weddle import fixtures, loci, solve
+from weddle.polycore import parse_poly
 
 
 # ---- the scalar reference ----
@@ -132,7 +133,7 @@ def _polish(target, x):
         if _converged(k, size, previous, 1e-13, max(1.0, np.linalg.norm(x))):
             return x, True
         previous = size
-    return x, False
+    return x, None  # stalled: every iteration taken without converging
 
 
 def _step_factor(error):
@@ -170,8 +171,10 @@ def _track_path(hom, start_point):
     if endgame_norm is not None and norm > 32.0 * endgame_norm and norm > 100.0:
         return "at_infinity", x
     polished, converged = _polish(hom.target, x)
+    jump = float(np.linalg.norm(polished - x))
+    if converged is None and jump <= solve._CLUSTER_RADIUS * max(1.0, norm):
+        return "stalled", polished
     if converged:
-        jump = float(np.linalg.norm(polished - x))
         if jump <= 0.05 * max(1.0, norm):
             return "finite", polished
         return ("at_infinity", x) if norm > 100.0 else ("failed", x)
@@ -290,9 +293,19 @@ def test_lockstep_matches_reference_on_degenerate_conics(monkeypatch):
     assert any(_meets_itself(statuses, endpoints) for _, _, statuses, endpoints in calls)
 
 
+def test_lockstep_matches_reference_where_the_polish_stalls(monkeypatch):
+    # the conics touch at two double points, where Newton converges only
+    # linearly and the polish stalls
+    polys = [parse_poly(text, nvars=3) for text in ("x0^2 + x1^2 - 2*x2^2", "x0*x1 - x2^2")]
+    calls = _recorded_homotopies(
+        monkeypatch, lambda: solve._projective_solve(polys, [2, 2], random.Random(0))
+    )
+    assert "stalled" in _assert_matches_reference(calls)
+
+
 def _meets_itself(statuses, endpoints):
     """Whether two finite endpoints coincide (a double point)."""
-    finite = [x for status, x in zip(statuses, endpoints) if status == "finite"]
+    finite = [x for status, x in zip(statuses, endpoints) if status in ("finite", "stalled")]
     return any(
         np.linalg.norm(a - b) < 1e-6 for i, a in enumerate(finite) for b in finite[i + 1 :]
     )
