@@ -11,7 +11,9 @@ The two hot kernels, PolyMatrix.det (Weddle loci) and MultiPoly.compose
 (chart substitution before every numeric solve), do not use this
 representation inside: they clear denominators, pack every monomial into
 one int and expand over the integers, building a MultiPoly only for the
-result.
+result.  compose works on dicts of packed monomials; det works on integer
+arrays of minors, int64 when a bound on every coefficient it can reach
+proves that safe and Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 Rat = Fraction
 Monomial = tuple
@@ -170,7 +176,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._canonical(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -198,10 +204,11 @@ class MultiPoly:
         return self.scale(other)
 
     def scale(self, value) -> "MultiPoly":
+        """Multiply by a rational; a nonzero factor keeps the terms canonical."""
         c = as_rat(value)
         if c == 0:
             return MultiPoly(self.nvars)
-        return MultiPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return MultiPoly._canonical(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -335,10 +342,8 @@ class MultiPoly:
         coefficient is positive.  Zero maps to zero."""
         if not self.terms:
             return self
-        scaled = self.scale(1 / self.content())
-        if scaled.leading_coefficient() < 0:
-            scaled = -scaled
-        return scaled
+        content = self.content()
+        return self.scale(1 / content if self.leading_coefficient() > 0 else -1 / content)
 
     def proportional(self, other: "MultiPoly") -> bool:
         """True when the two polynomials agree up to a nonzero scalar."""
@@ -553,11 +558,13 @@ def projectively_equal(p: Sequence, q: Sequence) -> bool:
 
 # ---- packed integer polynomials ----
 #
-# The exact kernels (MultiPoly.compose, PolyMatrix.det) work on dicts from a
-# packed monomial to an int coefficient: variable i takes the bits from
-# i*width, where width is the bit length of a bound on every exponent the
-# kernel can reach, so a product of monomials is one int addition that
-# never carries into the next field.
+# The exact kernels pack a monomial into one int: variable i takes the bits
+# from i*width, where width is the bit length of a bound on every exponent
+# the kernel can reach, so a product of monomials is one int addition that
+# never carries into the next field.  MultiPoly.compose works on dicts from
+# a packed monomial to an int coefficient, built by the helpers below.
+# PolyMatrix.det keeps the packed monomials it reaches in a sorted array
+# and the coefficients of its minors in a 2-D integer array over them.
 
 
 def _denominator_lcm(polys: Sequence[MultiPoly]) -> int:
@@ -598,6 +605,29 @@ def _unpacked(nvars: int, width: int, terms: dict, denominator: int) -> MultiPol
 # ---- matrices of polynomials ----
 
 MAX_DET_SIZE = 8
+
+
+@lru_cache(maxsize=None)
+def _laplace_step(n: int, k: int) -> tuple:
+    """Index tables for extending the k-row minors of an n-column matrix by
+    row k, with the column subsets in lexicographic order.
+
+    subsets[s, j] is the index of the k-subset left when the j-th smallest
+    column is removed from the (k+1)-subset s, columns[s, j] is that
+    column, and signs[j] is the Laplace sign (-1)^(k+j) of row k at
+    position j, shaped to broadcast over the entry monomials.  The cached
+    tables are shared by every call, so they are read-only.
+    """
+    before = {cols: i for i, cols in enumerate(combinations(range(n), k))}
+    after = list(combinations(range(n), k + 1))
+    subsets = np.array(
+        [[before[cols[:j] + cols[j + 1:]] for j in range(k + 1)] for cols in after], np.intp
+    )
+    signs = np.array([[(-1) ** (k + j)] for j in range(k + 1)])
+    tables = (subsets, np.array(after, np.intp), signs)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 class PolyMatrix:
@@ -642,50 +672,81 @@ class PolyMatrix:
     def det(self) -> MultiPoly:
         """Division-free cofactor expansion, exact over the integers.
 
-        Each row is multiplied by the lcm of its coefficient denominators
-        and packed (see _packed), with fields as wide as the bit length of
-        the determinant's degree bound: the sum over rows of the row's
-        largest entry degree.  The minors of the first k rows are memoized
-        by their column subsets as packed integer dicts, built row by row.
-        The result is unpacked once and divided by the product of the row
-        lcms.  Sizes above MAX_DET_SIZE are refused rather than silently
-        taking forever.
+        Each row is multiplied by the lcm of its coefficient denominators,
+        and its monomials are packed (see the packed integer polynomials
+        above) with fields as wide as the bit length of the determinant's
+        degree bound: the sum over rows of the row's largest entry degree.
+        The minors of the first k rows are one 2-D integer array, with a
+        row per k-subset of the columns and a column per packed monomial
+        they can reach (the basis, sorted).  Row k is one batched matrix
+        product (see _laplace_step): for each (k+1)-subset and each
+        monomial of row k, the signed coefficients of that monomial on the
+        subset's k+1 columns times the minors of the k-subsets left when
+        one of those columns is removed.  Each monomial's products are
+        added into the next basis where that monomial shifts the old one
+        (np.searchsorted finds where, np.add.at adds).  The last minor is
+        unpacked once and divided by the product of the row lcms.
+
+        Overflow: each coefficient of a minor, and each partial sum that
+        builds one, is at most the product over its rows of the row's l1
+        norm (the sum of the absolute values of all its scaled
+        coefficients), because the l1 norm of a product of polynomials is
+        at most the product of their l1 norms.  So the arrays are int64
+        when the product of all the row l1 norms is below 2^63 and every
+        packed monomial fits in 63 bits, and hold Python ints (dtype
+        object) otherwise.  A zero row gives zero at once.  Sizes above MAX_DET_SIZE are
+        refused rather than silently taking forever.
         """
         n = self.size
         if n > MAX_DET_SIZE:
             raise ValueError(f"determinant limited to size {MAX_DET_SIZE}")
-        bound = sum(max(0, *(e.total_degree() for e in row)) for row in self.entries)
-        width = bound.bit_length()
+        bound = 0
+        norm = 1
         denominator = 1
         rows = []
         for row in self.entries:
             lcm = _denominator_lcm(row)
+            index: dict = {}  # monomial -> its column in the row's table
+            cells = []  # (entry column, monomial column, scaled coefficient)
+            for col, entry in enumerate(row):
+                for mono, c in entry.terms.items():
+                    d = index.setdefault(mono, len(index))
+                    cells.append((col, d, c.numerator * (lcm // c.denominator)))
+            if not cells:
+                return MultiPoly(self.nvars)  # a zero row
+            bound += max(sum(mono) for mono in index)
+            norm *= sum(abs(value) for _, _, value in cells)
             denominator *= lcm
-            packed = (_packed(e, width, lcm) for e in row)
-            rows.append([
-                (col, (entry, {m: -c for m, c in entry.items()}))
-                for col, entry in enumerate(packed)
-                if entry
-            ])
+            rows.append((list(index), cells))
+        width = bound.bit_length()
+        offsets = [width * i for i in range(self.nvars)]
+        dtype = np.int64 if norm < 2**63 and self.nvars * width <= 63 else object
 
-        # minors[mask]: the minor of the rows so far on the columns in mask.
-        minors = {0: {0: 1}}
-        for row, entries in enumerate(rows):
-            extended: dict = {}
-            for mask, minor in minors.items():
-                for col, signed in entries:
-                    bit = 1 << col
-                    if mask & bit:
-                        continue
-                    # Laplace sign of (row, col) in the extended minor.
-                    negate = (row + (mask & (bit - 1)).bit_count()) % 2
-                    _add_product(extended.setdefault(mask | bit, {}), signed[negate], minor)
-            minors = {}
-            for mask, total in extended.items():
-                kept = {m: c for m, c in total.items() if c}
-                if kept:
-                    minors[mask] = kept
-        return _unpacked(self.nvars, width, minors.get((1 << n) - 1, {}), denominator)
+        minors = np.ones((1, 1), dtype)
+        basis = np.zeros(1, dtype)
+        for k, (monomials, cells) in enumerate(rows):
+            table = np.zeros((n, len(monomials)), dtype)
+            for col, d, value in cells:
+                table[col, d] = value
+            subsets, columns, signs = _laplace_step(n, k)
+            # products[s, d]: the Laplace sum over the columns of subset s of
+            # row k's coefficient of monomial d times the old minors.
+            products = (table[columns] * signs).transpose(0, 2, 1) @ minors[subsets]
+            keys = [sum(e << offset for e, offset in zip(mono, offsets)) for mono in monomials]
+            shifted = np.array(keys, dtype).reshape(-1, 1) + basis
+            # Sorted and deduplicated by hand: np.unique's hash table costs
+            # about a megabyte of resident memory on first use.
+            flat = np.sort(shifted, axis=None)
+            basis = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+            minors = np.zeros((len(subsets), len(basis)), dtype)
+            np.add.at(minors, (slice(None), np.searchsorted(basis, shifted)), products)
+
+        exponents = (basis.reshape(-1, 1) >> np.array(offsets, dtype)) & ((1 << width) - 1)
+        return MultiPoly._canonical(self.nvars, {
+            tuple(mono): Fraction(c, denominator)
+            for mono, c in zip(exponents.tolist(), minors[0].tolist())
+            if c
+        })
 
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

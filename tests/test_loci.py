@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from weddle import fixtures, linalg, loci, solve, tensor
 from weddle.loci import LinearSystem
 from weddle.polycore import MultiPoly, parse_poly
-from test_polycore import reference_det
+from test_polycore import reference_det, row_l1_product
 
 
 def _random_system(dim, rng):
@@ -106,6 +106,24 @@ def test_dim7_weddle_polynomial_at_integer_points_within_budget():
     ratios = set()
     for _ in range(3):
         point = [points.randint(-20, 20) for _ in range(7)]
+        value = linalg.det([[e.evaluate(point) for e in row] for row in data.matrix.entries])
+        assert value != 0
+        ratios.add(value / data.polynomial.evaluate(point))
+    assert len(ratios) == 1
+
+
+@pytest.mark.parametrize("dim", [6, 7, 8])
+def test_weddle_polynomial_agrees_with_scalar_determinants_up_to_the_size_limit(dim):
+    # Dim 8 is MAX_DET_SIZE, and its row l1 norms multiply past 2^63: that
+    # determinant runs on Python ints.
+    system = _random_system(dim, random.Random(800 + dim))
+    data = loci.weddle_matrix(system)
+    assert (row_l1_product(data.matrix) < 2**63) == (dim < 8)
+    assert data.polynomial.is_homogeneous(dim)
+    points = random.Random(dim)
+    ratios = set()
+    for _ in range(3):
+        point = [Fraction(points.randint(-9, 9), points.randint(1, 5)) for _ in range(dim)]
         value = linalg.det([[e.evaluate(point) for e in row] for row in data.matrix.entries])
         assert value != 0
         ratios.add(value / data.polynomial.evaluate(point))

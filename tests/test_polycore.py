@@ -6,6 +6,7 @@ below are the MultiPoly-arithmetic loops they replaced; each pair must give
 the same polynomial.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -268,8 +269,9 @@ _monomials = st.lists(st.integers(0, 2), max_size=3).map(
 
 def _entries(denominator):
     """Non-homogeneous entries whose coefficients share one denominator,
-    or zero (one draw in six)."""
-    coefficients = st.integers(-6, 6).filter(bool)
+    or zero (one draw in six).  Coefficients are small, or up to 2^40 in
+    size, which puts the determinant on Python ints."""
+    coefficients = st.one_of(st.integers(-6, 6), st.integers(-(2**40), 2**40)).filter(bool)
     terms = st.lists(st.tuples(_monomials, coefficients), min_size=1, max_size=3)
     nonzero = terms.map(
         lambda ts: sum(
@@ -315,6 +317,47 @@ def test_determinant_exponents_wider_than_four_bits():
     )
     assert m.det() == parse_poly("x0^27 + x1^4*x2^2", nvars=3)
     assert m.det() == reference_det(m)
+
+
+def row_l1_product(matrix):
+    """The product of the rows' l1 norms, each row's coefficients scaled by
+    the lcm of its denominators: below 2^63 the determinant of a matrix
+    with no zero row runs on int64, otherwise on Python ints."""
+    product = 1
+    for row in matrix.entries:
+        coeffs = [c for e in row for c in e.terms.values()]
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        product *= sum(abs(c.numerator) * (lcm // c.denominator) for c in coeffs)
+    return product
+
+
+_TWO31 = 2**31
+
+
+@pytest.mark.parametrize("rows, below", [
+    # Row norms 2^31 and 2^32 - 1: int64, with a coefficient near 2^63.
+    ([[f"{_TWO31 - 1}*x0", "x1"], ["x2", f"{2 * _TWO31 - 2}*x0"]], True),
+    # The product is exactly 2^63 once the 1/3 is cleared, and so is the
+    # cleared coefficient of x0*x1.
+    ([[f"{_TWO31}/3*x0", "0"], ["0", f"{2 * _TWO31}*x1"]], False),
+    ([[f"{_TWO31}*x0", "1"], ["1", f"{2 * _TWO31}*x1"]], False),
+    ([[f"{2**21}*x0", "0", "0"], ["0", f"{2**21}*x1", "0"], ["0", "0", f"{2**21}*x2"]], False),
+])
+def test_determinant_on_either_side_of_the_int64_bound(rows, below):
+    m = PolyMatrix(3, [[parse_poly(s, nvars=3) for s in row] for row in rows])
+    assert (row_l1_product(m) < 2**63) == below
+    det = m.det()
+    assert det == reference_det(m)
+    _assert_canonical(det)
+
+
+def test_determinant_with_packed_monomials_wider_than_63_bits():
+    # 40 variables with 2-bit fields need 80 bits per packed monomial.
+    x = [MultiPoly.variable(40, i) for i in range(40)]
+    m = PolyMatrix(40, [[x[0], x[39], x[7]], [x[21], x[2] + x[3], x[0]], [x[5], x[30], x[39]]])
+    det = m.det()
+    assert det == reference_det(m)
+    _assert_canonical(det)
 
 
 def test_determinant_above_the_size_limit_is_refused():
