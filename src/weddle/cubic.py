@@ -1,5 +1,5 @@
-"""Plane-cubic analytics: Hessians, smoothness via certified singular
-counts, Weierstrass reduction through a flex, and the j-invariant.
+"""Plane-cubic analytics: Hessians, Weierstrass reduction through a flex,
+and the j-invariant.
 
 The reduction has one route, exact wherever it can be: locate a small
 rational flex, move it to [0:0:1] with its tangent line to {z0 = 0} by an
@@ -51,18 +51,6 @@ def hessian(f: MultiPoly) -> PolyMatrix:
         raise ValueError("expected a homogeneous cubic")
     nv = f.nvars
     return PolyMatrix(nv, [[f.diff(i).diff(j) for j in range(nv)] for i in range(nv)])
-
-
-def is_smooth_cubic(f: MultiPoly, config: Optional[solve.SolveConfig] = None) -> bool:
-    """True iff the certified singular-point count of {f = 0} is zero."""
-    if f.nvars != 3 or not f.is_homogeneous(3) or f.is_zero():
-        raise ValueError("expected a nonzero ternary homogeneous cubic")
-    result = solve.singular_points(f, config)
-    if not result.certified:
-        raise solve.UncertifiedSolveError(
-            "smoothness is indeterminate: singular-point count not certified"
-        )
-    return result.count() == 0
 
 
 # ---- rational flexes ----

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import cubic, linalg, solve
+from . import linalg, solve
 from .polycore import MultiPoly, PolyMatrix, as_int, as_rat, divides, linear_form
 
 
@@ -106,13 +106,6 @@ class LinearSystem:
         from .tensor import Tensor3
 
         return Tensor3(self.quadrics)
-
-    @classmethod
-    def from_polys(cls, polys: Sequence[MultiPoly]) -> "LinearSystem":
-        if not polys:
-            raise ValueError("empty system")
-        n = polys[0].nvars - 1
-        return cls(n, [poly_to_quadric(p) for p in polys])
 
     def quadric_polys(self) -> list:
         return [quadric_to_poly(q) for q in self.quadrics]
@@ -421,19 +414,6 @@ def splits_into_hyperplanes(poly: MultiPoly, singular_points: Sequence[Sequence]
     return None
 
 
-# ---- Hessians of cubics are Weddle matrices ----
-
-def hessian_equals_weddle_check(poly: MultiPoly) -> bool:
-    """For a cubic f, the system of its partial derivatives has a Weddle
-    matrix equal to half the Hessian of f.  Verified exactly."""
-    if not poly.is_homogeneous(3):
-        raise ValueError("expected a homogeneous cubic")
-    nv = poly.nvars
-    partials = poly.gradient()
-    system = LinearSystem(nv - 1, [poly_to_quadric(p) for p in partials])
-    return weddle_matrix(system).matrix.scale(2) == cubic.hessian(poly)
-
-
 # ---- rank lower bounds from singular point counts ----
 
 class RankConclusion(Enum):
@@ -470,59 +450,23 @@ def rank_lower_bound_certificate(system: LinearSystem, config=None) -> RankCerti
 # ---- sampling helpers ----
 
 _SAMPLE_DRAWS = 16
-_WITNESS_HEIGHT = 2**16
-
-
-def _weddle_witness(system: LinearSystem) -> Optional[tuple]:
-    """An integer point where the Weddle polynomial is nonzero, or None when
-    the polynomial is identically zero.
-
-    The contraction matrix is evaluated at integer points of height up to
-    _WITNESS_HEIGHT and its determinant taken exactly; a nonzero value
-    proves the polynomial nonzero, and a nonzero polynomial of degree n+1
-    vanishes at a random such point with probability at most
-    (n+1) / (2 * _WITNESS_HEIGHT + 1) (Schwartz-Zippel).  Points come from
-    a fixed generator keyed by the dimension, so the witness depends only
-    on the system.  Only a zero at the first point falls back to the
-    symbolic determinant; when that is nonzero, further points are drawn
-    until one witnesses it.
-    """
-    nv = system.n + 1
-    points = random.Random(nv)
-    contraction = contraction_matrix(system)
-
-    def draw() -> tuple:
-        return tuple(points.randint(-_WITNESS_HEIGHT, _WITNESS_HEIGHT) for _ in range(nv))
-
-    def determinant(point) -> Fraction:
-        return linalg.det([[entry.evaluate(point) for entry in row] for row in contraction.entries])
-
-    witness = draw()
-    if determinant(witness) == 0:
-        if weddle_matrix(system).degenerate:
-            return None
-        while determinant(witness) == 0:
-            witness = draw()
-    return witness
 
 
 def sample_general_cyclic(dim: int, rng: random.Random):
     """Draw random cyclic tensors until the Weddle polynomial is nonzero.
 
-    Returns (tensor, system, witness), with witness an integer point where
-    the Weddle polynomial is nonzero (_weddle_witness).  The witness is not
-    drawn from rng, so the tensors drawn are those of a symbolic
-    nondegeneracy test.  Raises RuntimeError after _SAMPLE_DRAWS
-    consecutive degenerate draws.
+    Returns (tensor, system, weddle_data), weddle_data being the sample's
+    weddle_matrix.  Raises RuntimeError after _SAMPLE_DRAWS consecutive
+    degenerate draws.
     """
     from .tensor import random_n1
 
     for _ in range(_SAMPLE_DRAWS):
         t = random_n1(dim, rng=rng)
         system = LinearSystem.from_tensor(t)
-        witness = _weddle_witness(system)
-        if witness is not None:
-            return t, system, witness
+        data = weddle_matrix(system)
+        if not data.degenerate:
+            return t, system, data
     raise RuntimeError(f"no nondegenerate sample found in {_SAMPLE_DRAWS} draws")
 
 

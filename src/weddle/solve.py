@@ -26,8 +26,11 @@ table of monomial values, one gather from one stacked coefficient array,
 and one batched matvec give value and Jacobian, and each stage returns
 only what its caller uses.  Each output entry is the dot product a path
 tracked alone forms, so a path's floats do not depend on its stack.
-One routine (_certify) clusters, residual-filters and rationally
-cross-checks a chart's endpoints.  A solve is certified by one rule:
+One pass (_finish) lifts each chart's finite endpoints as one array
+(_lift), marks by masks those at infinity, stalled alone or nonsingular,
+and hands the rest to one routine (_certify) that clusters,
+residual-filters and rationally cross-checks them.  A solve is certified
+by one rule:
 (A) the finite endpoints of both charts are exactly Bezout-many distinct
 points, each nonsingular for the square system (by the refined Bezout
 theorem this proves the square system finite and completely solved), and
@@ -100,27 +103,10 @@ _POLISH_ITERATIONS = 50
 
 @dataclass(frozen=True)
 class CPoint:
-    """A point with complex double coordinates.
-
-    Projective representatives are normalized to unit Euclidean norm with
-    the first coordinate of magnitude above a small tolerance rotated to
-    the positive real axis, which makes them unique up to that tolerance.
-    """
+    """A point with complex double coordinates; a projective one is
+    normalized as _lift normalizes it."""
 
     coordinates: tuple
-
-    @classmethod
-    def projective(cls, coords: Sequence[complex]) -> "CPoint":
-        v = np.asarray(coords, dtype=np.complex128)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("projective point must be nonzero")
-        v = v / norm
-        for c in v:
-            if abs(c) > _PHASE_TOL:
-                v = v * (c.conjugate() / abs(c))
-                break
-        return cls(tuple(complex(x) for x in v))
 
     def sort_key(self) -> tuple:
         return tuple((round(c.real, 9), round(c.imag, 9)) for c in self.coordinates)
@@ -548,11 +534,11 @@ def _draw_start(degrees: Sequence[int], rng: random.Random):
     return list(itertools.product(*axes)), roots, gamma
 
 
-def _track_charts(target: _Compiled, degrees, charts: int, rng: random.Random) -> list:
+def _track_charts(target: _Compiled, degrees, charts: int, rng: random.Random):
     """Track every chart of target in one lockstep stack, each from its own
     random start system and gamma (_draw_start), drawn once in chart
-    order.  Returns, per chart, (finite endpoints, which of them stalled,
-    at_infinity, failed)."""
+    order.  Returns _track_paths's (statuses, endpoints), chart k's
+    prod(degrees) paths following chart k - 1's."""
     size = math.prod(degrees)
     starts, roots, gammas = zip(*(_draw_start(degrees, rng) for _ in range(charts)))
     hom = _Homotopy(
@@ -562,14 +548,7 @@ def _track_charts(target: _Compiled, degrees, charts: int, rng: random.Random) -
         np.repeat(roots, size, axis=0),
         np.repeat(gammas, size),
     )
-    statuses, endpoints = _track_paths(hom, np.concatenate(starts))
-    runs = []
-    for k in range(charts):
-        run, ends = statuses[k * size : (k + 1) * size], endpoints[k * size : (k + 1) * size]
-        finite = [i for i, status in enumerate(run) if status in ("finite", "stalled")]
-        stalled = [run[i] == "stalled" for i in finite]
-        runs.append(([ends[i] for i in finite], stalled, run.count("at_infinity"), run.count("failed")))
-    return runs
+    return _track_paths(hom, np.concatenate(starts))
 
 
 def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
@@ -724,74 +703,84 @@ def _unit_row(poly: MultiPoly) -> MultiPoly:
     return poly.scale(1 / max(abs(c) for c in poly.terms.values()))
 
 
-def _lift_from_chart(y: np.ndarray, chart) -> np.ndarray:
-    coeffs, pivot = chart
-    nv = len(coeffs)
-    x = np.zeros(nv, dtype=np.complex128)
-    j = 0
-    for i in range(nv):
-        if i == pivot:
-            continue
-        x[i] = y[j]
-        j += 1
-    partial = sum(complex(coeffs[i]) * x[i] for i in range(nv) if i != pivot)
-    x[pivot] = (1.0 - partial) / complex(coeffs[pivot])
-    return x
+def _lift(y: np.ndarray, chart):
+    """(norms, points): each row of chart coordinates y lifted to the
+    chart's hyperplane sum a_i x_i = 1, its Euclidean norm there, and the
+    lift normalized to unit norm with its first coordinate of magnitude
+    above _PHASE_TOL rotated to the positive real axis, which makes a
+    projective point's representative unique up to that tolerance.
 
-
-def _finish_chart(run, chart, k: int, target: _Compiled, degrees, filters: _Compiled, filter_polys):
-    """Lift chart k's run (as _track_charts returns it) and certify the
-    survivors on filter_polys (_certify).
-
-    Returns (survivors, report, lifted, nonsingular): lifted holds
-    every finite endpoint's normalized lift before clustering and
-    filtering, one row each, and nonsingular whether its polish converged
-    (a stalled one sits at a multiple root, where the Jacobian can vanish
-    altogether and the ratio below says nothing) and the chart target's
-    Jacobian there has sigma_min / sigma_max above _SIGMA_RATIO, from one
-    stacked SVD.  A stalled endpoint within _CLUSTER_RADIUS of no other
-    endpoint of the chart counts as a failed path.
+    Each row comes out bit for bit as lifting and normalizing that point
+    alone in scalar arithmetic gives it: the pivot's partial sum is taken
+    column by column in index order, norms come from _norms, and
+    magnitudes from np.hypot, which rounds as the scalar abs does (array
+    np.abs can differ in the last bit).  No lift is zero, since it lies on
+    the hyperplane.
     """
-    finite, stalled, at_infinity, failed = run
-    lifted, kept, converged = [], [], []
-    for endpoint, stall in zip(finite, stalled):
-        point = _lift_from_chart(endpoint, chart)
-        norm = np.linalg.norm(point)
-        if norm > _DIVERGENCE_THRESHOLD or norm == 0:
-            at_infinity += 1
-            continue
-        lifted.append(CPoint.projective(point).coordinates)
-        kept.append(endpoint)
-        converged.append(not stall)
-    lifted = np.array(lifted, dtype=np.complex128).reshape(-1, len(chart[0]))
-    converged = np.array(converged, dtype=bool)
-    # A stalled endpoint stands for a multiple root, which more than one
-    # path of the chart reaches; one that no other endpoint meets (say, a
-    # point it wandered to on a positive-dimensional component) fails.
-    lone = ~converged & (_close(lifted, lifted).sum(axis=1) == 1)
-    if lone.any():
-        failed += int(lone.sum())
-        lifted, converged = lifted[~lone], converged[~lone]
-        kept = [endpoint for endpoint, drop in zip(kept, lone) if not drop]
-    nonsingular = np.ones(0, dtype=bool)
-    if kept:
-        _, jacobians = target.value_and_jacobian(np.array(kept), np.full(len(kept), k))
+    coeffs, pivot = chart
+    x = np.insert(y, pivot, 0, axis=1)
+    partial = 0
+    for i, c in enumerate(coeffs):
+        if i != pivot:
+            partial = partial + complex(c) * x[:, i]
+    x[:, pivot] = (1.0 - partial) / complex(coeffs[pivot])
+    norms = _norms(x)
+    x = x / norms[:, np.newaxis]
+    magnitudes = np.hypot(x.real, x.imag)
+    rows, lead = np.arange(len(x)), np.argmax(magnitudes > _PHASE_TOL, axis=1)
+    return norms, x * (x[rows, lead].conj() / magnitudes[rows, lead])[:, np.newaxis]
+
+
+def _finish(statuses, endpoints, charts, target: _Compiled, degrees, filters: _Compiled, filter_polys):
+    """Lift each chart's finite endpoints (from _track_charts's statuses and
+    endpoints) and certify the survivors on filter_polys (_certify).
+
+    Returns (per chart (survivors, report), lifted, nonsingular): lifted
+    stacks every kept finite endpoint's normalized lift (_lift) before
+    clustering and filtering, chart by chart, and nonsingular says of each
+    whether its polish converged (a stalled one sits at a multiple root,
+    where the Jacobian can vanish altogether and the ratio below says
+    nothing) and the chart target's Jacobian there has sigma_min /
+    sigma_max above _SIGMA_RATIO, from one stacked SVD per chart.  A finite
+    endpoint whose lift has norm above _DIVERGENCE_THRESHOLD counts as at
+    infinity, and a stalled one within _CLUSTER_RADIUS of no other kept
+    endpoint of its chart as a failed path.
+    """
+    size = math.prod(degrees)
+    statuses = np.array(statuses)
+    results, lifts, flags = [], [], []
+    for k, chart in enumerate(charts):
+        run, ends = statuses[k * size : (k + 1) * size], endpoints[k * size : (k + 1) * size]
+        finite = (run == "finite") | (run == "stalled")
+        norms, lifted = _lift(ends[finite], chart)
+        near = ~(norms > _DIVERGENCE_THRESHOLD)
+        at_infinity = int((run == "at_infinity").sum() + (~near).sum())
+        lifted, kept, stalled = lifted[near], ends[finite][near], run[finite][near] == "stalled"
+        # A stalled endpoint stands for a multiple root, which more than one
+        # path of the chart reaches; one that no other endpoint meets (say, a
+        # point it wandered to on a positive-dimensional component) fails.
+        lone = stalled & (_close(lifted, lifted).sum(axis=1) == 1)
+        lifted, kept, stalled = lifted[~lone], kept[~lone], stalled[~lone]
+        _, jacobians = target.value_and_jacobian(kept, np.full(len(kept), k))
         sigma = np.linalg.svd(jacobians, compute_uv=False)
-        nonsingular = converged & (sigma[:, -1] > _SIGMA_RATIO * sigma[:, 0])
-    survivors, discarded, mismatch = _certify(lifted, filters, filter_polys)
-    report = {
-        "chart": [str(c) for c in chart[0]],
-        "bezout_bound": math.prod(degrees),
-        "paths_tracked": len(lifted) + at_infinity,
-        "paths_failed": failed,
-        "at_infinity": at_infinity,
-        "attempts": 1,  # each chart is tracked once; perfbench reads this key
-        "survivors": len(survivors),
-        "discarded_clusters": discarded,
-        "rational_mismatch": mismatch,
-    }
-    _check_path_accounting(report["paths_tracked"], report["paths_failed"], report["bezout_bound"])
-    return survivors, report, lifted, nonsingular
+        nonsingular = ~stalled & (sigma[:, -1] > _SIGMA_RATIO * sigma[:, 0])
+        survivors, discarded, mismatch = _certify(lifted, filters, filter_polys)
+        report = {
+            "chart": [str(c) for c in chart[0]],
+            "bezout_bound": size,
+            "paths_tracked": len(lifted) + at_infinity,
+            "paths_failed": int((run == "failed").sum() + lone.sum()),
+            "at_infinity": at_infinity,
+            "attempts": 1,  # each chart is tracked once; perfbench reads this key
+            "survivors": len(survivors),
+            "discarded_clusters": discarded,
+            "rational_mismatch": mismatch,
+        }
+        _check_path_accounting(report["paths_tracked"], report["paths_failed"], size)
+        results.append((survivors, report))
+        lifts.append(lifted)
+        flags.append(nonsingular)
+    return results, np.concatenate(lifts), np.concatenate(flags)
 
 
 def _projective_solve(polys, degrees, rng) -> SolutionSet:
@@ -838,9 +827,9 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
         charts[1] = _random_chart(nvars, rng)
     target = _Compiled(*([_unit_row(p) for p in _chart_substitute(square, c)] for c in charts))
     filters = _Compiled([_unit_row(p) for p in polys if not p.is_zero()])  # a zero partial filters nothing
-    (surv1, report1, lifted1, nonsingular1), (surv2, report2, lifted2, nonsingular2) = (
-        _finish_chart(run, chart, k, target, degrees, filters, polys)
-        for k, (run, chart) in enumerate(zip(_track_charts(target, degrees, len(charts), rng), charts))
+    statuses, endpoints = _track_charts(target, degrees, len(charts), rng)
+    ((surv1, report1), (surv2, report2)), lifted, nonsingular = _finish(
+        statuses, endpoints, charts, target, degrees, filters, polys
     )
 
     def rows(clusters):
@@ -851,9 +840,8 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
     merged.sort(key=lambda c: c.point.sort_key())
 
     bezout = report1["bezout_bound"]
-    lifted = np.concatenate([lifted1, lifted2])
     distinct = int((~np.triu(_close(lifted, lifted), 1).any(axis=0)).sum())
-    singular = int((~np.concatenate([nonsingular1, nonsingular2])).sum())
+    singular = int((~nonsingular).sum())
     complete = distinct == bezout and not singular
     residual = max((c.residual for c in surv1 + surv2), default=0.0)
     mismatch = report1["rational_mismatch"] or report2["rational_mismatch"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weddle import cubic, fixtures, linalg
+from weddle import cubic, fixtures, linalg, solve
 from weddle.cubic import ShortWeierstrass
 from weddle.polycore import MultiPoly, linear_form, parse_poly
 
@@ -84,16 +84,20 @@ def test_hessian_matrix_satisfies_the_euler_type_identity():
 
 # ---- smoothness ----
 
+def _certified_singular_count(f):
+    result = solve.singular_points(f)
+    return result.count() if result.certified else "not certified"
+
+
 def test_smoothness_of_fixture_curves():
-    assert cubic.is_smooth_cubic(fixtures.poly("witness-C1"))
-    assert cubic.is_smooth_cubic(fixtures.poly("witness-C2"))
-    assert not cubic.is_smooth_cubic(parse_poly("x0*x1*x2"))
+    assert _certified_singular_count(fixtures.poly("witness-C1")) == 0
+    assert _certified_singular_count(fixtures.poly("witness-C2")) == 0
+    assert _certified_singular_count(parse_poly("x0*x1*x2")) == 3
     # a nodal cubic: the node is a simple zero of the gradient system
     node = parse_poly("x1^2*x2 - x0^3 - x0^2*x2")
-    assert not cubic.is_smooth_cubic(node)
+    assert _certified_singular_count(node) == 1
     # a cuspidal-type locus is non-reduced, so the count cannot certify
-    with pytest.raises(cubic.solve.UncertifiedSolveError):
-        cubic.is_smooth_cubic(parse_poly("x0^3 + x1^3", nvars=3))
+    assert _certified_singular_count(parse_poly("x0^3 + x1^3", nvars=3)) == "not certified"
 
 
 # ---- exact reduction ----

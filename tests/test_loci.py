@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weddle import fixtures, linalg, loci, solve, tensor
+from weddle import cubic, fixtures, linalg, loci, solve, tensor
 from weddle.loci import LinearSystem
 from weddle.polycore import MultiPoly, parse_poly
 from test_polycore import reference_det, row_l1_product
@@ -248,7 +248,8 @@ def test_recombination_scales_the_weddle_polynomial():
 
 def test_proportional_generators_give_a_degenerate_system():
     q = parse_poly("x0^2 + x1*x2")
-    system = LinearSystem.from_polys([q, q.scale(2), parse_poly("x2^2", nvars=3)])
+    polys = [q, q.scale(2), parse_poly("x2^2", nvars=3)]
+    system = LinearSystem(2, [loci.poly_to_quadric(p) for p in polys])
     assert loci.weddle_matrix(system).degenerate
 
 
@@ -342,7 +343,8 @@ def test_hessian_matrix_is_twice_the_weddle_matrix_of_the_gradient(nvars):
         poly = MultiPoly(nvars, terms)
         if poly.is_zero():
             continue
-        assert loci.hessian_equals_weddle_check(poly)
+        system = LinearSystem(nvars - 1, [loci.poly_to_quadric(p) for p in poly.gradient()])
+        assert loci.weddle_matrix(system).matrix.scale(2) == cubic.hessian(poly)
 
 
 # ---- serialization and sampling ----
@@ -364,36 +366,14 @@ def test_from_tensor_requires_partial_symmetry():
         LinearSystem.from_tensor(t)
 
 
-def _contraction_det_at(system, point):
-    matrix = loci.contraction_matrix(system)
-    return linalg.det([[entry.evaluate(point) for entry in row] for row in matrix.entries])
-
-
 def test_sampling_is_deterministic_and_nondegenerate():
     t1, s1, w1 = loci.sample_general_cyclic(3, rng=random.Random(9))
     t2, s2, w2 = loci.sample_general_cyclic(3, rng=random.Random(9))
     assert t1 == t2
     assert s1 == s2
     assert w1 == w2
-    assert _contraction_det_at(s1, w1) != 0
-    assert not loci.weddle_matrix(s1).degenerate
-
-
-def test_a_zero_at_the_first_witness_point_falls_back_to_the_symbolic_test():
-    # With Q0 = I and Q1 = [[a, b], [b, c]] the Weddle polynomial of the
-    # pencil is b x0^2 + (c - a) x0 x1 - b x1^2; this b and c - a make it
-    # vanish at the first point the witness search draws in P^1, although
-    # it is not identically zero.
-    height = loci._WITNESS_HEIGHT
-    points = random.Random(2)
-    w0, w1 = points.randint(-height, height), points.randint(-height, height)
-    system = LinearSystem(1, [[[1, 0], [0, 1]], [[0, w0 * w1], [w0 * w1, w1**2 - w0**2]]])
-    assert _contraction_det_at(system, (w0, w1)) == 0
-    witness = loci._weddle_witness(system)
-    assert witness != (w0, w1)
-    assert _contraction_det_at(system, witness) != 0
-    proportional = LinearSystem(1, [[[1, 0], [0, 1]], [[2, 0], [0, 2]]])
-    assert loci._weddle_witness(proportional) is None
+    assert w1 == loci.weddle_matrix(s1)
+    assert not w1.degenerate
 
 
 def test_sweep_top_dim_is_the_last_whose_paths_fit_the_cap():
@@ -419,13 +399,12 @@ def test_rank_certificate_on_the_six_point_system():
 def test_rank_certificate_rejects_degenerate_or_misdimensioned_systems():
     with pytest.raises(ValueError):
         loci.rank_lower_bound_certificate(fixtures.system("ex-bpf-conics"))
-    degenerate = LinearSystem.from_polys(
-        [
-            parse_poly("x0*x1", nvars=4),
-            parse_poly("x0*x1", nvars=4).scale(2),
-            parse_poly("x2*x3", nvars=4),
-            parse_poly("x0*x2", nvars=4),
-        ]
-    )
+    polys = [
+        parse_poly("x0*x1", nvars=4),
+        parse_poly("x0*x1", nvars=4).scale(2),
+        parse_poly("x2*x3", nvars=4),
+        parse_poly("x0*x2", nvars=4),
+    ]
+    degenerate = LinearSystem(3, [loci.poly_to_quadric(p) for p in polys])
     with pytest.raises(ValueError):
         loci.rank_lower_bound_certificate(degenerate)

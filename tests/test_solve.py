@@ -54,13 +54,53 @@ def test_a_stalled_endpoint_counts_as_singular_and_fails_alone():
     polys = [parse_poly(text, nvars=3) for text in ("x0^2 - x2^2", "x1^2 - x2^2")]
     chart = ((Fraction(1), Fraction(2), Fraction(4)), 2)
     target = solve._Compiled([solve._unit_row(p) for p in solve._chart_substitute(polys, chart)])
-    (finite, stalled, _, _), = solve._track_charts(target, [2, 2], 1, random.Random(0))
-    assert len(finite) == 4 and not any(stalled)
-    run = ([finite[0], finite[0], finite[1], finite[2]], [True, True, False, True], 0, 0)
+    statuses, finite = solve._track_charts(target, [2, 2], 1, random.Random(0))
+    assert statuses == ["finite"] * 4
+    statuses = ["stalled", "stalled", "finite", "stalled"]
+    endpoints = finite[[0, 0, 1, 2]]
     filters = solve._Compiled([solve._unit_row(p) for p in polys])
-    _, report, lifted, nonsingular = solve._finish_chart(run, chart, 0, target, [2, 2], filters, polys)
+    [(_, report)], lifted, nonsingular = solve._finish(
+        statuses, endpoints, [chart], target, [2, 2], filters, polys
+    )
     assert report["paths_failed"] == 1 and len(lifted) == 3
     assert nonsingular.tolist() == [False, False, True]
+
+
+def _scalar_lift(y, chart):
+    """One chart point's lift and its normalization, one coordinate at a
+    time: the reference that solve._lift must match bit for bit."""
+    coeffs, pivot = chart
+    nv = len(coeffs)
+    x = np.zeros(nv, dtype=np.complex128)
+    j = 0
+    for i in range(nv):
+        if i == pivot:
+            continue
+        x[i] = y[j]
+        j += 1
+    partial = sum(complex(coeffs[i]) * x[i] for i in range(nv) if i != pivot)
+    x[pivot] = (1.0 - partial) / complex(coeffs[pivot])
+    norm = np.linalg.norm(x)
+    v = x / norm
+    for c in v:
+        if abs(c) > solve._PHASE_TOL:
+            v = v * (c.conjugate() / abs(c))
+            break
+    return norm, v
+
+
+@pytest.mark.parametrize("nvars", range(2, 7))
+def test_stacked_lifts_equal_scalar_lifts_bit_for_bit(nvars):
+    rng = random.Random(nvars)
+    gen = np.random.default_rng(nvars)
+    for _ in range(20):
+        chart = solve._random_chart(nvars, rng)
+        size = 10.0 ** gen.uniform(-3, 3, size=(50, 1))
+        y = size * (gen.standard_normal((50, nvars - 1)) + 1j * gen.standard_normal((50, nvars - 1)))
+        norms, points = solve._lift(y, chart)
+        expected = [_scalar_lift(row, chart) for row in y]
+        assert np.array_equal(norms, [norm for norm, _ in expected])
+        assert np.array_equal(points, [point for _, point in expected])
 
 
 def test_generic_quadric_pair_has_four_accurate_solutions():
@@ -158,7 +198,8 @@ def test_base_points_rejects_oversized_or_degenerate_systems():
 def test_a_non_reduced_base_point_is_never_certified(seed):
     # x0^2 - x1*x2, x0*x1 and x1^2 meet only at [0:0:1], with multiplicity 3
     polys = [parse_poly(text, nvars=3) for text in ("x0^2 - x1*x2", "x0*x1", "x1^2")]
-    result = solve.base_points(loci.LinearSystem.from_polys(polys), SolveConfig(seed=seed))
+    system = loci.LinearSystem(2, [loci.poly_to_quadric(p) for p in polys])
+    result = solve.base_points(system, SolveConfig(seed=seed))
     assert not result.certified
     assert all(c.rational == (0, 0, 1) for c in result.clusters)
     if seed in (2, 3):
