@@ -162,11 +162,9 @@ def weddle_matrix(system: LinearSystem) -> WeddleData:
     LinearSystem accepts only symmetric faces.
     """
     contraction = contraction_matrix(system)
-    determinant = contraction.det()
+    polynomial = contraction.primitive_det()
     return WeddleData(
-        matrix=contraction,
-        polynomial=determinant.primitive_normalized(),
-        degenerate=determinant.is_zero(),
+        matrix=contraction, polynomial=polynomial, degenerate=polynomial.is_zero()
     )
 
 

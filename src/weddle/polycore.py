@@ -7,11 +7,11 @@ ordered in graded lexicographic order wherever they are enumerated or
 printed; together with primitive normalization this gives every polynomial
 a canonical, regression-stable representative.
 
-The two hot kernels, PolyMatrix.det (Weddle loci) and MultiPoly.compose
-(chart substitution before every numeric solve), do not use this
-representation inside: they clear denominators, pack every monomial into
-one int and expand over the integers, building a MultiPoly only for the
-result.  compose works on dicts of packed monomials; det works on integer
+The two hot kernels, the PolyMatrix determinant (det, and primitive_det
+for Weddle loci) and MultiPoly.compose (chart substitution before every
+numeric solve), do not use this representation inside: they clear
+denominators, pack every monomial into one int and expand over the
+integers, building a MultiPoly only for the result.  compose works on dicts of packed monomials; det works on integer
 arrays of minors, int64 when a bound on every coefficient it can reach
 proves that safe and Python ints otherwise.
 """
@@ -34,11 +34,12 @@ Monomial = tuple
 def as_rat(value) -> Fraction:
     """Coerce an int, a string like '-3/2', or a Fraction to a Fraction.
 
-    Floats are rejected on purpose: everything in this layer is exact.
+    Floats are rejected on purpose: everything in this layer is exact.  So
+    is bool, although it is an int subclass: a JSON true must not read as 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -670,7 +671,30 @@ class PolyMatrix:
         return PolyMatrix(self.nvars, [[e.scale(value) for e in row] for row in self.entries])
 
     def det(self) -> MultiPoly:
-        """Division-free cofactor expansion, exact over the integers.
+        """The determinant, by _integer_det's cofactor expansion."""
+        terms, denominator = self._integer_det()
+        return MultiPoly._canonical(
+            self.nvars, {mono: Fraction(c, denominator) for mono, c in terms.items()}
+        )
+
+    def primitive_det(self) -> MultiPoly:
+        """det().primitive_normalized(), with the gcd and the sign taken on
+        the integer coefficients, so each coefficient becomes a Fraction once."""
+        terms, _ = self._integer_det()
+        if not terms:
+            return MultiPoly(self.nvars)
+        g = math.gcd(*terms.values())
+        if terms[max(terms, key=grlex_key)] < 0:
+            g = -g
+        return MultiPoly._canonical(
+            self.nvars, {mono: Fraction(c // g) for mono, c in terms.items()}
+        )
+
+    def _integer_det(self) -> tuple:
+        """(terms, denominator): the determinant times the positive integer
+        denominator, as a dict from exponent tuple to nonzero int.
+
+        Division-free cofactor expansion, exact over the integers.
 
         Each row is multiplied by the lcm of its coefficient denominators,
         and its monomials are packed (see the packed integer polynomials
@@ -685,7 +709,7 @@ class PolyMatrix:
         one of those columns is removed.  Each monomial's products are
         added into the next basis where that monomial shifts the old one
         (np.searchsorted finds where, np.add.at adds).  The last minor is
-        unpacked once and divided by the product of the row lcms.
+        unpacked once; its denominator is the product of the row lcms.
 
         Overflow: each coefficient of a minor, and each partial sum that
         builds one, is at most the product over its rows of the row's l1
@@ -713,7 +737,7 @@ class PolyMatrix:
                     d = index.setdefault(mono, len(index))
                     cells.append((col, d, c.numerator * (lcm // c.denominator)))
             if not cells:
-                return MultiPoly(self.nvars)  # a zero row
+                return {}, 1  # a zero row
             bound += max(sum(mono) for mono in index)
             norm *= sum(abs(value) for _, _, value in cells)
             denominator *= lcm
@@ -742,11 +766,8 @@ class PolyMatrix:
             np.add.at(minors, (slice(None), np.searchsorted(basis, shifted)), products)
 
         exponents = (basis.reshape(-1, 1) >> np.array(offsets, dtype)) & ((1 << width) - 1)
-        return MultiPoly._canonical(self.nvars, {
-            tuple(mono): Fraction(c, denominator)
-            for mono, c in zip(exponents.tolist(), minors[0].tolist())
-            if c
-        })
+        terms = {tuple(mono): c for mono, c in zip(exponents.tolist(), minors[0].tolist()) if c}
+        return terms, denominator
 
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

@@ -9,17 +9,31 @@ Four projectors split the full tensor space: full symmetrization S, the
 skew projector A, and two middle projectors N1 and N2 whose images carry
 the cyclic relation T_{ijk} + T_{jki} + T_{kij} = 0 together with partial
 symmetry in the first two, respectively outer two, index positions.
+
+The projectors and the class tests do not use Fractions inside.  They
+flatten T to one array of integer numerators over the lcm of its
+denominators (flatten order: entry T_{ijk} at k*dim^2 + i*dim + j), and
+every index rearrangement is one gather of that array by a cached table.
+A projector is a sum of at most six gathers with weights in sixths, at
+most 8 times the largest numerator in absolute value, so the array is
+int64 when that bound is below 2^63 and holds Python ints (dtype object)
+otherwise; the same code runs on both.  Only the result is turned back
+into Fractions, one per distinct value.  random_n1 is one integer product
+of its coefficient draws with three times the cached N1 basis.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import linalg
 from .polycore import as_int, as_rat
@@ -53,6 +67,20 @@ class Tensor3:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Tensor3 is immutable")
+
+    @classmethod
+    def _canonical(cls, dim: int, entries: Sequence[Fraction]) -> "Tensor3":
+        """The Tensor3 with these dim^3 entries in flatten order, which must
+        already be Fractions: nothing is checked or coerced."""
+        t = object.__new__(cls)
+        face = dim * dim
+        faces = tuple(
+            tuple(tuple(entries[r:r + dim]) for r in range(f, f + face, dim))
+            for f in range(0, face * dim, face)
+        )
+        object.__setattr__(t, "dim", dim)
+        object.__setattr__(t, "faces", faces)
+        return t
 
     @classmethod
     def zero(cls, dim: int) -> "Tensor3":
@@ -122,88 +150,116 @@ class Tensor3:
 # ---- symmetry operators ----
 #
 # Each operator is a signed average of index rearrangements.  An entry
-# (weight, p) below contributes weight * T at the index tuple permuted by p:
-# for target (i, j, k), position tuple p = (1, 2, 0) reads T_{jki}.
-
-_SIX = [
-    (Fraction(1, 6), (0, 1, 2)),
-    (Fraction(1, 6), (1, 2, 0)),
-    (Fraction(1, 6), (2, 0, 1)),
-    (Fraction(1, 6), (1, 0, 2)),
-    (Fraction(1, 6), (2, 1, 0)),
-    (Fraction(1, 6), (0, 2, 1)),
-]
+# (weight, p) below contributes weight/6 * T at the index tuple permuted by
+# p: for target (i, j, k), position tuple p = (1, 2, 0) reads T_{jki}.
 
 _OPERATOR_TERMS = {
-    SymmetryClass.SYMMETRIC: _SIX,
+    SymmetryClass.SYMMETRIC: [
+        (1, (0, 1, 2)),
+        (1, (1, 2, 0)),
+        (1, (2, 0, 1)),
+        (1, (1, 0, 2)),
+        (1, (2, 1, 0)),
+        (1, (0, 2, 1)),
+    ],
     SymmetryClass.SKEW: [
-        (Fraction(1, 6), (0, 1, 2)),
-        (Fraction(1, 6), (1, 2, 0)),
-        (Fraction(1, 6), (2, 0, 1)),
-        (Fraction(-1, 6), (1, 0, 2)),
-        (Fraction(-1, 6), (2, 1, 0)),
-        (Fraction(-1, 6), (0, 2, 1)),
+        (1, (0, 1, 2)),
+        (1, (1, 2, 0)),
+        (1, (2, 0, 1)),
+        (-1, (1, 0, 2)),
+        (-1, (2, 1, 0)),
+        (-1, (0, 2, 1)),
     ],
     SymmetryClass.RESIDUAL1: [
-        (Fraction(1, 3), (0, 1, 2)),
-        (Fraction(1, 3), (1, 0, 2)),
-        (Fraction(-1, 3), (2, 1, 0)),
-        (Fraction(-1, 3), (2, 0, 1)),
+        (2, (0, 1, 2)),
+        (2, (1, 0, 2)),
+        (-2, (2, 1, 0)),
+        (-2, (2, 0, 1)),
     ],
     SymmetryClass.RESIDUAL2: [
-        (Fraction(1, 3), (0, 1, 2)),
-        (Fraction(-1, 3), (1, 0, 2)),
-        (Fraction(1, 3), (2, 1, 0)),
-        (Fraction(-1, 3), (1, 2, 0)),
+        (2, (0, 1, 2)),
+        (-2, (1, 0, 2)),
+        (2, (2, 1, 0)),
+        (-2, (1, 2, 0)),
     ],
 }
 
 
-def _apply(terms, t: Tensor3) -> Tensor3:
-    def entry(i: int, j: int, k: int) -> Fraction:
-        idx = (i, j, k)
-        total = Fraction(0)
-        for weight, p in terms:
-            total += weight * t[idx[p[0]], idx[p[1]], idx[p[2]]]
-        return total
+def _numerators(t: Tensor3) -> tuple:
+    """(n, den): T's entries in flatten order as the integer array n over
+    their common denominator den (the lcm of the entry denominators).  n is
+    int64 when 8 * max |n| < 2^63, which bounds every sum the projectors
+    and class tests form, and Python ints (dtype object) otherwise."""
+    ratios = [x.as_integer_ratio() for x in flatten(t)]
+    den = math.lcm(*(q for _, q in ratios))
+    values = [p * (den // q) for p, q in ratios]
+    dtype = np.int64 if 8 * max(map(abs, values)) < 2**63 else object
+    return np.array(values, dtype), den
 
-    return Tensor3.build(t.dim, entry)
+
+def _from_numerators(dim: int, values: list, den: int) -> Tensor3:
+    """The Tensor3 whose entries in flatten order are values / den, with one
+    Fraction per distinct value (Fractions are immutable, so entries share)."""
+    fractions = {v: Fraction(v, den) for v in set(values)}
+    return Tensor3._canonical(dim, [fractions[v] for v in values])
+
+
+@lru_cache(maxsize=None)
+def _gather(p: tuple, dim: int) -> np.ndarray:
+    """Flat indices such that n[_gather(p, dim)] holds, at the position of
+    (i, j, k), T at the index tuple permuted by p.  The cached table is
+    shared by every call, so it is read-only."""
+    k, i, j = np.indices((dim, dim, dim)).reshape(3, -1)
+    idx = (i, j, k)
+    table = (idx[p[2]] * dim + idx[p[0]]) * dim + idx[p[1]]
+    table.setflags(write=False)
+    return table
+
+
+def _apply(cls: SymmetryClass, dim: int, n: np.ndarray, den: int) -> Tensor3:
+    """The projection of the tensor with numerators n over den."""
+    total = sum(w * n[_gather(p, dim)] for w, p in _OPERATOR_TERMS[cls])
+    return _from_numerators(dim, total.tolist(), 6 * den)
 
 
 def sym_part(t: Tensor3) -> Tensor3:
     """Full symmetrization S."""
-    return _apply(_OPERATOR_TERMS[SymmetryClass.SYMMETRIC], t)
+    return _apply(SymmetryClass.SYMMETRIC, t.dim, *_numerators(t))
 
 
 def skew_part(t: Tensor3) -> Tensor3:
     """Signed symmetrization A."""
-    return _apply(_OPERATOR_TERMS[SymmetryClass.SKEW], t)
+    return _apply(SymmetryClass.SKEW, t.dim, *_numerators(t))
 
 
 def n1_part(t: Tensor3) -> Tensor3:
     """Middle projector N1 (partial symmetry in the first two positions)."""
-    return _apply(_OPERATOR_TERMS[SymmetryClass.RESIDUAL1], t)
+    return _apply(SymmetryClass.RESIDUAL1, t.dim, *_numerators(t))
 
 
 def n2_part(t: Tensor3) -> Tensor3:
     """Middle projector N2 (partial symmetry in the outer positions)."""
-    return _apply(_OPERATOR_TERMS[SymmetryClass.RESIDUAL2], t)
+    return _apply(SymmetryClass.RESIDUAL2, t.dim, *_numerators(t))
 
 
 def decompose(t: Tensor3) -> tuple:
     """Split T into (symmetric, N1, N2, skew); the four parts sum to T."""
-    return sym_part(t), n1_part(t), n2_part(t), skew_part(t)
+    n, den = _numerators(t)
+    return tuple(
+        _apply(cls, t.dim, n, den)
+        for cls in (SymmetryClass.SYMMETRIC, SymmetryClass.RESIDUAL1,
+                    SymmetryClass.RESIDUAL2, SymmetryClass.SKEW)
+    )
 
 
 def projector_diagonal(cls: SymmetryClass, i: int, j: int, k: int) -> Fraction:
     """Coefficient of e_ijk in P(e_ijk), without building the image tensor."""
-    terms = _OPERATOR_TERMS[cls]
     idx = (i, j, k)
-    total = Fraction(0)
-    for weight, p in terms:
+    total = 0
+    for weight, p in _OPERATOR_TERMS[cls]:
         if (idx[p[0]], idx[p[1]], idx[p[2]]) == idx:
             total += weight
-    return total
+    return Fraction(total, 6)
 
 
 def projector_rank(cls: SymmetryClass, dim: int) -> Fraction:
@@ -223,25 +279,21 @@ def projector_rank(cls: SymmetryClass, dim: int) -> Fraction:
 # ---- membership predicates ----
 
 def in_class(t: Tensor3, cls: SymmetryClass) -> bool:
-    for i, j, k in product(range(t.dim), repeat=3):
-        v = t[i, j, k]
-        if cls is SymmetryClass.SYMMETRIC:
-            if v != t[j, i, k] or v != t[i, k, j]:
-                return False
-        elif cls is SymmetryClass.SKEW:
-            if v != -t[j, i, k] or v != -t[i, k, j]:
-                return False
-        elif cls is SymmetryClass.PARTIAL_SYM12:
-            if v != t[j, i, k]:
-                return False
-        else:
-            if v + t[j, k, i] + t[k, i, j] != 0:
-                return False
-            if cls is SymmetryClass.RESIDUAL1 and v != t[j, i, k]:
-                return False
-            if cls is SymmetryClass.RESIDUAL2 and v != t[k, j, i]:
-                return False
-    return True
+    n, _ = _numerators(t)
+
+    def at(p: tuple) -> np.ndarray:
+        return n[_gather(p, t.dim)]
+
+    if cls is SymmetryClass.SYMMETRIC:
+        return bool((n == at((1, 0, 2))).all() and (n == at((0, 2, 1))).all())
+    if cls is SymmetryClass.SKEW:
+        return bool((n == -at((1, 0, 2))).all() and (n == -at((0, 2, 1))).all())
+    if cls is SymmetryClass.PARTIAL_SYM12:
+        return bool((n == at((1, 0, 2))).all())
+    if not (n + at((1, 2, 0)) + at((2, 0, 1)) == 0).all():
+        return False
+    partner = (1, 0, 2) if cls is SymmetryClass.RESIDUAL1 else (2, 1, 0)
+    return bool((n == at(partner)).all())
 
 
 # ---- bases ----
@@ -332,21 +384,24 @@ def extend(t: Tensor3, free: Sequence[Sequence]) -> Tensor3:
     return out
 
 
+@lru_cache(maxsize=None)
+def _n1_thirds(dim: int) -> np.ndarray:
+    """Three times the distinguished N1 basis, whose entries are thirds: an
+    int64 row per basis tensor, in flatten order.  Cached, so read-only."""
+    rows = np.array(
+        [[int(3 * x) for x in flatten(b)] for b in basis(SymmetryClass.RESIDUAL1, dim)],
+        np.int64,
+    ).reshape(-1, dim**3)
+    rows.setflags(write=False)
+    return rows
+
+
 def random_n1(dim: int, rng: random.Random) -> Tensor3:
     """Random cyclic partially symmetric tensor: integer coefficients drawn
     uniformly from [-9, 9] against the distinguished N1 basis."""
-    acc = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for b in basis(SymmetryClass.RESIDUAL1, dim):
-        c = rng.randint(-9, 9)
-        if not c:
-            continue
-        for k in range(dim):
-            for i in range(dim):
-                for j in range(dim):
-                    v = b.faces[k][i][j]
-                    if v:
-                        acc[k][i][j] += c * v
-    return Tensor3(acc)
+    thirds = _n1_thirds(dim)
+    coeffs = np.array([rng.randint(-9, 9) for _ in range(len(thirds))], np.int64)
+    return _from_numerators(dim, (coeffs @ thirds).tolist(), 3)
 
 
 def flatten(t: Tensor3) -> list:

@@ -304,6 +304,7 @@ def test_sweep_rejects_a_trial_count_below_one(capsys):
         ("number.json", "5"),
         ("list.json", '[{"n": 1}]'),
         ("float.json", '{"n": 1, "quadrics": [[[1.5, 0], [0, 0]], [[0, 0], [0, 1]]]}'),
+        ("bool.json", '{"n": 1, "quadrics": [[[true, 0], [0, 0]], [[0, 0], [0, 1]]]}'),
         ("trailing-operator.poly", "x0^3 + 2*"),
         ("lone-sign.poly", "-"),
         ("one-variable.poly", "x0^3"),
@@ -362,6 +363,16 @@ def test_non_integer_tensor_dimension_is_a_usage_error(capsys, tmp_path, dim):
     assert code == 2
     assert out == ""
     assert "dim must be an integer" in err
+
+
+def test_boolean_tensor_entry_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "tensor.json"
+    path.write_text('{"dim": 2, "faces": [[[true, 1], [1, 4]], [[-2, -2], [-2, 0]]]}',
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---- the installed console script ----

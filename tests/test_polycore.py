@@ -19,6 +19,7 @@ from weddle import fixtures, linalg, loci, solve
 from weddle.polycore import (
     MAX_DET_SIZE,
     MultiPoly,
+    as_rat,
     PolyMatrix,
     divides,
     linear_coefficients,
@@ -115,6 +116,14 @@ def test_parse_rejects_malformed_input():
         parse_poly("x0 +")
     with pytest.raises(ValueError):
         parse_poly("y1 * 2")
+
+
+def test_exact_coercion_rejects_floats_and_bools():
+    assert as_rat("-3/2") == Fraction(-3, 2)
+    assert as_rat(4) == 4
+    for value in (1.5, True, False):
+        with pytest.raises(TypeError):
+            as_rat(value)
 
 
 # ---- calculus ----
@@ -307,6 +316,9 @@ def test_determinant_equals_the_reference_expansion(m):
     det = m.det()
     assert det == reference_det(m)
     _assert_canonical(det)
+    primitive = m.primitive_det()
+    assert primitive == det.primitive_normalized()
+    _assert_canonical(primitive)
 
 
 def test_determinant_exponents_wider_than_four_bits():

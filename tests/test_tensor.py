@@ -1,7 +1,9 @@
 """Order-3 tensor symmetry classes: projectors, bases, restriction."""
 
+import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -206,3 +208,196 @@ def test_json_rejects_malformed_payloads():
         Tensor3.from_json({"dim": 2, "faces": [[["1"]]]})
     with pytest.raises((ValueError, KeyError)):
         Tensor3.from_json({"faces": []})
+
+
+# ---- the integer kernels against the Fraction reference ----
+#
+# The projectors and class tests run on integer numerator arrays.  Below is
+# the Fraction form they replaced: an entry (weight, p) adds weight * T at
+# the index tuple permuted by p, one entry at a time.
+
+REFERENCE_TERMS = {
+    SymmetryClass.SYMMETRIC: [
+        (Fraction(1, 6), (0, 1, 2)),
+        (Fraction(1, 6), (1, 2, 0)),
+        (Fraction(1, 6), (2, 0, 1)),
+        (Fraction(1, 6), (1, 0, 2)),
+        (Fraction(1, 6), (2, 1, 0)),
+        (Fraction(1, 6), (0, 2, 1)),
+    ],
+    SymmetryClass.SKEW: [
+        (Fraction(1, 6), (0, 1, 2)),
+        (Fraction(1, 6), (1, 2, 0)),
+        (Fraction(1, 6), (2, 0, 1)),
+        (Fraction(-1, 6), (1, 0, 2)),
+        (Fraction(-1, 6), (2, 1, 0)),
+        (Fraction(-1, 6), (0, 2, 1)),
+    ],
+    SymmetryClass.RESIDUAL1: [
+        (Fraction(1, 3), (0, 1, 2)),
+        (Fraction(1, 3), (1, 0, 2)),
+        (Fraction(-1, 3), (2, 1, 0)),
+        (Fraction(-1, 3), (2, 0, 1)),
+    ],
+    SymmetryClass.RESIDUAL2: [
+        (Fraction(1, 3), (0, 1, 2)),
+        (Fraction(-1, 3), (1, 0, 2)),
+        (Fraction(1, 3), (2, 1, 0)),
+        (Fraction(-1, 3), (1, 2, 0)),
+    ],
+}
+
+
+def reference_apply(terms, t):
+    def entry(i, j, k):
+        idx = (i, j, k)
+        total = Fraction(0)
+        for weight, p in terms:
+            total += weight * t[idx[p[0]], idx[p[1]], idx[p[2]]]
+        return total
+
+    return Tensor3.build(t.dim, entry)
+
+
+def reference_in_class(t, cls):
+    for i, j, k in product(range(t.dim), repeat=3):
+        v = t[i, j, k]
+        if cls is SymmetryClass.SYMMETRIC:
+            if v != t[j, i, k] or v != t[i, k, j]:
+                return False
+        elif cls is SymmetryClass.SKEW:
+            if v != -t[j, i, k] or v != -t[i, k, j]:
+                return False
+        elif cls is SymmetryClass.PARTIAL_SYM12:
+            if v != t[j, i, k]:
+                return False
+        else:
+            if v + t[j, k, i] + t[k, i, j] != 0:
+                return False
+            if cls is SymmetryClass.RESIDUAL1 and v != t[j, i, k]:
+                return False
+            if cls is SymmetryClass.RESIDUAL2 and v != t[k, j, i]:
+                return False
+    return True
+
+
+def members(t):
+    """A member of every class, from the parts of t."""
+    sym, n1, n2, skew = tensor.decompose(t)
+    return {
+        SymmetryClass.SYMMETRIC: sym,
+        SymmetryClass.RESIDUAL1: n1,
+        SymmetryClass.RESIDUAL2: n2,
+        SymmetryClass.SKEW: skew,
+        SymmetryClass.PARTIAL_SYM12: sym + n1,
+    }
+
+
+def assert_kernels_match_the_reference(t):
+    parts = tensor.decompose(t)
+    assert parts == tuple(reference_apply(REFERENCE_TERMS[cls], t) for cls in PART_CLASSES)
+    for cls, project in PROJECTORS.items():
+        assert project(t) == reference_apply(REFERENCE_TERMS[cls], t)
+    for part in (t, *parts, parts[0] + parts[1]):
+        for face in part.faces:
+            assert all(type(x) is Fraction for row in face for x in row)
+        for cls in SymmetryClass:
+            assert tensor.in_class(part, cls) == reference_in_class(part, cls)
+
+
+_entries = st.one_of(
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.integers(-(2**62), 2**62).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 2**65)),
+)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda d: st.lists(_entries, min_size=d**3, max_size=d**3).map(
+        lambda xs: Tensor3([[xs[(k * d + i) * d:(k * d + i + 1) * d] for i in range(d)]
+                            for k in range(d)]))))
+@settings(max_examples=40, deadline=None)
+def test_integer_kernels_equal_the_fraction_reference(t):
+    assert_kernels_match_the_reference(t)
+
+
+@pytest.mark.parametrize("entry, dtype", [
+    (2**59, "int64"),
+    (2**60 - 1, "int64"),  # the largest magnitude the int64 bound admits
+    (2**60, "object"),
+    (Fraction(3, 2**64 + 1), "object"),
+])
+def test_kernels_on_both_sides_of_the_int64_bound(entry, dtype):
+    rng = random.Random(5)
+    t = Tensor3.build(3, lambda i, j, k: rng.choice([entry, -entry, 0, 1]))
+    assert tensor._numerators(t)[0].dtype == dtype
+    assert_kernels_match_the_reference(t)
+    for part in members(t).values():
+        assert tensor.decompose(part) == tuple(
+            reference_apply(REFERENCE_TERMS[cls], part) for cls in PART_CLASSES
+        )
+
+
+@pytest.mark.parametrize("cls", list(SymmetryClass))
+@pytest.mark.parametrize("bump", [1, Fraction(1, 3), 2**62])
+def test_a_one_entry_perturbation_leaves_the_class(cls, bump):
+    for dim in (2, 3):
+        member = members(random_tensor(dim, random.Random(dim)))[cls]
+        assert tensor.in_class(member, cls)
+        for i, j, k in product(range(dim), repeat=3):
+            faces = [[list(row) for row in face] for face in member.faces]
+            faces[k][i][j] += bump
+            bad = Tensor3(faces)
+            assert tensor.in_class(bad, cls) == reference_in_class(bad, cls)
+            if i != j:
+                assert not tensor.in_class(bad, cls)
+
+
+def test_random_n1_draws_are_pinned():
+    # The sha256 of the concatenated dumps of random_n1(d, Random(s)) for
+    # d = 1..7 and s = 0..29, recorded from the Fraction implementation.
+    digest = hashlib.sha256()
+    for dim in range(1, 8):
+        for seed in range(30):
+            digest.update(tensor.random_n1(dim, random.Random(seed)).dumps().encode())
+    assert digest.hexdigest() == (
+        "afd8d37989c0e098c7aeba5a3a11269346169f10a64814ad615cbf38a505c54d"
+    )
+
+
+# ---- time budgets ----
+#
+# Best of three on a shared 2-CPU x86-64 host: a cold dim-7 N1 basis took
+# 0.46-0.92 s with Fraction projectors and 0.025-0.04 s on the integer
+# kernels; decompose plus the four class tests at dim 7 took 23-39 ms and
+# 0.9-1.2 ms.  Each budget is about five times the integer time.
+
+def _best_cpu(fn, repeats=3):
+    best = math.inf
+    for _ in range(repeats):
+        start = time.process_time()
+        fn()
+        best = min(best, time.process_time() - start)
+    return best
+
+
+def test_cold_dim7_n1_basis_within_budget():
+    def cold():
+        tensor._basis_cached.cache_clear()
+        tensor._gather.cache_clear()
+        tensor.basis(SymmetryClass.RESIDUAL1, 7)
+
+    cpu = _best_cpu(cold)
+    assert cpu < 0.2, f"cold dim-7 N1 basis took {cpu:.3f}s"
+
+
+def test_dim7_decompose_and_class_tests_within_budget():
+    t = random_tensor(7, random.Random(7))
+
+    def run():
+        parts = tensor.decompose(t)
+        assert all(tensor.in_class(p, c) for p, c in zip(parts, PART_CLASSES))
+
+    run()  # warm the gather tables
+    cpu = _best_cpu(run)
+    assert cpu < 0.006, f"dim-7 decompose and class tests took {cpu * 1e3:.1f}ms"
