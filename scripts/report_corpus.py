@@ -8,9 +8,12 @@ exit code, the JSON report without `elapsed_s` (null when there is none)
 and stderr.  Run it on two trees and `diff` the two files:
 
     python3 scripts/report_corpus.py OUT.json
+
+It also prints the sha256 of the file, to compare against a recorded one.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -33,5 +36,6 @@ for argv in ARGVS:
     if report is not None:
         report.pop("elapsed_s")
     entries.append({"argv": argv, "exit": code, "report": report, "stderr": err.getvalue()})
-Path(sys.argv[1]).write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
-print(f"wrote {len(entries)} entries to {sys.argv[1]}")
+data = (json.dumps(entries, indent=1) + "\n").encode("utf-8")
+Path(sys.argv[1]).write_bytes(data)
+print(f"wrote {len(entries)} entries to {sys.argv[1]}, sha256 {hashlib.sha256(data).hexdigest()}")

@@ -13,6 +13,7 @@ each dim's summary after its trials; the times stay out of the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -285,7 +286,10 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args keeps no state
+    between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--json", action="store_true", help="emit a machine-readable run report")

@@ -1,11 +1,37 @@
-"""Exact linear algebra over the rationals on plain lists of Fraction rows."""
+"""Exact linear algebra over the rationals, returned as lists of Fraction rows.
+
+`rref`, `rank`, `nullspace` and `det` share one elimination kernel on
+Python ints.  `_integer_rows` first scales each row by the lcm of its
+denominators, which changes neither the row space nor the pivot columns,
+and multiplies det by a known integer.  `_eliminate` then runs
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+with p the new pivot and d the previous one, every other row becomes
+(p * row - row[c] * pivot_row) / d, and the division is exact.
+
+Exact division is what keeps the entries small.  After k pivots, every
+entry is, up to sign, a minor of order at most k + 1 of the integer matrix
+(Sylvester's identity), so its size is bounded by Hadamard's inequality
+instead of doubling at every step.  Every pivot row then carries the same
+pivot value D, the k x k minor on the pivot rows and columns.  D is also
+det of a square nonsingular matrix, up to the row scales and the sign of
+the row swaps.
+
+The outputs equal those of Gauss-Jordan elimination on Fractions, entry for
+entry.  The reduced row echelon form of a matrix is unique, and Fraction
+normalises each quotient (entry / D) to lowest terms.  A determinant is a
+single number.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .polycore import as_rat
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def to_matrix(rows: Sequence[Sequence]) -> list:
@@ -16,41 +42,78 @@ def identity(n: int) -> list:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = to_matrix(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _integer_rows(rows: Sequence[Sequence]) -> tuple:
+    """Each row times the lcm of its denominators; returns (rows, product
+    of those lcms).  Entries are coerced as by `to_matrix`."""
+    m = []
+    den = 1
+    for row in rows:
+        values = [x if type(x) is int else as_rat(x) for x in row]
+        scale = lcm(*(x.denominator for x in values))
+        m.append([x.numerator * (scale // x.denominator) for x in values])
+        den *= scale
+    return m, den
+
+
+def _eliminate(m: list) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
+    returns (pivot_columns, sign of the row permutation).
+
+    Afterwards the rank-many pivot rows come first, each with the common
+    pivot value D in its pivot column and 0 in the other pivot columns;
+    the remaining rows are zero.  A square nonsingular m had det = sign * D.
+    """
     pivots = []
+    sign = d = 1
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(len(m[0]) if m else 0):
         if r == len(m):
             break
-    return m, pivots
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+            elif p != d and any(row):
+                # The same update with row[c] = 0: keeps every entry a minor.
+                m[i] = [p * x // d for x in row]
+        pivots.append(c)
+        d = p
+        r += 1
+    return pivots, sign
+
+
+def _reduced(rows: Sequence[Sequence]) -> tuple:
+    """(integer rows after `_eliminate`, pivot columns, common pivot D)."""
+    m, _ = _integer_rows(rows)
+    pivots, _ = _eliminate(m)
+    return m, pivots, m[0][pivots[0]] if pivots else 1
+
+
+def rref(rows: Sequence[Sequence]) -> tuple:
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    m, pivots, d = _reduced(rows)
+    return [[Fraction(x, d) if x else _ZERO for x in row] for row in m], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(_reduced(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list:
     """Canonical nullspace basis: per free column, the reduced-echelon
     back-substituted vector with a 1 in that free coordinate.  Basis vectors
     are ordered by their free column index."""
-    m = to_matrix(rows)
+    m, pivots, d = _reduced(rows)
     if not m:
         if ncols is None:
             raise ValueError("need ncols for an empty constraint matrix")
@@ -58,40 +121,28 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list:
     width = len(m[0])
     if ncols is not None and ncols != width:
         raise ValueError("ncols disagrees with the matrix width")
-    reduced, pivots = rref(m)
-    free = [c for c in range(width) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * width
+        v[f] = _ONE
         for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
+            x = m[r][f]
+            if x:
+                v[c] = Fraction(-x, d)
         basis.append(v)
     return basis
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    m = to_matrix(rows)
+    """Determinant, by the same elimination."""
+    m, den = _integer_rows(rows)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                factor = m[i][c] * inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return sign * result
-
+    pivots, sign = _eliminate(m)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * m[0][0], den) if n else Fraction(1)

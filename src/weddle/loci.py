@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg, solve
@@ -230,14 +231,10 @@ def quadrics_through_points(points: Sequence[Sequence], n: int) -> list:
             raise ValueError("point has wrong number of coordinates")
         if all(x == 0 for x in pt):
             raise ValueError("projective point must be nonzero")
-        row = []
-        for mono in monos:
-            value = Fraction(1)
-            for x, e in zip(pt, mono):
-                if e:
-                    value *= x**e
-            row.append(value)
-        rows.append(row)
+        # Rescaling a point to integer coordinates keeps its conditions.
+        scale = lcm(*(x.denominator for x in pt))
+        coords = [x.numerator * (scale // x.denominator) for x in pt]
+        rows.append([prod(x**e for x, e in zip(coords, mono) if e) for mono in monos])
     vectors = linalg.nullspace(rows, ncols=len(monos))
     out = []
     for v in vectors:

@@ -878,20 +878,25 @@ def _random_square_subsystem(polys: Sequence[MultiPoly], count: int, rng) -> lis
     """
     from . import linalg
 
+    # The combinations are summed on integer numerators over one common
+    # denominator.
+    den = math.lcm(*(c.denominator for g in polys for c in g.terms.values()))
+    numerators = [
+        {m: c.numerator * (den // c.denominator) for m, c in g.terms.items()} for g in polys
+    ]
     for _ in range(16):
-        weights = [
-            [Fraction(rng.randint(-9, 9)) for _ in range(len(polys))] for _ in range(count)
-        ]
+        weights = [[rng.randint(-9, 9) for _ in range(len(polys))] for _ in range(count)]
         if linalg.rank(weights) < count:
             continue
         candidate = []
         for row in weights:
             terms: dict = {}
-            for w, g in zip(row, polys):
+            for w, g in zip(row, numerators):
                 if w:
-                    for mono, c in g.terms.items():
+                    for mono, c in g.items():
                         terms[mono] = terms.get(mono, 0) + w * c
-            candidate.append(MultiPoly(polys[0].nvars, terms))
+            coeffs = {m: Fraction(c, den) for m, c in terms.items() if c}
+            candidate.append(MultiPoly._canonical(polys[0].nvars, coeffs))
         if all(not p.is_zero() for p in candidate):
             return candidate
     raise ValueError("could not draw a nondegenerate square subsystem")

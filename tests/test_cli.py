@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from weddle import fixtures, loci, solve, tensor
+from weddle import cli, fixtures, loci, solve, tensor
 from weddle.cli import main
 
 
@@ -142,6 +142,27 @@ def test_environment_does_not_change_a_report(capsys, monkeypatch):
     assert report == plain
     _, report, _ = run_json(capsys, "basepoints", "weddle-6pts", "--seed", "3")
     assert report["seed"] == 3
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(capsys):
+    argvs = [["decompose", "cyclic-dim2"], ["jacobsthal-sweep"], ["basepoints", "weddle-6pts"]]
+
+    def report(argv):
+        code, report, err = run_json(capsys, *argv)
+        report.pop("elapsed_s")
+        return code, report, err
+
+    reused = [report(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(report(argv))
+    assert reused == fresh
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose"])
+    assert exc.value.code == 2
+    assert "input" in capsys.readouterr().err
 
 
 def test_tolerance_flags_are_usage_errors(capsys):

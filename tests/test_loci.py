@@ -1,5 +1,6 @@
 """Linear systems of quadrics, Weddle matrices, and rank certificates."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -178,6 +179,30 @@ def test_every_basis_quadric_vanishes_at_every_point(seed):
         poly = loci.quadric_to_poly(q)
         for p in points:
             assert poly.evaluate(p) == 0
+
+
+def test_rational_points_impose_the_conditions_of_their_integer_rescalings():
+    rng = random.Random(8)
+    points = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(6)]
+    scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]
+    rational = [[s * x for x in p] for s, p in zip(scales, points)]
+    assert loci.quadrics_through_points(rational, 3) == loci.quadrics_through_points(points, 3)
+
+
+def test_quadrics_through_ten_general_points_in_p4_within_budget():
+    # Ten general points in P^4 leave five quadrics.  CPU best of three on
+    # a shared 2-CPU x86-64 host: 5-6.5 ms with Fraction elimination and
+    # Fraction interpolation rows, about 0.8 ms with integer rows and the
+    # fraction-free kernel.  The budget is about five times the latter.
+    rng = random.Random(4)
+    points = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(10)]
+    best = math.inf
+    for _ in range(3):
+        start = time.process_time()
+        basis = loci.quadrics_through_points(points, 4)
+        best = min(best, time.process_time() - start)
+    assert len(basis) == 5
+    assert best < 0.004, f"quadrics through ten points in P^4 took {best * 1e3:.2f} ms CPU"
 
 
 def test_system_through_the_six_point_fixture():
