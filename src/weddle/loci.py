@@ -235,11 +235,16 @@ def quadrics_through_points(points: Sequence[Sequence], n: int) -> list:
         scale = lcm(*(x.denominator for x in pt))
         coords = [x.numerator * (scale // x.denominator) for x in pt]
         rows.append([prod(x**e for x, e in zip(coords, mono) if e) for mono in monos])
-    vectors = linalg.nullspace(rows, ncols=len(monos))
+    # Each nullspace coefficient goes straight into its symmetric matrix,
+    # as poly_to_quadric reads a quadric: the coefficient of x_i^2 at (i, i),
+    # half that of x_i x_j at (i, j) and (j, i).
+    cells = [tuple(i for i, e in enumerate(mono) for _ in range(e)) for mono in monos]
     out = []
-    for v in vectors:
-        poly = MultiPoly(nv, dict(zip(monos, v)))
-        out.append(poly_to_quadric(poly))
+    for v in linalg.nullspace(rows, ncols=len(monos)):
+        m = [[Fraction(0)] * nv for _ in range(nv)]
+        for (i, j), c in zip(cells, v):
+            m[i][j] = m[j][i] = c if i == j else c / 2
+        out.append(m)
     return out
 
 

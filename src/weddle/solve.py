@@ -11,29 +11,32 @@ largest coefficient magnitude (_unit_row).  This keeps large coefficients
 from collapsing the first steps, makes tracking exactly invariant under
 multiplying every input polynomial by one positive rational factor, and
 makes every residual invariant under multiplying any input polynomial by a
-nonzero rational factor.  The Bezout paths of both charts are tracked
-together in one stack (_track_paths), once: each path has its own chart,
-start roots, gamma, t, step size and status, every iteration advances the
-paths still running with one stacked RK4 predictor step and Newton
-corrector, and a final Newton polish on each path's chart target
-classifies each endpoint as finite, stalled (finite, but where the polish
-stalls, as it does at a multiple root), at infinity or failed.  A path's next
-step follows from the corrector's first update, which estimates the
-predictor's local error; Newton stops on a step below tolerance, or on a
-predicted next step below it once the steps converge quadratically.
+nonzero rational factor.  Chart 2 is tracked only on demand: round 1
+tracks chart 1's Bezout paths in one stack (_track_paths), and round 2
+tracks chart 2's only when chart 1 alone fails rule A below.  Each path is
+tracked once and has its own chart, start roots, gamma, t, step size and
+status, every iteration advances the paths still running with one stacked
+RK4 predictor step and Newton corrector, and a final Newton polish on each
+path's chart target classifies each endpoint as finite, stalled (finite,
+but where the polish stalls, as it does at a multiple root), at infinity
+or failed.  A path's next step follows from the corrector's first
+update, which estimates the predictor's local error; Newton stops on a
+step below tolerance, or on a predicted next step below it once the steps
+converge quadratically.
 Every stage evaluates the target once for the whole stack (_Compiled): one
 table of monomial values, one gather from one stacked coefficient array,
 and one batched matvec give value and Jacobian, and each stage returns
 only what its caller uses.  Each output entry is the dot product a path
 tracked alone forms, so a path's floats do not depend on its stack.
-One pass (_finish) lifts each chart's finite endpoints as one array
-(_lift), marks by masks those at infinity, stalled alone or nonsingular,
-and hands the rest to one routine (_certify) that clusters,
+One pass per tracked chart (_finish) lifts its finite endpoints as one
+array (_lift), marks by masks those at infinity, stalled alone or
+nonsingular, and hands the rest to one routine (_certify) that clusters,
 residual-filters and rationally cross-checks them.  A solve is certified
 by one rule:
-(A) the finite endpoints of both charts are exactly Bezout-many distinct
-points, each nonsingular for the square system (by the refined Bezout
-theorem this proves the square system finite and completely solved), and
+(A) the finite endpoints of the tracked charts are exactly Bezout-many
+distinct points, each nonsingular for the square system (by the refined
+Bezout theorem this proves the square system finite and completely
+solved, so chart 1 alone suffices when it meets this), and
 (B) every survivor's relative residual is at most _RESIDUAL_TOL, with no
 rational mismatch.  Anything else is reported uncertified, not guessed.
 """
@@ -534,21 +537,17 @@ def _draw_start(degrees: Sequence[int], rng: random.Random):
     return list(itertools.product(*axes)), roots, gamma
 
 
-def _track_charts(target: _Compiled, degrees, charts: int, rng: random.Random):
-    """Track every chart of target in one lockstep stack, each from its own
-    random start system and gamma (_draw_start), drawn once in chart
-    order.  Returns _track_paths's (statuses, endpoints), chart k's
-    prod(degrees) paths following chart k - 1's."""
-    size = math.prod(degrees)
-    starts, roots, gammas = zip(*(_draw_start(degrees, rng) for _ in range(charts)))
-    hom = _Homotopy(
-        target,
-        degrees,
-        np.repeat(np.arange(charts), size),
-        np.repeat(roots, size, axis=0),
-        np.repeat(gammas, size),
-    )
-    return _track_paths(hom, np.concatenate(starts))
+def _track_chart(target: _Compiled, degrees, k: int, start):
+    """Track chart k of target (chart 2 only on demand, see
+    _projective_solve) in one lockstep stack from its start system and
+    gamma, start being one _draw_start draw.  Returns _track_paths's
+    (statuses, endpoints), one per Bezout path.  A path's floats do not
+    depend on its stack, so chart 1's endpoints are those of tracking both
+    charts together."""
+    starts, roots, gamma = start
+    size = len(starts)
+    hom = _Homotopy(target, degrees, np.full(size, k), np.repeat([roots], size, axis=0), np.full(size, gamma))
+    return _track_paths(hom, starts)
 
 
 def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
@@ -731,87 +730,93 @@ def _lift(y: np.ndarray, chart):
     return norms, x * (x[rows, lead].conj() / magnitudes[rows, lead])[:, np.newaxis]
 
 
-def _finish(statuses, endpoints, charts, target: _Compiled, degrees, filters: _Compiled, filter_polys):
-    """Lift each chart's finite endpoints (from _track_charts's statuses and
-    endpoints) and certify the survivors on filter_polys (_certify).
+def _finish(statuses, endpoints, chart, k: int, target: _Compiled, degrees, filters: _Compiled, filter_polys):
+    """Lift chart k's finite endpoints (from _track_chart's statuses and
+    endpoints) and certify the survivors on filter_polys (_certify), one
+    chart at a time, so chart 1 is finished once whether or not chart 2 is
+    tracked on demand.
 
-    Returns (per chart (survivors, report), lifted, nonsingular): lifted
-    stacks every kept finite endpoint's normalized lift (_lift) before
-    clustering and filtering, chart by chart, and nonsingular says of each
-    whether its polish converged (a stalled one sits at a multiple root,
-    where the Jacobian can vanish altogether and the ratio below says
-    nothing) and the chart target's Jacobian there has sigma_min /
-    sigma_max above _SIGMA_RATIO, from one stacked SVD per chart.  A finite
-    endpoint whose lift has norm above _DIVERGENCE_THRESHOLD counts as at
-    infinity, and a stalled one within _CLUSTER_RADIUS of no other kept
-    endpoint of its chart as a failed path.
+    Returns ((survivors, report), lifted, nonsingular): lifted stacks every
+    kept finite endpoint's normalized lift (_lift) before clustering and
+    filtering, and nonsingular says of each whether its polish converged
+    (a stalled one sits at a multiple root, where the Jacobian can vanish
+    altogether and the ratio below says nothing) and the chart target's
+    Jacobian there has sigma_min / sigma_max above _SIGMA_RATIO, from one
+    stacked SVD.  A finite endpoint whose lift has norm above
+    _DIVERGENCE_THRESHOLD counts as at infinity, and a stalled one within
+    _CLUSTER_RADIUS of no other kept endpoint of its chart as a failed
+    path.
     """
     size = math.prod(degrees)
-    statuses = np.array(statuses)
-    results, lifts, flags = [], [], []
-    for k, chart in enumerate(charts):
-        run, ends = statuses[k * size : (k + 1) * size], endpoints[k * size : (k + 1) * size]
-        finite = (run == "finite") | (run == "stalled")
-        norms, lifted = _lift(ends[finite], chart)
-        near = ~(norms > _DIVERGENCE_THRESHOLD)
-        at_infinity = int((run == "at_infinity").sum() + (~near).sum())
-        lifted, kept, stalled = lifted[near], ends[finite][near], run[finite][near] == "stalled"
-        # A stalled endpoint stands for a multiple root, which more than one
-        # path of the chart reaches; one that no other endpoint meets (say, a
-        # point it wandered to on a positive-dimensional component) fails.
-        lone = stalled & (_close(lifted, lifted).sum(axis=1) == 1)
-        lifted, kept, stalled = lifted[~lone], kept[~lone], stalled[~lone]
-        _, jacobians = target.value_and_jacobian(kept, np.full(len(kept), k))
-        sigma = np.linalg.svd(jacobians, compute_uv=False)
-        nonsingular = ~stalled & (sigma[:, -1] > _SIGMA_RATIO * sigma[:, 0])
-        survivors, discarded, mismatch = _certify(lifted, filters, filter_polys)
-        report = {
-            "chart": [str(c) for c in chart[0]],
-            "bezout_bound": size,
-            "paths_tracked": len(lifted) + at_infinity,
-            "paths_failed": int((run == "failed").sum() + lone.sum()),
-            "at_infinity": at_infinity,
-            "attempts": 1,  # each chart is tracked once; perfbench reads this key
-            "survivors": len(survivors),
-            "discarded_clusters": discarded,
-            "rational_mismatch": mismatch,
-        }
-        _check_path_accounting(report["paths_tracked"], report["paths_failed"], size)
-        results.append((survivors, report))
-        lifts.append(lifted)
-        flags.append(nonsingular)
-    return results, np.concatenate(lifts), np.concatenate(flags)
+    run = np.array(statuses)
+    finite = (run == "finite") | (run == "stalled")
+    norms, lifted = _lift(endpoints[finite], chart)
+    near = ~(norms > _DIVERGENCE_THRESHOLD)
+    at_infinity = int((run == "at_infinity").sum() + (~near).sum())
+    lifted, kept, stalled = lifted[near], endpoints[finite][near], run[finite][near] == "stalled"
+    # A stalled endpoint stands for a multiple root, which more than one
+    # path of the chart reaches; one that no other endpoint meets (say, a
+    # point it wandered to on a positive-dimensional component) fails.
+    lone = stalled & (_close(lifted, lifted).sum(axis=1) == 1)
+    lifted, kept, stalled = lifted[~lone], kept[~lone], stalled[~lone]
+    _, jacobians = target.value_and_jacobian(kept, np.full(len(kept), k))
+    sigma = np.linalg.svd(jacobians, compute_uv=False)
+    nonsingular = ~stalled & (sigma[:, -1] > _SIGMA_RATIO * sigma[:, 0])
+    survivors, discarded, mismatch = _certify(lifted, filters, filter_polys)
+    report = {
+        "chart": [str(c) for c in chart[0]],
+        "bezout_bound": size,
+        "paths_tracked": len(lifted) + at_infinity,
+        "paths_failed": int((run == "failed").sum() + lone.sum()),
+        "at_infinity": at_infinity,
+        # Each tracked chart is tracked once (chart 2 only on demand);
+        # perfbench reads this key.
+        "attempts": 1,
+        "survivors": len(survivors),
+        "discarded_clusters": discarded,
+        "rational_mismatch": mismatch,
+    }
+    _check_path_accounting(report["paths_tracked"], report["paths_failed"], size)
+    return (survivors, report), lifted, nonsingular
 
 
 def _projective_solve(polys, degrees, rng) -> SolutionSet:
-    """Two-chart projective solve: the common zeros of polys, cut out inside
-    the finite zero set of a square system of the given degrees: polys
-    itself when they number len(degrees), else random combinations of
-    them, drawn only after the size check.
+    """Two-chart projective solve, chart 2 only on demand: the common zeros
+    of polys, cut out inside the finite zero set of a square system of the
+    given degrees: polys itself when they number len(degrees), else random
+    combinations of them, drawn only after the size check.
 
-    The square subsystem is solved on two random charts that are not
-    proportional (such charts share their infinity hyperplane and lose the
-    same points), tracked together once in one lockstep stack
-    (_track_charts).  The clusters are chart 1's survivors plus chart 2's
-    survivors that chart 1 does not see.  The result is certified by one
-    rule and nothing else:
+    The square subsystem is dehomogenized onto two random charts that are
+    not proportional (such charts share their infinity hyperplane and lose
+    the same points), and a start system and gamma are drawn for each, in
+    that order, before any path is tracked.  Both charts' targets are
+    compiled together, so each dot product has the length of their
+    monomial union.  Round 1 tracks and finishes chart 1 (_track_chart,
+    _finish).  Round 2 tracks chart 2 only when chart 1 fails rule A: too
+    few distinct finite endpoints (a point on chart 1's infinity
+    hyperplane, a failed path, two paths on one root) or a singular one.
+    The clusters are chart 1's survivors plus chart 2's survivors that
+    chart 1 does not see.  The result is certified by one rule and nothing
+    else:
 
-    (A) completeness: the lifted finite endpoints of both charts, before
-        filtering, deduplicated within _CLUSTER_RADIUS, number exactly
-        prod(degrees), and each of them is nonsingular: its polish
+    (A) completeness: the lifted finite endpoints of the tracked charts,
+        before filtering, deduplicated within _CLUSTER_RADIUS, number
+        exactly prod(degrees), and each of them is nonsingular: its polish
         converged, and the chart target's Jacobian there has
         sigma_min / sigma_max above _SIGMA_RATIO.  By the refined Bezout
         theorem (Fulton, Intersection Theory, 12.3) a positive-dimensional
         component of the square system would take at least 1 from the
         Bezout number, so these points are all of its solutions, each of
         multiplicity 1, and every reported cluster says so, also where two
-        paths of one chart jumped onto the same root;
-    (B) membership: every survivor of either chart has relative filter
+        paths of one chart jumped onto the same root.  Chart 1 alone meets
+        it on most inputs, which is why chart 2 is tracked only on demand;
+    (B) membership: every survivor of a tracked chart has relative filter
         residual (_certify) at most _RESIDUAL_TOL, and no rational
         reconstruction is a mismatch.
 
-    An uncertified result carries one note with the rule's numbers.
-    Raises ValueError when the square system exceeds _MAX_PATHS.
+    chart_reports lists the tracked charts only.  An uncertified result
+    carries one note with the rule's numbers.  Raises ValueError when the
+    square system exceeds _MAX_PATHS.
     """
     if math.prod(max(d, 2) for d in degrees) > _MAX_PATHS:
         raise ValueError(
@@ -827,24 +832,33 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
         charts[1] = _random_chart(nvars, rng)
     target = _Compiled(*([_unit_row(p) for p in _chart_substitute(square, c)] for c in charts))
     filters = _Compiled([_unit_row(p) for p in polys if not p.is_zero()])  # a zero partial filters nothing
-    statuses, endpoints = _track_charts(target, degrees, len(charts), rng)
-    ((surv1, report1), (surv2, report2)), lifted, nonsingular = _finish(
-        statuses, endpoints, charts, target, degrees, filters, polys
-    )
+    starts = [_draw_start(degrees, rng) for _ in charts]
+    bezout = math.prod(degrees)
+    results, lifts, flags = [], [], []
+    for k, (chart, start) in enumerate(zip(charts, starts)):
+        statuses, endpoints = _track_chart(target, degrees, k, start)
+        result, lifted, nonsingular = _finish(statuses, endpoints, chart, k, target, degrees, filters, polys)
+        results.append(result)
+        lifts.append(lifted)
+        flags.append(nonsingular)
+        lifted, nonsingular = np.concatenate(lifts), np.concatenate(flags)
+        distinct = int((~np.triu(_close(lifted, lifted), 1).any(axis=0)).sum())
+        singular = int((~nonsingular).sum())
+        complete = distinct == bezout and not singular
+        if complete:
+            break
 
     def rows(clusters):
         return np.array([c.point.coordinates for c in clusters], dtype=np.complex128).reshape(-1, nvars)
 
+    (surv1, report1), *later = results
+    surv2 = [c for survivors, _ in later for c in survivors]
     seen_by_1 = _close(rows(surv2), rows(surv1)).any(axis=1)
     merged = surv1 + [c for c, seen in zip(surv2, seen_by_1) if not seen]
     merged.sort(key=lambda c: c.point.sort_key())
 
-    bezout = report1["bezout_bound"]
-    distinct = int((~np.triu(_close(lifted, lifted), 1).any(axis=0)).sum())
-    singular = int((~nonsingular).sum())
-    complete = distinct == bezout and not singular
     residual = max((c.residual for c in surv1 + surv2), default=0.0)
-    mismatch = report1["rational_mismatch"] or report2["rational_mismatch"]
+    mismatch = any(report["rational_mismatch"] for _, report in results)
     certified = complete and residual <= _RESIDUAL_TOL and not mismatch
     if complete:
         merged = [replace(c, multiplicity=1) for c in merged]
@@ -863,7 +877,7 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
         at_infinity=report1["at_infinity"],
         certified=certified,
         notes=notes,
-        chart_reports=(report1, report2),
+        chart_reports=tuple(report for _, report in results),
     )
 
 

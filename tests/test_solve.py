@@ -54,13 +54,13 @@ def test_a_stalled_endpoint_counts_as_singular_and_fails_alone():
     polys = [parse_poly(text, nvars=3) for text in ("x0^2 - x2^2", "x1^2 - x2^2")]
     chart = ((Fraction(1), Fraction(2), Fraction(4)), 2)
     target = solve._Compiled([solve._unit_row(p) for p in solve._chart_substitute(polys, chart)])
-    statuses, finite = solve._track_charts(target, [2, 2], 1, random.Random(0))
+    statuses, finite = solve._track_chart(target, [2, 2], 0, solve._draw_start([2, 2], random.Random(0)))
     assert statuses == ["finite"] * 4
     statuses = ["stalled", "stalled", "finite", "stalled"]
     endpoints = finite[[0, 0, 1, 2]]
     filters = solve._Compiled([solve._unit_row(p) for p in polys])
-    [(_, report)], lifted, nonsingular = solve._finish(
-        statuses, endpoints, [chart], target, [2, 2], filters, polys
+    (_, report), lifted, nonsingular = solve._finish(
+        statuses, endpoints, chart, 0, target, [2, 2], filters, polys
     )
     assert report["paths_failed"] == 1 and len(lifted) == 3
     assert nonsingular.tolist() == [False, False, True]
@@ -296,7 +296,9 @@ def test_a_path_jump_in_one_chart_still_certifies(monkeypatch, jumping_chart):
         _swap_first_two_calls(monkeypatch, "_draw_start")
     result = _path_jump_trial()
     clusters = [r["survivors"] + r["discarded_clusters"] for r in result.chart_reports]
-    assert clusters[jumping_chart - 1] == 7 and clusters[2 - jumping_chart] == 8
+    # A jump in chart 1 fails rule A there, so chart 2 is tracked; a jump in
+    # chart 2 is never tracked, since chart 1 alone meets rule A.
+    assert clusters == ([7, 8] if jumping_chart == 1 else [8])
     assert result.certified
     assert result.count() == 5 == solve.jacobsthal(4)
     assert all(c.multiplicity == 1 for c in result.clusters)
@@ -568,11 +570,17 @@ def test_stacked_kernel_matches_per_row_evaluation_on_a_weddle_quartic_chart(mon
     with pytest.raises(_Recorded):
         solve.singular_points(quartic)
     (hom, starts), = recorded
-    assert hom.degrees.tolist() == [3, 3, 3] and len(starts) == 2 * 27
+    assert hom.degrees.tolist() == [3, 3, 3] and len(starts) == 27 and hom.charts.tolist() == [0] * 27
+    # chart 1's rows as tracked, then the same starts, roots and gamma on
+    # chart 2 of the same compiled target, shuffled into one stack
+    both = solve._Homotopy(
+        hom.target, hom.degrees, [0] * 27 + [1] * 27, np.tile(hom.roots, (2, 1)), np.tile(hom.gamma, 2)
+    )
+    starts = np.tile(starts, (2, 1))
     rng = np.random.default_rng(3)
     x = starts * (1 + 0.1 * rng.standard_normal(starts.shape))
     paths = rng.permutation(len(starts))
-    _assert_kernel_matches_rows(hom, x, rng.random(len(starts)), paths)
+    _assert_kernel_matches_rows(both, x, rng.random(len(starts)), paths)
 
 
 def test_one_row_stack_steps_exactly_as_its_row_of_the_full_stack():
@@ -650,7 +658,7 @@ def test_solution_set_json_shape():
     }
     assert data["paths_tracked"] == data["bezout_bound"]
     assert data["clusters"][0]["rational_match"] == ["2", "-1"]
-    assert len(data["chart_reports"]) == 2
+    assert len(data["chart_reports"]) == 1  # chart 1 meets rule A, so chart 2 is not tracked
 
 
 def test_projective_runs_agree_across_seeds():

@@ -10,13 +10,16 @@ can hold the paths of both charts of a solve, so the reference tracks each
 path on its own chart's target with its own start roots and gamma.
 """
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from weddle import fixtures, loci, solve
+from weddle import cli, fixtures, loci, solve
 from weddle.polycore import parse_poly
 
 
@@ -251,16 +254,18 @@ def test_predictor_error_control_keeps_the_lockstep_iteration_count(monkeypatch)
     steps, capped at 0.1, needed 41 + 57 + 56 + 144 = 298; sizing each step
     from the corrector's estimate of the predictor error needed
     33 + 51 + 49 + 66 = 199; a corrector that also stops on a predicted
-    step below tolerance needs 26 + 38 + 33 + 65 = 162."""
-    assert _count_calls(monkeypatch, solve, "_rk4_step") <= 162
+    step below tolerance needed 26 + 38 + 33 + 65 = 162 with both charts in
+    one stack, and tracking chart 2 only on demand (none of these four
+    solves needs it) needs 9 + 36 + 32 + 35 = 112."""
+    assert _count_calls(monkeypatch, solve, "_rk4_step") <= 112
 
 
 def test_predicted_convergence_cuts_the_homotopy_evaluations(monkeypatch):
     """Homotopy evaluations (four RK4 stages plus the corrector's Newton
     iterations per lockstep iteration) of the same four solves: 1356 when a
     corrector row stopped only on a step below tolerance, 1088 with the
-    predicted-step rule."""
-    assert _count_calls(monkeypatch, solve._Homotopy, "evaluate") <= 1100
+    predicted-step rule, and 747 with chart 2 tracked only on demand."""
+    assert _count_calls(monkeypatch, solve._Homotopy, "evaluate") <= 750
 
 
 @pytest.mark.parametrize("factor",[Fraction(2**20), Fraction(1, 2**20)])
@@ -319,15 +324,64 @@ def test_lockstep_matches_reference_on_a_weddle_quartic_chart(monkeypatch):
     assert "finite" in _assert_matches_reference(calls)
 
 
-# ---- both charts in one stack ----
+# ---- chart 2 only on demand ----
 
-def test_both_charts_share_one_lockstep_stack(monkeypatch):
+def test_both_charts_share_one_compiled_target(monkeypatch):
+    # chart 1 meets rule A here, so chart 2 is compiled but never tracked
     _, system, _ = loci.sample_general_cyclic(3, rng=random.Random(103))
     calls = _recorded_homotopies(monkeypatch, lambda: solve.base_points(system))
     (hom, starts, statuses, _), = calls
-    assert len(starts) == 2 * 4
-    assert hom.charts.tolist() == [0] * 4 + [1] * 4
+    assert len(starts) == 4
+    assert hom.charts.tolist() == [0] * 4
+    assert hom.target.coeff.shape[:2] == (2, 2)  # charts, rows
     assert "failed" not in statuses
+    # no finite count certifies here, so chart 2 is tracked on the same target
+    monkeypatch.undo()
+    conics = fixtures.system("degenerate-conics")
+    (first, *_), (second, *_) = _recorded_homotopies(monkeypatch, lambda: solve.base_points(conics))
+    assert first.charts.tolist() == [0] * 4 and second.charts.tolist() == [1] * 4
+    assert second.target is first.target
+
+
+def test_chart_1_alone_tracks_as_in_one_stack_with_chart_2(monkeypatch):
+    """Every solve here certifies on chart 1, so it tracks chart 1 alone.
+    Its statuses and endpoints must be, bit for bit, those of its rows
+    tracked in one stack with chart 2's rows from chart 2's start draw,
+    which is how both charts were tracked when every solve tracked both."""
+    for dim in (2, 3, 4, 5):
+        for seed in range(3):
+            _, system, _ = loci.sample_general_cyclic(dim, rng=random.Random(10 * dim + seed))
+            draws, results = [], []
+            with monkeypatch.context() as patch:
+                draw = solve._draw_start
+                patch.setattr(solve, "_draw_start", lambda *args: draws.append(draw(*args)) or draws[-1])
+                calls = _recorded_homotopies(
+                    patch, lambda: results.append(solve.base_points(system, solve.SolveConfig(seed)))
+                )
+            (result,) = results
+            assert result.certified and len(result.chart_reports) == 1
+            (hom, _, statuses, endpoints), = calls
+            # both charts' draws in one stack on the same compiled target
+            starts, roots, gammas = zip(*draws)
+            size = len(statuses)
+            both = solve._Homotopy(
+                hom.target,
+                hom.degrees,
+                np.repeat([0, 1], size),
+                np.repeat(roots, size, axis=0),
+                np.repeat(gammas, size),
+            )
+            joint_statuses, joint_endpoints = solve._track_paths(both, np.concatenate(starts))
+            assert joint_statuses[:size] == statuses
+            assert np.array_equal(joint_endpoints[:size], endpoints)
+    # a positive-dimensional base locus fails rule A on chart 1, so both
+    # charts are tracked, and the solve still comes back uncertified
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["basepoints", "degenerate-conics", "--json"])
+    solution = json.loads(out.getvalue())["outputs"]["solution_set"]
+    assert code == 1 and not solution["certified"]
+    assert len(solution["chart_reports"]) == 2
 
 
 def test_degenerate_conics_are_never_certified():
