@@ -164,38 +164,27 @@ def _cmd_singular(args):
 def _cmd_jinv(args):
     inputs, kind, obj = _resolve_input(args.input)
     poly = _as_poly(kind, obj)
-    reduction = cubic.weierstrass_reduce(poly, config=solve.SolveConfig(seed=args.seed))
+    reduction = cubic.weierstrass_reduce(poly)
     j_value = cubic.j_from_reduction(reduction).value
-    if reduction.exact:
-        outputs = {
-            "a": str(reduction.a),
-            "b": str(reduction.b),
-            "j": str(j_value),
-            "exact": True,
-            "flex": [str(c) for c in reduction.flex],
-            "residual": 0.0,
-        }
-        lines = [
-            f"short Weierstrass form: y^2 = x^3 + ({reduction.a})x + ({reduction.b})  [exact]",
-            f"flex used: {list(reduction.flex)}",
-            f"j-invariant: {j_value}",
-        ]
-        certified = True
+    flex = reduction.flex
+    outputs = {
+        "a": str(reduction.a),
+        "b": str(reduction.b),
+        "j": str(j_value),
+        "exact": reduction.exact,
+        "flex": None if flex is None else [str(c) for c in flex],
+        "residual": 0.0,
+    }
+    lines = [f"short Weierstrass form: y^2 = x^3 + ({reduction.a})x + ({reduction.b})  [exact]"]
+    if flex is None:
+        lines.append(
+            f"flex used: none up to height {cubic._FLEX_HEIGHT}; this is a model of the "
+            "cubic's Jacobian, and of the cubic itself only if it has a rational point"
+        )
     else:
-        a, b = complex(reduction.a), complex(reduction.b)
-        outputs = {
-            "a": [a.real, a.imag],
-            "b": [b.real, b.imag],
-            "j": [j_value.real, j_value.imag],
-            "exact": False,
-            "residual": reduction.residual,
-        }
-        lines = [
-            f"numeric Weierstrass pair: a = {a}, b = {b}",
-            f"j-invariant: {j_value} (flex residual {reduction.residual:.2e})",
-        ]
-        certified = reduction.residual <= solve._RESIDUAL_TOL
-    return inputs, outputs, certified, lines
+        lines.append(f"flex used: {list(flex)}")
+    lines.append(f"j-invariant: {j_value}")
+    return inputs, outputs, True, lines
 
 
 def _cmd_certify(args):
@@ -332,9 +321,6 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except solve.UncertifiedSolveError as exc:
-        print(f"uncertified: {exc}", file=sys.stderr)
-        return 1
     elapsed = time.perf_counter() - started
     report = {
         "command": args.command,

@@ -358,20 +358,17 @@ def rank5_closed_form(matrix: Sequence[Sequence]) -> MultiPoly:
     """Closed form for the same quartic built only from scalar minors:
     (det M + sum mu_s) x0x1x2x3 plus mu-weighted cubic-tail monomials."""
     data = mu_invariants(matrix)
-    poly = MultiPoly.monomial(4, (1, 1, 1, 1), data.det + sum(data.mu))
+    # Each cubic-tail monomial x_b * x_i x_j x_k (b in {i, j, k}) names its
+    # triple, so no two terms share a monomial; MultiPoly drops the zeros.
+    terms = {(1, 1, 1, 1): data.det + sum(data.mu)}
     for i, j, k in itertools.combinations(range(4), 3):
         s = next(a for a in range(4) if a not in (i, j, k))
-        c = data.mu[s]
-        if not c:
-            continue
         for bumped in (i, j, k):
             mono = [0] * 4
-            mono[i] += 1
-            mono[j] += 1
-            mono[k] += 1
-            mono[bumped] += 1
-            poly = poly + MultiPoly.monomial(4, tuple(mono), c)
-    return poly
+            for v in (i, j, k, bumped):
+                mono[v] += 1
+            terms[tuple(mono)] = data.mu[s]
+    return MultiPoly(4, terms)
 
 
 def rank5_identity_check(matrix: Sequence[Sequence]) -> bool:

@@ -246,7 +246,7 @@ class MultiPoly:
             new = list(mono)
             new[var] = e - 1
             terms[tuple(new)] = c * e
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._canonical(self.nvars, terms)
 
     def gradient(self) -> list:
         return [self.diff(i) for i in range(self.nvars)]
@@ -259,19 +259,6 @@ class MultiPoly:
         for mono, c in self.terms.items():
             value = c
             for x, e in zip(pt, mono):
-                if e:
-                    value *= x**e
-            total += value
-        return total
-
-    def evaluate_complex(self, point: Sequence[complex]) -> complex:
-        """Floating evaluation, used only for numeric residual reporting."""
-        if len(point) != self.nvars:
-            raise ValueError("point has wrong number of coordinates")
-        total = 0j
-        for mono, c in self.terms.items():
-            value = complex(c)
-            for x, e in zip(point, mono):
                 if e:
                     value *= x**e
             total += value

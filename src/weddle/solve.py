@@ -1,8 +1,8 @@
 """Desk-scale numerical algebraic geometry.
 
-Certified projective point counts: base points of quadric systems, singular
-points of hypersurfaces and (for weddle.cubic) flexes of plane cubics, all
-through one solve path (_projective_solve).  A square subsystem is
+Certified projective point counts: base points of quadric systems and
+singular points of hypersurfaces, both through one solve path
+(_projective_solve).  A square subsystem of random combinations is
 dehomogenized onto two random rational charts, and each chart runs a
 total-degree homotopy of at most _MAX_PATHS Bezout paths (each degree
 counted as at least 2), the package's one size limit.  Each row of a chart's
@@ -54,10 +54,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .polycore import MultiPoly, projectively_equal
-
-
-class UncertifiedSolveError(RuntimeError):
-    """An operation needed a certified solve and did not get one."""
 
 
 @dataclass(frozen=True)
@@ -782,9 +778,9 @@ def _finish(statuses, endpoints, chart, k: int, target: _Compiled, degrees, filt
 
 def _projective_solve(polys, degrees, rng) -> SolutionSet:
     """Two-chart projective solve, chart 2 only on demand: the common zeros
-    of polys, cut out inside the finite zero set of a square system of the
-    given degrees: polys itself when they number len(degrees), else random
-    combinations of them, drawn only after the size check.
+    of polys, which outnumber the degrees, cut out inside the finite zero
+    set of a square system of the given degrees: random combinations of
+    polys, drawn only after the size check.
 
     The square subsystem is dehomogenized onto two random charts that are
     not proportional (such charts share their infinity hyperplane and lose
@@ -823,9 +819,7 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
             f"{math.prod(degrees)} Bezout paths per chart in {len(degrees)} unknowns "
             f"exceed the cap of {_MAX_PATHS} (each degree counted as at least 2)"
         )
-    square = polys
-    if len(polys) != len(degrees):
-        square = _random_square_subsystem(polys, len(degrees), rng)
+    square = _random_square_subsystem(polys, len(degrees), rng)
     nvars = square[0].nvars
     charts = [_random_chart(nvars, rng), _random_chart(nvars, rng)]
     while projectively_equal(charts[1][0], charts[0][0]):

@@ -1,11 +1,11 @@
-"""Smooth plane cubics: flexes, short Weierstrass form, j-invariants."""
+"""Smooth plane cubics: flexes, invariants, short Weierstrass form, j."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weddle import cubic, fixtures, linalg, solve
@@ -124,43 +124,47 @@ def test_short_form_cubics_reduce_to_their_own_pairs():
     assert cubic.j_short(r.short()) == 1728
 
 
-def test_fermat_cubic_has_j_zero_on_both_routes():
+def test_fermat_and_diagonal_cubics_have_exact_j_zero():
     fermat = parse_poly("x0^3 + x1^3 + x2^3")
-    exact = cubic.weierstrass_reduce(fermat)
-    assert exact.exact
-    assert (exact.a, exact.b) == (0, Fraction(-27, 4))
+    r = cubic.weierstrass_reduce(fermat)
+    assert r.exact
+    assert (r.a, r.b) == (0, Fraction(-27, 4))
     assert cubic.j_invariant(fermat).value == 0
 
     # x0^3 + 2 x1^3 + 3 x2^3 has j = 0 too, but no rational flex at all
     diagonal = parse_poly("x0^3 + 2*x1^3 + 3*x2^3")
-    numeric = cubic.weierstrass_reduce(diagonal)
-    assert not numeric.exact
-    assert abs(complex(numeric.a)) < 1e-9
-    assert abs(cubic.j_from_reduction(numeric).value) < 1e-9
-    assert numeric.residual < 1e-10
+    assert cubic.invariants(diagonal) == (0, -243, 27 * 243**2)
+    r = cubic.weierstrass_reduce(diagonal)
+    assert r.exact
+    assert r.flex is None
+    assert r.a == 0
+    assert cubic.j_invariant(diagonal).value == 0
 
 
-def test_a_flex_beyond_the_search_height_is_promoted_to_an_exact_one():
-    # reduces to (a, b) = (1, 0) through its rational flex (0:1:9), which
-    # lies beyond the search height
+def test_a_cubic_whose_flex_lies_beyond_the_search_height_reduces_exactly():
+    # y^2 z = x^3 + x z^2 in coordinates where its rational flex is (0:1:9),
+    # beyond the search height
     f = parse_poly("x0^3 + 81*x0*x1^2 - 18*x0*x1*x2 + x0*x2^2 + 9*x1^3 - x1^2*x2")
     assert cubic.find_rational_flex(f) is None
+    assert cubic.invariants(f) == (1, 0, 4)
     r = cubic.weierstrass_reduce(f)
     assert r.exact
-    assert r.flex == (0, 1, 9)
+    assert r.flex is None
     assert (r.a, r.b) == (1, 0)
+    assert cubic.j_invariant(f).value == 1728
 
 
-def test_a_rational_flex_listed_after_irrational_ones_is_still_promoted():
+def test_a_sheared_short_form_reduces_exactly_without_a_flex_in_range():
     # y^2 z = x^3 + x z^2 under x0 -> x0 - 9 x1: its rational flex (9:1:0)
-    # lies beyond the search height and is not the first certified flex
+    # lies beyond the search height
     g = parse_poly(
         "x0^3 - 27*x0^2*x1 + 243*x0*x1^2 + x0*x2^2 - 729*x1^3 - x1^2*x2 - 9*x1*x2^2"
     )
     assert cubic.find_rational_flex(g) is None
+    assert cubic.invariants(g) == (1, 0, 4)
     r = cubic.weierstrass_reduce(g)
     assert r.exact
-    assert r.flex == (9, 1, 0)
+    assert r.flex is None
     assert (r.a, r.b) == (1, 0)
     assert cubic.j_invariant(g).value == 1728
 
@@ -220,19 +224,31 @@ def test_j_is_invariant_under_rational_changes_of_coordinates():
                 continue
             attempts += 1
             g = f.compose([linear_form(3, row) for row in matrix])
-            result = cubic.j_invariant(g)
-            if result.exact:
-                assert result.value == expected
-            else:
-                assert abs(complex(result.value) - complex(expected)) <= 1e-6 * abs(
-                    complex(expected)
-                )
+            assert cubic.j_invariant(g).value == expected
 
 
-def test_numeric_flex_solve_finds_nine_flexes_of_a_smooth_cubic():
-    flexes = cubic.flex_points(fixtures.poly("witness-C1"))
-    assert flexes.certified
-    assert flexes.count() == 9
+def _short_form(a, b):
+    """y^2 z - x^3 - a x z^2 - b z^3 in x0 = x, x1 = y, x2 = z."""
+    return MultiPoly(3, {(0, 2, 1): 1, (3, 0, 0): -1, (1, 0, 2): -a, (0, 0, 3): -b})
+
+
+_small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_matrices = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+@given(_small_rationals, _small_rationals, _matrices, _small_rationals)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_invariants_of_a_rational_image_of_a_short_form(a, b, matrix, scale):
+    assume(4 * a**3 + 27 * b**2 != 0 and scale != 0)
+    det = linalg.det(matrix)
+    assume(det != 0)
+    g = _short_form(a, b).compose([linear_form(3, row) for row in matrix]).scale(scale)
+    # Rescaling by c and a change of coordinates of determinant d map the
+    # pair to (u^4 a, u^6 b) with u = c d: a rational u, so the pair is the
+    # same curve over Q, not a quadratic twist with the same j.
+    u = scale * det
+    assert cubic.invariants(g) == (u**4 * a, u**6 * b, u**12 * (4 * a**3 + 27 * b**2))
+    assert cubic.j_invariant(g).value == cubic.j_short(ShortWeierstrass(a, b))
 
 
 def test_reduction_validates_input():
@@ -240,8 +256,12 @@ def test_reduction_validates_input():
         cubic.weierstrass_reduce(parse_poly("x0^2 + x1*x2"))  # not a cubic
     with pytest.raises(ValueError):
         cubic.weierstrass_reduce(parse_poly("x0^3 + x1^3", nvars=2))  # wrong ring
-    with pytest.raises((ValueError, cubic.solve.UncertifiedSolveError)):
-        cubic.weierstrass_reduce(parse_poly("x0*x1*x2"))  # singular
+    with pytest.raises(ValueError, match="multiple"):
+        cubic.weierstrass_reduce(parse_poly("x0*x1*x2"))  # a triangle: He F is a multiple of F
+    with pytest.raises(ValueError, match="4a\\^3"):
+        cubic.weierstrass_reduce(parse_poly("x1^2*x2 - x0^3 - x0^2*x2"))  # a node
+    with pytest.raises(ValueError, match="zero"):
+        cubic.weierstrass_reduce(parse_poly("x0^3 + x1^3", nvars=3))  # a cone: He F = 0
 
 
 def test_reduction_runs_at_the_first_rational_flex_in_range():
