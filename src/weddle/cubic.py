@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import ClassVar, Optional, Sequence
 
 from . import linalg, solve
-from .polycore import MultiPoly, PolyMatrix, Rat, as_rat, projectively_equal
+from .polycore import MultiPoly, PolyMatrix, Rat, as_rat
 
 
 @dataclass(frozen=True)
@@ -56,59 +58,92 @@ def hessian(f: MultiPoly) -> PolyMatrix:
 
 
 # ---- rational flexes ----
+#
+# The flex search runs on Python ints.  The flex property of a point does
+# not change when f is scaled or the point is, since F(lambda p) is
+# lambda^3 F(p) and the gradient and Hessian entries scale likewise, so f is
+# replaced by its primitive integer multiple and a point by a primitive
+# integer triple.
+
+_CUBIC_MONOMIALS = tuple(m for m in itertools.product(range(4), repeat=3) if sum(m) == 3)
+_UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _monomial_values(p: Sequence[int]) -> tuple:
+    """The ten cubic monomials evaluated at an integer triple."""
+    x, y, z = p
+    return tuple(x**i * y**j * z**k for i, j, k in _CUBIC_MONOMIALS)
+
+
+_FLEX_HEIGHT = 8
+
+
+@lru_cache(maxsize=_FLEX_HEIGHT)
+def _shell(height: int) -> tuple:
+    """The primitive integer triples with max absolute entry height and
+    first nonzero entry positive, in lexicographic order, each paired with
+    its _monomial_values.  The last _FLEX_HEIGHT shells built are kept, so
+    the default flex search builds each of its shells once."""
+    values = range(-height, height + 1)
+    block = []
+    for triple in itertools.product(values, values, values):
+        if max(map(abs, triple)) == height and next(c for c in triple if c) > 0 and math.gcd(*triple) == 1:
+            block.append((triple, _monomial_values(triple)))
+    return tuple(block)
+
 
 def _canonical_triples(height: int):
-    """Primitive integer triples, first nonzero entry positive, ordered by
-    (max absolute entry, lexicographic order)."""
+    """The entries of _shell(1), ..., _shell(height) in order, so ordered
+    by (max absolute entry, lexicographic order)."""
     for shell in range(1, height + 1):
-        block = []
-        values = range(-shell, shell + 1)
-        for triple in itertools.product(values, values, values):
-            if max(abs(c) for c in triple) != shell:
-                continue
-            nonzero = [c for c in triple if c]
-            if not nonzero or nonzero[0] < 0:
-                continue
-            if math.gcd(math.gcd(abs(triple[0]), abs(triple[1])), abs(triple[2])) != 1:
-                continue
-            block.append(triple)
-        block.sort()
-        yield from block
+        yield from _shell(shell)
 
 
-def _tangent_direction(gradient: Sequence, point: Sequence) -> Optional[tuple]:
-    """Canonical primitive kernel vector of the gradient, independent of
-    the point: the smallest of the cross products with the unit vectors."""
-    l0, l1, l2 = gradient
-    raw = [(0, l2, -l1), (-l2, 0, l0), (l1, -l0, 0)]
-    candidates = []
-    for vec in raw:
-        prim = solve._primitive([as_rat(v) for v in vec])
-        if prim is not None and not projectively_equal(prim, point):
-            candidates.append(prim)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda v: (max(abs(c) for c in v), v))
+def _integer_terms(poly: MultiPoly) -> tuple:
+    """The (coefficient, exponents) pairs of a polynomial with integer
+    coefficients, as Python ints."""
+    return tuple((int(c), m) for m, c in poly.terms.items())
+
+
+def _evaluate(terms: tuple, p: Sequence[int]) -> int:
+    """The value at an integer triple of a polynomial given by its
+    _integer_terms."""
+    x, y, z = p
+    return sum(c * x**i * y**j * z**k for c, (i, j, k) in terms)
 
 
 def _flex_test(f: MultiPoly):
-    """The flex test of f as a function of an exact nonzero point, with
-    the gradient and the Hessian entries of f built once: the point lies
-    on the curve, is a smooth point, and the Hessian form vanishes on the
-    tangent direction there."""
-    gradient = f.gradient()
-    second = hessian(f).entries
+    """The flex test of f as a function of a primitive integer triple p and
+    its _monomial_values: p lies on the curve, is a smooth point, and the
+    Hessian form vanishes on the tangent direction there.  The gradient and
+    the six distinct second partials of f's primitive integer multiple are
+    built once.
 
-    def test(p: Sequence) -> bool:
-        if f.evaluate(p) != 0:
+    The last condition is tested as det H(p) = 0.  Take a basis p, v, w
+    with grad f(p) . v = 0 and c = grad f(p) . w nonzero.  By Euler,
+    H(p) p = 2 grad f(p) and p . grad f(p) = 3 f(p) = 0, so in that basis
+    H(p) has first row (0, 0, 2c) and determinant -4c^2 v.H(p)v, up to the
+    square of the change of basis."""
+    if f.nvars != 3 or not f.is_homogeneous(3):
+        raise ValueError("expected a ternary homogeneous cubic")
+    f = f.primitive_normalized()
+    coefficients = tuple(int(f.coefficient(m)) for m in _CUBIC_MONOMIALS)
+    first = f.gradient()
+    gradient = [_integer_terms(g) for g in first]
+    second = [_integer_terms(first[i].diff(j)) for i, j in _UPPER]
+
+    def test(p: Sequence[int], monomials: tuple) -> bool:
+        if sum(map(operator.mul, coefficients, monomials)):
             return False
-        grad = [g.evaluate(p) for g in gradient]
-        if not any(grad):
+        if not any(_evaluate(g, p) for g in gradient):
             return False
-        v = _tangent_direction(grad, p)
-        if v is None:
-            return False
-        return sum(v[i] * second[i][j].evaluate(p) * v[j] for i in range(3) for j in range(3)) == 0
+        h00, h11, h22, h01, h02, h12 = (_evaluate(h, p) for h in second)
+        det = (
+            h00 * (h11 * h22 - h12 * h12)
+            - h01 * (h01 * h22 - h12 * h02)
+            + h02 * (h01 * h12 - h11 * h02)
+        )
+        return det == 0
 
     return test
 
@@ -116,21 +151,20 @@ def _flex_test(f: MultiPoly):
 def is_flex(f: MultiPoly, point: Sequence) -> bool:
     """Exact flex test: the point lies on the curve, is a smooth point,
     and the Hessian form vanishes on the tangent direction there."""
-    if f.nvars != 3 or not f.is_homogeneous(3):
-        raise ValueError("expected a ternary homogeneous cubic")
+    test = _flex_test(f)
     p = [as_rat(x) for x in point]
     if all(x == 0 for x in p):
         raise ValueError("projective point must be nonzero")
-    return _flex_test(f)(p)
-
-
-_FLEX_HEIGHT = 8
+    if len(p) != 3:
+        raise ValueError("point has wrong number of coordinates")
+    p = solve._primitive(p)
+    return test(p, _monomial_values(p))
 
 
 def find_rational_flex(f: MultiPoly, height: int = _FLEX_HEIGHT) -> Optional[tuple]:
     """First flex among canonical primitive integer triples up to height."""
     test = _flex_test(f)
-    return next((t for t in _canonical_triples(height) if test(t)), None)
+    return next((t for t, monomials in _canonical_triples(height) if test(t, monomials)), None)
 
 
 # ---- the invariants ----
@@ -190,26 +224,30 @@ def canonicalize_pair(a: Rat, b: Rat) -> tuple:
     """
     a = as_rat(a)
     b = as_rat(b)
-    entries = math.prod(e for e in (a.numerator, a.denominator, b.numerator, b.denominator) if e)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    entries = math.prod(e for e in (an, ad, bn, bd) if e)
     # k <= 48 < 2^6, so k divides entries^6 exactly when every prime factor
     # of k divides entries.
-    smooth = [k for k in range(1, 49) if pow(entries, 6, k) == 0]
+    smooth = [(k, k**4, k**6) for k in range(1, 49) if pow(entries, 6, k) == 0]
     best = None
-    for s in smooth:
-        for t in smooth:
+    for s, s4, s6 in smooth:
+        for t, t4, t6 in smooth:
             if math.gcd(s, t) != 1:
                 continue
-            u = Fraction(s, t)
-            a2 = a * u**4
-            b2 = b * u**6
-            profile = sorted(
-                (abs(a2.numerator), a2.denominator, abs(b2.numerator), b2.denominator),
-                reverse=True,
-            )
-            key = (profile, 0 if u == 1 else 1, s + t, s)
+            # u = s/t, so u^4 a = an s^4 / (ad t^4) and u^6 b = bn s^6 / (bd t^6)
+            pair = _reduced(an * s4, ad * t4) + _reduced(bn * s6, bd * t6)
+            profile = sorted((abs(pair[0]), pair[1], abs(pair[2]), pair[3]), reverse=True)
+            key = (profile, 0 if s == t else 1, s + t, s)
             if best is None or key < best[0]:
-                best = (key, a2, b2)
-    return best[1], best[2]
+                best = (key, pair)
+    num_a, den_a, num_b, den_b = best[1]
+    return Fraction(num_a, den_a), Fraction(num_b, den_b)
+
+
+def _reduced(num: int, den: int) -> tuple:
+    """num/den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 # ---- public reduction API ----

@@ -1,5 +1,6 @@
 """Smooth plane cubics: flexes, invariants, short Weierstrass form, j."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from weddle import cubic, fixtures, linalg, solve
 from weddle.cubic import ShortWeierstrass
-from weddle.polycore import MultiPoly, linear_form, parse_poly
+from weddle.polycore import MultiPoly, linear_form, parse_poly, projectively_equal
 
 C1_PAIR = (Fraction(-121, 48), Fraction(845, 864))
 C2_PAIR = (Fraction(-1633, 48), Fraction(61201, 864))
@@ -59,6 +60,57 @@ def test_non_flex_point_on_the_curve():
     f = parse_poly("x0^3 - x0*x2^2 - x1^2*x2")
     assert f.evaluate([1, 0, 1]) == 0
     assert not cubic.is_flex(f, [1, 0, 1])
+
+
+def test_flex_predicate_validates_its_input():
+    f = fixtures.poly("witness-C1")
+    with pytest.raises(TypeError):
+        cubic.is_flex(f, [0, 1.0, -1])
+    with pytest.raises(ValueError):
+        cubic.is_flex(f, [0, 1])
+    with pytest.raises(ValueError):
+        cubic.is_flex(parse_poly("x0^4 + x1^4 - x2^4"), [0, 1, 1])
+
+
+def test_flex_candidates_keep_their_order():
+    triples = [t for t, _ in cubic._canonical_triples(8)]
+    assert len(triples) == len(set(triples)) == 2017
+    assert triples[:4] == [(0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1)]
+    assert triples[-1] == (8, 8, 7)
+    assert triples == list(_reference_triples(8))
+    assert cubic.find_rational_flex(parse_poly("x0^3 + 2*x1^3 + 3*x2^3")) is None
+
+
+def _reference_triples(height):
+    """The candidate order of the Fraction flex search: primitive integer
+    triples, first nonzero entry positive, by (max absolute entry,
+    lexicographic order)."""
+    for shell in range(1, height + 1):
+        values = range(-shell, shell + 1)
+        block = [
+            t for t in itertools.product(values, values, values)
+            if max(map(abs, t)) == shell and next(c for c in t if c) > 0 and math.gcd(*t) == 1
+        ]
+        yield from sorted(block)
+
+
+def _reference_is_flex(f, p):
+    """The flex test in Fraction arithmetic on f itself: p lies on the
+    curve, is a smooth point, and the Hessian form vanishes on the smallest
+    primitive kernel vector of the gradient off p's line."""
+    p = [Fraction(x) for x in p]
+    if f.evaluate(p) != 0:
+        return False
+    l0, l1, l2 = (g.evaluate(p) for g in f.gradient())
+    if not (l0 or l1 or l2):
+        return False
+    candidates = [
+        v for v in (solve._primitive(w) for w in ((0, l2, -l1), (-l2, 0, l0), (l1, -l0, 0)))
+        if v is not None and not projectively_equal(v, p)
+    ]
+    v = min(candidates, key=lambda w: (max(map(abs, w)), w))
+    second = cubic.hessian(f).entries
+    return sum(v[i] * second[i][j].evaluate(p) * v[j] for i in range(3) for j in range(3)) == 0
 
 
 def test_hessian_matrix_satisfies_the_euler_type_identity():
@@ -249,6 +301,48 @@ def test_invariants_of_a_rational_image_of_a_short_form(a, b, matrix, scale):
     u = scale * det
     assert cubic.invariants(g) == (u**4 * a, u**6 * b, u**12 * (4 * a**3 + 27 * b**2))
     assert cubic.j_invariant(g).value == cubic.j_short(ShortWeierstrass(a, b))
+
+
+def test_singular_points_are_not_flexes():
+    node = parse_poly("x1^2*x2 - x0^3 - x0^2*x2")
+    triangle = parse_poly("x0*x1*x2")
+    assert not cubic.is_flex(node, [0, 0, 1])
+    assert not cubic.is_flex(triangle, [0, 0, 1])
+    assert cubic.is_flex(triangle, [0, 1, -1])  # a smooth point of a line of the curve
+    for f in (node, triangle):
+        for t in _reference_triples(2):
+            assert cubic.is_flex(f, t) == _reference_is_flex(f, t)
+
+
+def _preimage(matrix, q):
+    """A projective point x with matrix * x proportional to q, for an
+    invertible matrix."""
+    ((*x, _),) = linalg.nullspace([row + [-c] for row, c in zip(matrix, q)])
+    return x
+
+
+_non_integers = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 5)).filter(
+    lambda q: q.denominator > 1
+)
+
+
+@given(_small_rationals, _small_rationals, _matrices, _non_integers, _non_integers)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_integer_flex_search_matches_the_fraction_search(a, c, matrix, scale, point_scale):
+    # y^2 z = x^3 + a x z^2 + c^2 z^3 has the flex (0:1:0) and the point
+    # (0:c:1); g = scale * f(matrix x) has them at their preimages.
+    b = c * c
+    assume(4 * a**3 + 27 * b**2 != 0)
+    assume(linalg.det(matrix) != 0)
+    g = _short_form(a, b).compose([linear_form(3, row) for row in matrix]).scale(scale)
+    first = next((t for t in _reference_triples(cubic._FLEX_HEIGHT) if _reference_is_flex(g, t)), None)
+    assert cubic.find_rational_flex(g) == first
+    flex = [point_scale * x for x in _preimage(matrix, [0, 1, 0])]
+    on_curve = _preimage(matrix, [0, c, 1])
+    nearby = [flex[0] + 1, flex[1], flex[2]]
+    assert cubic.is_flex(g, flex) and _reference_is_flex(g, flex)
+    for point in (on_curve, nearby):
+        assert cubic.is_flex(g, point) == _reference_is_flex(g, point)
 
 
 def test_reduction_validates_input():
