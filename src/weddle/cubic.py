@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar, Optional, Sequence
 
-from . import linalg, solve
-from .polycore import MultiPoly, PolyMatrix, Rat, as_rat
+from . import linalg
+from .polycore import MultiPoly, PolyMatrix, Rat, as_rat, clear_denominators, primitive_vector
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def is_flex(f: MultiPoly, point: Sequence) -> bool:
         raise ValueError("projective point must be nonzero")
     if len(p) != 3:
         raise ValueError("point has wrong number of coordinates")
-    p = solve._primitive(p)
+    p = primitive_vector(clear_denominators(p)[0])
     return test(p, _monomial_values(p))
 
 

@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals, returned as lists of Fraction rows.
 
 `rref`, `rank`, `nullspace` and `det` share one elimination kernel on
-Python ints.  `_integer_rows` first scales each row by the lcm of its
-denominators, which changes neither the row space nor the pivot columns,
-and multiplies det by a known integer.  `_eliminate` then runs
-fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
-with p the new pivot and d the previous one, every other row becomes
-(p * row - row[c] * pivot_row) / d, and the division is exact.
+Python ints.  `_integer_rows` first clears each row's denominators
+(`polycore.clear_denominators`), which changes neither the row space nor
+the pivot columns, and multiplies det by a known integer.  `_eliminate`
+then runs fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+22, 1968): with p the new pivot and d the previous one, every other row
+becomes (p * row - row[c] * pivot_row) / d, and the division is exact.
 
 Exact division is what keeps the entries small.  After k pivots, every
 entry is, up to sign, a minor of order at most k + 1 of the integer matrix
@@ -25,10 +25,9 @@ single number.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .polycore import as_rat
+from .polycore import as_rat, clear_denominators
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,14 +42,13 @@ def identity(n: int) -> list:
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
-    """Each row times the lcm of its denominators; returns (rows, product
-    of those lcms).  Entries are coerced as by `to_matrix`."""
+    """Each row by clear_denominators; returns (rows, product of the row
+    lcms).  Entries are coerced as by `to_matrix`."""
     m = []
     den = 1
     for row in rows:
-        values = [x if type(x) is int else as_rat(x) for x in row]
-        scale = lcm(*(x.denominator for x in values))
-        m.append([x.numerator * (scale // x.denominator) for x in values])
+        values, scale = clear_denominators([x if type(x) is int else as_rat(x) for x in row])
+        m.append(values)
         den *= scale
     return m, den
 

@@ -16,11 +16,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Optional, Sequence
 
 from . import linalg, solve
-from .polycore import MultiPoly, PolyMatrix, as_int, as_rat, divides, linear_form
+from .polycore import (
+    MultiPoly, PolyMatrix, as_int, as_rat, clear_denominators, divides, linear_form,
+)
 
 
 # ---- quadrics as matrices and polynomials ----
@@ -232,8 +234,7 @@ def quadrics_through_points(points: Sequence[Sequence], n: int) -> list:
         if all(x == 0 for x in pt):
             raise ValueError("projective point must be nonzero")
         # Rescaling a point to integer coordinates keeps its conditions.
-        scale = lcm(*(x.denominator for x in pt))
-        coords = [x.numerator * (scale // x.denominator) for x in pt]
+        coords, _ = clear_denominators(pt)
         rows.append([prod(x**e for x, e in zip(coords, mono) if e) for mono in monos])
     # Each nullspace coefficient goes straight into its symmetric matrix,
     # as poly_to_quadric reads a quadric: the coefficient of x_i^2 at (i, i),

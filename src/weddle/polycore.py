@@ -7,11 +7,15 @@ ordered in graded lexicographic order wherever they are enumerated or
 printed; together with primitive normalization this gives every polynomial
 a canonical, regression-stable representative.
 
-The two hot kernels, the PolyMatrix determinant (det, and primitive_det
-for Weddle loci) and MultiPoly.compose (chart substitution before every
-numeric solve), do not use this representation inside: they clear
-denominators, pack every monomial into one int and expand over the
-integers, building a MultiPoly only for the result.  compose works on dicts of packed monomials; det works on integer
+Rationals become integers in one place: clear_denominators (numerators
+over the lcm of the denominators) and primitive_vector (an integer vector
+over its gcd, one entry made positive); every integer kernel uses them.
+
+The hot kernels (MultiPoly multiplication and compose, the latter for
+chart substitution before every numeric solve, and PolyMatrix det and
+primitive_det for Weddle loci) pack every monomial into one int and
+expand over the integers, building a MultiPoly only for the result:
+multiplication and compose on dicts of packed monomials, det on integer
 arrays of minors, int64 when a bound on every coefficient it can reach
 proves that safe and Python ints otherwise.
 """
@@ -57,6 +61,28 @@ def as_int(value, name: str) -> int:
     return value
 
 
+def clear_denominators(values) -> tuple:
+    """(numerators, lcm): the ints and Fractions of the collection values,
+    each times lcm, the lcm of their denominators (1 when there are none),
+    as a list of ints in the same order."""
+    lcm = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (lcm // q.denominator) for q in values], lcm
+
+
+def primitive_vector(values: Sequence[int], lead: Optional[int] = None) -> Optional[tuple]:
+    """The integer vector values divided by its gcd, with the sign that makes
+    values[lead] positive (by default the first nonzero entry), as a tuple;
+    None for the zero vector."""
+    g = math.gcd(*values)
+    if not g:
+        return None
+    if lead is None:
+        lead = next(i for i, v in enumerate(values) if v)
+    if values[lead] < 0:
+        g = -g
+    return tuple(v // g for v in values)
+
+
 def grlex_key(mono: Monomial):
     """Sort key realizing graded lexicographic order (total degree first)."""
     return (sum(mono), mono)
@@ -76,8 +102,8 @@ class MultiPoly:
                 c = as_rat(coeff)
                 if c == 0:
                     continue
-                key = tuple(int(e) for e in mono)
-                if len(key) != nvars or any(e < 0 for e in key):
+                key = tuple(mono)
+                if len(key) != nvars or not all(type(e) is int and e >= 0 for e in key):
                     raise ValueError(f"bad exponent tuple {mono!r} for {nvars} variables")
                 clean[key] = c
         object.__setattr__(self, "nvars", nvars)
@@ -190,16 +216,11 @@ class MultiPoly:
             return self.scale(other)
         if other.nvars != self.nvars:
             raise ValueError("operands live in different polynomial rings")
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-        return MultiPoly(self.nvars, terms)
+        # Packed over the integers like compose; fields hold the product's degree.
+        width = (self.total_degree() + other.total_degree()).bit_length()
+        a, lcm_a = _packed(self, width)
+        b, lcm_b = _packed(other, width)
+        return _unpacked(self.nvars, width, _add_product({}, a, b), lcm_a * lcm_b)
 
     def __rmul__(self, other) -> "MultiPoly":
         return self.scale(other)
@@ -288,22 +309,20 @@ class MultiPoly:
             return MultiPoly(out_vars)
         width = (self.total_degree() * max(0, *(g.total_degree() for g in args))).bit_length()
         top = [max(mono[i] for mono in self.terms) for i in range(self.nvars)]
-        lcms = [_denominator_lcm([g]) for g in args]
+        packed = [_packed(g, width) for g in args]
+        lcms = [lcm for _, lcm in packed]
         # powers[i][e]: (L_i * g_i)^e as a packed dict.
         powers = []
-        for g, lcm, e in zip(args, lcms, top):
-            scaled = _packed(g, width, lcm)
+        for (scaled, _), e in zip(packed, top):
             powers.append([{0: 1}])
             for _ in range(e):
                 powers[-1].append(_add_product({}, powers[-1][-1], scaled))
 
-        self_lcm = _denominator_lcm([self])
+        numerators, self_lcm = clear_denominators(self.terms.values())
         denominator = self_lcm * math.prod(lcm**e for lcm, e in zip(lcms, top))
         total: dict = {}
-        for mono, c in self.terms.items():
-            factor = c.numerator * (self_lcm // c.denominator) * math.prod(
-                lcm ** (t - e) for lcm, t, e in zip(lcms, top, mono)
-            )
+        for mono, c in zip(self.terms, numerators):
+            factor = c * math.prod(lcm ** (t - e) for lcm, t, e in zip(lcms, top, mono))
             # The largest power is multiplied last, straight into total.
             parts = sorted((powers[i][e] for i, e in enumerate(mono) if e), key=len)
             part = {0: factor}
@@ -316,22 +335,14 @@ class MultiPoly:
 
     def content(self) -> Fraction:
         """gcd of the coefficients (positive), 0 for the zero polynomial."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        numerators, lcm = clear_denominators(self.terms.values())
+        return Fraction(math.gcd(*numerators), lcm)
 
     def primitive_normalized(self) -> "MultiPoly":
         """Divide by the content and fix the sign so the graded-lex leading
         coefficient is positive.  Zero maps to zero."""
-        if not self.terms:
-            return self
-        content = self.content()
-        return self.scale(1 / content if self.leading_coefficient() > 0 else -1 / content)
+        numerators, _ = clear_denominators(self.terms.values())
+        return _primitive_poly(self.nvars, list(self.terms), numerators)
 
     def proportional(self, other: "MultiPoly") -> bool:
         """True when the two polynomials agree up to a nonzero scalar."""
@@ -357,6 +368,14 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self})"
+
+
+def _primitive_poly(nvars: int, monomials: list, values: list) -> MultiPoly:
+    """The MultiPoly with the integer values on the monomials, divided by
+    their gcd with the graded-lex leading coefficient made positive."""
+    lead = monomials.index(max(monomials, key=grlex_key)) if monomials else None
+    values = primitive_vector(values, lead) or ()
+    return MultiPoly._canonical(nvars, {m: Fraction(v) for m, v in zip(monomials, values)})
 
 
 def _term_body(mono: Monomial, coeff: Fraction) -> str:
@@ -549,24 +568,20 @@ def projectively_equal(p: Sequence, q: Sequence) -> bool:
 # The exact kernels pack a monomial into one int: variable i takes the bits
 # from i*width, where width is the bit length of a bound on every exponent
 # the kernel can reach, so a product of monomials is one int addition that
-# never carries into the next field.  MultiPoly.compose works on dicts from
-# a packed monomial to an int coefficient, built by the helpers below.
-# PolyMatrix.det keeps the packed monomials it reaches in a sorted array
-# and the coefficients of its minors in a 2-D integer array over them.
+# never carries into the next field.  MultiPoly multiplication and compose
+# work on dicts from a packed monomial to an int coefficient, built by the
+# helpers below.  PolyMatrix.det keeps the packed monomials it reaches in a
+# sorted array and the coefficients of its minors in a 2-D integer array
+# over them.
 
 
-def _denominator_lcm(polys: Sequence[MultiPoly]) -> int:
-    """The lcm of the coefficient denominators of polys (1 if all are zero)."""
-    return math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-
-
-def _packed(poly: MultiPoly, width: int, lcm: int) -> dict:
-    """poly times lcm, a multiple of its coefficient denominators, as a
-    packed integer dict."""
+def _packed(poly: MultiPoly, width: int) -> tuple:
+    """(packed, lcm): poly times lcm, the lcm of its coefficient
+    denominators, as a packed integer dict."""
+    numerators, lcm = clear_denominators(poly.terms.values())
     return {
-        sum(e << (width * i) for i, e in enumerate(m)): c.numerator * (lcm // c.denominator)
-        for m, c in poly.terms.items()
-    }
+        sum(e << (width * i) for i, e in enumerate(m)): c for m, c in zip(poly.terms, numerators)
+    }, lcm
 
 
 def _add_product(total: dict, a: dict, b: dict) -> dict:
@@ -668,14 +683,7 @@ class PolyMatrix:
         """det().primitive_normalized(), with the gcd and the sign taken on
         the integer coefficients, so each coefficient becomes a Fraction once."""
         terms, _ = self._integer_det()
-        if not terms:
-            return MultiPoly(self.nvars)
-        g = math.gcd(*terms.values())
-        if terms[max(terms, key=grlex_key)] < 0:
-            g = -g
-        return MultiPoly._canonical(
-            self.nvars, {mono: Fraction(c // g) for mono, c in terms.items()}
-        )
+        return _primitive_poly(self.nvars, list(terms), list(terms.values()))
 
     def _integer_det(self) -> tuple:
         """(terms, denominator): the determinant times the positive integer
@@ -683,10 +691,10 @@ class PolyMatrix:
 
         Division-free cofactor expansion, exact over the integers.
 
-        Each row is multiplied by the lcm of its coefficient denominators,
-        and its monomials are packed (see the packed integer polynomials
-        above) with fields as wide as the bit length of the determinant's
-        degree bound: the sum over rows of the row's largest entry degree.
+        Each row's coefficients are cleared by clear_denominators, and its
+        monomials are packed (see the packed integer polynomials above)
+        with fields as wide as the bit length of the determinant's degree
+        bound: the sum over rows of the row's largest entry degree.
         The minors of the first k rows are one 2-D integer array, with a
         row per k-subset of the columns and a column per packed monomial
         they can reach (the basis, sorted).  Row k is one batched matrix
@@ -705,8 +713,8 @@ class PolyMatrix:
         at most the product of their l1 norms.  So the arrays are int64
         when the product of all the row l1 norms is below 2^63 and every
         packed monomial fits in 63 bits, and hold Python ints (dtype
-        object) otherwise.  A zero row gives zero at once.  Sizes above MAX_DET_SIZE are
-        refused rather than silently taking forever.
+        object) otherwise.  A zero row gives zero at once.  Sizes above
+        MAX_DET_SIZE are refused rather than silently taking forever.
         """
         n = self.size
         if n > MAX_DET_SIZE:
@@ -716,28 +724,29 @@ class PolyMatrix:
         denominator = 1
         rows = []
         for row in self.entries:
-            lcm = _denominator_lcm(row)
             index: dict = {}  # monomial -> its column in the row's table
-            cells = []  # (entry column, monomial column, scaled coefficient)
-            for col, entry in enumerate(row):
-                for mono, c in entry.terms.items():
-                    d = index.setdefault(mono, len(index))
-                    cells.append((col, d, c.numerator * (lcm // c.denominator)))
-            if not cells:
+            # (entry column, monomial column) of each coefficient, in order
+            places = [
+                (col, index.setdefault(mono, len(index)))
+                for col, entry in enumerate(row)
+                for mono in entry.terms
+            ]
+            if not places:
                 return {}, 1  # a zero row
+            values, lcm = clear_denominators([c for entry in row for c in entry.terms.values()])
             bound += max(sum(mono) for mono in index)
-            norm *= sum(abs(value) for _, _, value in cells)
+            norm *= sum(map(abs, values))
             denominator *= lcm
-            rows.append((list(index), cells))
+            rows.append((list(index), places, values))
         width = bound.bit_length()
         offsets = [width * i for i in range(self.nvars)]
         dtype = np.int64 if norm < 2**63 and self.nvars * width <= 63 else object
 
         minors = np.ones((1, 1), dtype)
         basis = np.zeros(1, dtype)
-        for k, (monomials, cells) in enumerate(rows):
+        for k, (monomials, places, values) in enumerate(rows):
             table = np.zeros((n, len(monomials)), dtype)
-            for col, d, value in cells:
+            for (col, d), value in zip(places, values):
                 table[col, d] = value
             subsets, columns, signs = _laplace_step(n, k)
             # products[s, d]: the Laplace sum over the columns of subset s of

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .polycore import MultiPoly, projectively_equal
+from .polycore import MultiPoly, clear_denominators, primitive_vector, projectively_equal
 
 
 @dataclass(frozen=True)
@@ -564,19 +564,6 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a.conj() @ b.T) >= 1.0 - _CLUSTER_RADIUS**2 / 2
 
 
-def _primitive(vec: Sequence[Fraction]) -> Optional[tuple]:
-    """Integer-primitive representative of a rational vector with its first
-    nonzero entry positive, or None for the zero vector."""
-    if all(q == 0 for q in vec):
-        return None
-    lcm = math.lcm(*(q.denominator for q in vec))
-    ints = [int(q * lcm) for q in vec]
-    g = math.gcd(*ints)
-    out = tuple(v // g for v in ints)
-    lead = next(v for v in out if v)
-    return out if lead > 0 else tuple(-v for v in out)
-
-
 def _rational_point(coords: np.ndarray, height: int, tol: float) -> Optional[tuple]:
     """Primitive integer representative of a projective point, or None.
 
@@ -590,7 +577,7 @@ def _rational_point(coords: np.ndarray, height: int, tol: float) -> Optional[tup
         if abs(q.numerator) > height or abs(complex(v) - complex(q)) > tol:
             return None
         candidate.append(q)
-    return _primitive(candidate)
+    return primitive_vector(clear_denominators(candidate)[0])
 
 
 def _certify(points: np.ndarray, filters: _Compiled, filter_polys):
@@ -888,10 +875,9 @@ def _random_square_subsystem(polys: Sequence[MultiPoly], count: int, rng) -> lis
 
     # The combinations are summed on integer numerators over one common
     # denominator.
-    den = math.lcm(*(c.denominator for g in polys for c in g.terms.values()))
-    numerators = [
-        {m: c.numerator * (den // c.denominator) for m, c in g.terms.items()} for g in polys
-    ]
+    values, den = clear_denominators([c for g in polys for c in g.terms.values()])
+    flat = iter(values)
+    numerators = [{m: next(flat) for m in g.terms} for g in polys]
     for _ in range(16):
         weights = [[rng.randint(-9, 9) for _ in range(len(polys))] for _ in range(count)]
         if linalg.rank(weights) < count:

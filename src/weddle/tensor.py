@@ -10,10 +10,14 @@ skew projector A, and two middle projectors N1 and N2 whose images carry
 the cyclic relation T_{ijk} + T_{jki} + T_{kij} = 0 together with partial
 symmetry in the first two, respectively outer two, index positions.
 
+_OPERATOR_TERMS is the only definition of the four summands: the
+projectors, in_class (T lies in a summand when its projector fixes T) and
+projector_rank all read it.
+
 The projectors and the class tests do not use Fractions inside.  They
-flatten T to one array of integer numerators over the lcm of its
-denominators (flatten order: entry T_{ijk} at k*dim^2 + i*dim + j), and
-every index rearrangement is one gather of that array by a cached table.
+flatten T (entry T_{ijk} at k*dim^2 + i*dim + j) and clear its
+denominators with polycore.clear_denominators, and every index
+rearrangement is one gather of that integer array by a cached table.
 A projector is a sum of at most six gathers with weights in sixths, at
 most 8 times the largest numerator in absolute value, so the array is
 int64 when that bound is below 2^63 and holds Python ints (dtype object)
@@ -25,7 +29,6 @@ of its coefficient draws with three times the cached N1 basis.
 from __future__ import annotations
 
 import json
-import math
 import random
 from enum import Enum
 from fractions import Fraction
@@ -36,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .polycore import as_int, as_rat
+from .polycore import as_int, as_rat, clear_denominators
 
 
 class SymmetryClass(Enum):
@@ -186,13 +189,10 @@ _OPERATOR_TERMS = {
 
 
 def _numerators(t: Tensor3) -> tuple:
-    """(n, den): T's entries in flatten order as the integer array n over
-    their common denominator den (the lcm of the entry denominators).  n is
-    int64 when 8 * max |n| < 2^63, which bounds every sum the projectors
-    and class tests form, and Python ints (dtype object) otherwise."""
-    ratios = [x.as_integer_ratio() for x in flatten(t)]
-    den = math.lcm(*(q for _, q in ratios))
-    values = [p * (den // q) for p, q in ratios]
+    """(n, den): T's entries in flatten order by clear_denominators, with n
+    an array: int64 when 8 * max |n| < 2^63, which bounds every sum the
+    projectors and class tests form, and Python ints (dtype object) otherwise."""
+    values, den = clear_denominators(flatten(t))
     dtype = np.int64 if 8 * max(map(abs, values)) < 2**63 else object
     return np.array(values, dtype), den
 
@@ -252,25 +252,17 @@ def decompose(t: Tensor3) -> tuple:
     )
 
 
-def projector_diagonal(cls: SymmetryClass, i: int, j: int, k: int) -> Fraction:
-    """Coefficient of e_ijk in P(e_ijk), without building the image tensor."""
-    idx = (i, j, k)
-    total = 0
-    for weight, p in _OPERATOR_TERMS[cls]:
-        if (idx[p[0]], idx[p[1]], idx[p[2]]) == idx:
-            total += weight
-    return Fraction(total, 6)
-
-
 def projector_rank(cls: SymmetryClass, dim: int) -> Fraction:
     """Rank of the projector on the dim^3 tensor space.
 
     The four operators are idempotent (a property the test suite verifies
-    exhaustively in small dimension), so the rank equals the exact trace.
+    exhaustively in small dimension), so the rank equals the exact trace:
+    the sum of each term's weight/6 over the entries its gather leaves in place.
     """
-    total = Fraction(0)
-    for i, j, k in product(range(dim), repeat=3):
-        total += projector_diagonal(cls, i, j, k)
+    fixed = np.arange(dim**3)
+    total = Fraction(
+        sum(w * int((_gather(p, dim) == fixed).sum()) for w, p in _OPERATOR_TERMS[cls]), 6
+    )
     if total.denominator != 1:
         raise ArithmeticError("projector trace is not an integer")
     return total
@@ -279,21 +271,12 @@ def projector_rank(cls: SymmetryClass, dim: int) -> Fraction:
 # ---- membership predicates ----
 
 def in_class(t: Tensor3, cls: SymmetryClass) -> bool:
+    """Whether T lies in the summand (its projector fixes T), or for
+    PARTIAL_SYM12 whether T_{ijk} = T_{jik}."""
     n, _ = _numerators(t)
-
-    def at(p: tuple) -> np.ndarray:
-        return n[_gather(p, t.dim)]
-
-    if cls is SymmetryClass.SYMMETRIC:
-        return bool((n == at((1, 0, 2))).all() and (n == at((0, 2, 1))).all())
-    if cls is SymmetryClass.SKEW:
-        return bool((n == -at((1, 0, 2))).all() and (n == -at((0, 2, 1))).all())
     if cls is SymmetryClass.PARTIAL_SYM12:
-        return bool((n == at((1, 0, 2))).all())
-    if not (n + at((1, 2, 0)) + at((2, 0, 1)) == 0).all():
-        return False
-    partner = (1, 0, 2) if cls is SymmetryClass.RESIDUAL1 else (2, 1, 0)
-    return bool((n == at(partner)).all())
+        return bool((n == n[_gather((1, 0, 2), t.dim)]).all())
+    return bool((sum(w * n[_gather(p, t.dim)] for w, p in _OPERATOR_TERMS[cls]) == 6 * n).all())
 
 
 # ---- bases ----
@@ -311,19 +294,11 @@ def _index_triples(cls: SymmetryClass, dim: int) -> list:
     raise ValueError(f"no distinguished basis for {cls}")
 
 
-_PROJECTOR = {
-    SymmetryClass.SYMMETRIC: sym_part,
-    SymmetryClass.SKEW: skew_part,
-    SymmetryClass.RESIDUAL1: n1_part,
-    SymmetryClass.RESIDUAL2: n2_part,
-}
-
-
 @lru_cache(maxsize=None)
 def _basis_cached(cls: SymmetryClass, dim: int) -> tuple:
-    project = _PROJECTOR[cls]
     return tuple(
-        project(Tensor3.basis_tensor(dim, i, j, k)) for i, j, k in _index_triples(cls, dim)
+        _apply(cls, dim, *_numerators(Tensor3.basis_tensor(dim, i, j, k)))
+        for i, j, k in _index_triples(cls, dim)
     )
 
 

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from weddle import cubic, fixtures, linalg, solve
 from weddle.cubic import ShortWeierstrass
-from weddle.polycore import MultiPoly, linear_form, parse_poly, projectively_equal
+from weddle.polycore import (
+    MultiPoly,
+    clear_denominators,
+    linear_form,
+    parse_poly,
+    primitive_vector,
+    projectively_equal,
+)
 
 C1_PAIR = (Fraction(-121, 48), Fraction(845, 864))
 C2_PAIR = (Fraction(-1633, 48), Fraction(61201, 864))
@@ -104,8 +111,9 @@ def _reference_is_flex(f, p):
     l0, l1, l2 = (g.evaluate(p) for g in f.gradient())
     if not (l0 or l1 or l2):
         return False
+    kernel = ((0, l2, -l1), (-l2, 0, l0), (l1, -l0, 0))
     candidates = [
-        v for v in (solve._primitive(w) for w in ((0, l2, -l1), (-l2, 0, l0), (l1, -l0, 0)))
+        v for v in (primitive_vector(clear_denominators(w)[0]) for w in kernel)
         if v is not None and not projectively_equal(v, p)
     ]
     v = min(candidates, key=lambda w: (max(map(abs, w)), w))

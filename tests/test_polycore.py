@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic: ring axioms, parsing, calculus, determinants.
 
-PolyMatrix.det and MultiPoly.compose run on packed monomials and integer
-coefficients.  The reference determinant and the reference composition
-below are the MultiPoly-arithmetic loops they replaced; each pair must give
+MultiPoly multiplication, PolyMatrix.det and MultiPoly.compose run on
+packed monomials and integer coefficients.  The reference product, the
+reference determinant and the reference composition below are the loops
+they replaced, the last two on the reference product; each pair must give
 the same polynomial.
 """
 
@@ -21,10 +22,12 @@ from weddle.polycore import (
     MultiPoly,
     as_rat,
     PolyMatrix,
+    clear_denominators,
     divides,
     linear_coefficients,
     linear_form,
     parse_poly,
+    primitive_vector,
     projectively_equal,
 )
 
@@ -124,6 +127,12 @@ def test_exact_coercion_rejects_floats_and_bools():
     for value in (1.5, True, False):
         with pytest.raises(TypeError):
             as_rat(value)
+    # Exponents are not truncated or read as 1 either.
+    for exponents in ((1.5, 0), (2.9, 0), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            MultiPoly(2, {exponents: 1})
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            MultiPoly.monomial(2, exponents)
 
 
 # ---- calculus ----
@@ -161,6 +170,47 @@ def test_compose_commutes_with_evaluation(p, pt):
 
 
 # ---- normalization, divisibility, incidence ----
+
+@given(st.lists(st.one_of(rationals, st.integers(-50, 50)), max_size=6))
+@example([])
+def test_clear_denominators_scales_by_the_lcm_of_the_denominators(values):
+    numerators, lcm = clear_denominators(values)
+    assert lcm == math.lcm(*(Fraction(q).denominator for q in values))
+    assert all(type(n) is int for n in numerators)
+    assert [Fraction(n, lcm) for n in numerators] == values
+    if not values:
+        assert (numerators, lcm) == ([], 1)
+
+
+@given(st.lists(st.integers(-30, 30), max_size=5), st.data())
+@example([0, 0, 0], None)
+@example([], None)
+def test_primitive_vector_divides_by_the_gcd_and_fixes_the_sign(values, data):
+    if not any(values):
+        assert primitive_vector(values) is None
+        return
+    nonzero = [i for i, v in enumerate(values) if v]
+    for lead in (None, data.draw(st.sampled_from(nonzero))):
+        out = primitive_vector(values, lead)
+        index = nonzero[0] if lead is None else lead
+        assert type(out) is tuple and out[index] > 0
+        assert math.gcd(*out) == 1
+        scale = Fraction(values[index], out[index])
+        assert [scale * v for v in out] == values
+
+
+@given(polys())
+@example(MultiPoly.zero(3))
+def test_content_is_the_gcd_of_numerators_over_the_lcm_of_denominators(p):
+    coeffs = p.terms.values()
+    content = p.content()
+    assert type(content) is Fraction
+    assert content == Fraction(
+        math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs))
+    )
+    if p.is_zero():
+        assert content == Fraction(0)
+
 
 @given(polys())
 def test_primitive_normalization_is_idempotent_and_proportional(p):
@@ -249,6 +299,55 @@ def test_polynomial_determinant_agrees_with_scalar_determinant(pt):
     assert m.det().evaluate(pt) == linalg.det(evaluated)
 
 
+# ---- the integer multiplication kernel against the Fraction reference ----
+
+def reference_mul(p, q):
+    """The product on Fraction coefficients, one pair of terms at a time."""
+    terms: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+    return MultiPoly(p.nvars, terms)
+
+
+@st.composite
+def _factor_pairs(draw):
+    """(p, q) in 0..3 variables, with denominators, of degree up to 4 each;
+    either may be zero or constant."""
+    nvars = draw(st.integers(0, 3))
+    factor = st.one_of(
+        polys(nvars, max_degree=4, max_terms=5),
+        rationals.map(lambda c: MultiPoly.constant(nvars, c)),
+    )
+    return draw(factor), draw(factor)
+
+
+@given(_factor_pairs())
+@example((parse_poly("0", 3), parse_poly("x0 - 1/2*x2", 3)))  # a zero operand
+@example((parse_poly("x0 - 1/2*x2", 3), parse_poly("0", 3)))
+@example((parse_poly("x0 + x1"), parse_poly("x0 - x1")))  # terms cancel
+@example((parse_poly("1/6", 0), parse_poly("-4/9", 0)))  # no variables
+@settings(max_examples=300, deadline=None)
+def test_product_equals_the_reference_product(case):
+    p, q = case
+    product = p * q
+    assert product == reference_mul(p, q)
+    _assert_canonical(product)
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 1), (2, 1), (2, 2), (4, 3), (4, 4), (8, 7), (8, 8)])
+def test_product_exponents_on_a_field_width_boundary(a, b):
+    # The degree bound a + b is 1, 2, 3, 4, 7, 8, 15 or 16, a bit length's
+    # largest or smallest value: x0^(a+b) fills its field and must not
+    # carry into the field of x1.
+    p = _y(f"x0^{a} - 1/2")
+    q = _y(f"1/3*x0^{b} + x1")
+    expected = _y(f"1/3*x0^{a + b} + x0^{a}*x1 - 1/6*x0^{b} - 1/2*x1")
+    assert p * q == expected
+    assert reference_mul(p, q) == expected
+
+
 # ---- the integer determinant kernel against the MultiPoly reference ----
 
 def reference_det(matrix):
@@ -263,7 +362,7 @@ def reference_det(matrix):
         for col in range(n):
             if not mask & (1 << col):
                 continue
-            piece = matrix.entry(row, col) * minors[mask ^ (1 << col)]
+            piece = reference_mul(matrix.entry(row, col), minors[mask ^ (1 << col)])
             total = total + (-piece if (row + position) % 2 else piece)
             position += 1
         minors[mask] = total
@@ -394,7 +493,7 @@ def reference_compose(poly, args):
             return MultiPoly.constant(out_vars, 1)
         got = cache.get((i, e))
         if got is None:
-            got = power_of(i, e - 1) * args[i]
+            got = reference_mul(power_of(i, e - 1), args[i])
             cache[(i, e)] = got
         return got
 
@@ -403,7 +502,7 @@ def reference_compose(poly, args):
         term = MultiPoly.constant(out_vars, c)
         for i, e in enumerate(mono):
             if e:
-                term = term * power_of(i, e)
+                term = reference_mul(term, power_of(i, e))
         result = result + term
     return result
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weddle import fixtures, linalg, loci, solve, tensor
-from weddle.polycore import MultiPoly, linear_form, parse_poly
+from weddle.polycore import MultiPoly, linear_form, parse_poly, primitive_vector
 from weddle.solve import SolveConfig
 
 
@@ -456,7 +456,7 @@ def test_five_lines_in_the_plane_have_ten_certified_nodes():
     nodes = set()
     for (a0, a1, a2), (b0, b1, b2) in itertools.combinations(lines, 2):
         cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-        nodes.add(solve._primitive([Fraction(v) for v in cross]))
+        nodes.add(primitive_vector(cross))
     assert len(nodes) == 10
     for seed in range(4):
         result = solve.singular_points(f, SolveConfig(seed=seed))
