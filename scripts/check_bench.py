@@ -54,9 +54,14 @@ def problems(bench: dict, declaration: dict) -> list:
     return found
 
 
+def bench_paths(root: Path) -> list:
+    """The BENCH_<pr>.json files at root, in PR-number order."""
+    return sorted(root.glob("BENCH_*.json"), key=lambda path: int(path.stem.removeprefix("BENCH_")))
+
+
 def main(root: Path = ROOT) -> int:
     declaration = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    paths = sorted(root.glob("BENCH_*.json"))
+    paths = bench_paths(root)
     if not paths:
         print("error: no BENCH_*.json file", file=sys.stderr)
         return 1

@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cluster_lines(result: solve.SolutionSet) -> list:
     lines = []
     for c in result.clusters:
-        coords = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in c.point.coordinates)
+        coords = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in c.point)
         rational = ""
         if c.rational is not None:
             rational = "  = [" + " : ".join(str(q) for q in c.rational) + "]"

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg, solve
@@ -26,6 +26,31 @@ from .polycore import (
 
 
 # ---- quadrics as matrices and polynomials ----
+
+@lru_cache(maxsize=None)
+def _cells(nv: int) -> tuple:
+    """(monomial, i, j) for each quadratic monomial x_i x_j, i <= j, in
+    descending graded-lex order (which is ascending (i, j) order): the one
+    pairing of quadric coefficients with matrix cells.  The form x^T Q x
+    takes Q_ii on x_i^2 and 2 Q_ij on x_i x_j."""
+    cells = []
+    for i in range(nv):
+        for j in range(i, nv):
+            mono = [0] * nv
+            mono[i] += 1
+            mono[j] += 1
+            cells.append((tuple(mono), i, j))
+    return tuple(cells)
+
+
+def _symmetric(nv: int, coefficients: Sequence) -> list:
+    """The symmetric matrix of the quadric with the given coefficients, in
+    _cells(nv) order."""
+    m = [[Fraction(0)] * nv for _ in range(nv)]
+    for (_, i, j), c in zip(_cells(nv), coefficients):
+        m[i][j] = m[j][i] = c if i == j else c / 2
+    return m
+
 
 def _check_symmetric(matrix: Sequence[Sequence], size: int) -> tuple:
     rows = tuple(tuple(as_rat(x) for x in row) for row in matrix)
@@ -42,32 +67,25 @@ def quadric_to_poly(matrix: Sequence[Sequence]) -> MultiPoly:
     """The quadratic form x^T Q x of a symmetric matrix."""
     size = len(matrix)
     rows = _check_symmetric(matrix, size)
-    terms: dict = {}
-    for i in range(size):
-        for j in range(i, size):
-            c = rows[i][j] if i == j else 2 * rows[i][j]
-            if c:
-                mono = tuple((2 if a == i else 0) if i == j else (1 if a in (i, j) else 0) for a in range(size))
-                terms[mono] = c
-    return MultiPoly(size, terms)
+    return MultiPoly(size, {mono: rows[i][j] if i == j else 2 * rows[i][j] for mono, i, j in _cells(size)})
 
 
 def poly_to_quadric(poly: MultiPoly) -> list:
     """Symmetric matrix of a homogeneous quadratic polynomial."""
-    if not (poly.is_zero() or poly.is_homogeneous(2)):
+    if not poly.is_homogeneous(2):
         raise ValueError("expected a homogeneous quadratic")
-    n = poly.nvars
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for mono, c in poly.terms.items():
-        support = [i for i, e in enumerate(mono) if e]
-        if len(support) == 1 and mono[support[0]] == 2:
-            m[support[0]][support[0]] = c
-        elif len(support) == 2 and all(mono[i] == 1 for i in support):
-            i, j = support
-            m[i][j] = m[j][i] = c / 2
-        else:
-            raise ValueError("expected a homogeneous quadratic")
-    return m
+    nv = poly.nvars
+    return _symmetric(nv, [poly.coefficient(mono) for mono, _, _ in _cells(nv)])
+
+
+def _point(point: Sequence, nv: int) -> list:
+    """A nonzero point with nv coordinates, as Fractions."""
+    pt = [as_rat(x) for x in point]
+    if len(pt) != nv:
+        raise ValueError("point has wrong number of coordinates")
+    if all(x == 0 for x in pt):
+        raise ValueError("projective point must be nonzero")
+    return pt
 
 
 class LinearSystem:
@@ -140,15 +158,8 @@ class WeddleData:
 
 def contraction_matrix(system: LinearSystem) -> PolyMatrix:
     """Entry (i, k) is sum_j x_j T_{ijk}: the tensor contracted with x."""
-    n = system.n
-    nv = n + 1
-    entries = []
-    for i in range(nv):
-        row = []
-        for k in range(nv):
-            row.append(linear_form(nv, [system.quadrics[k][i][j] for j in range(nv)]))
-        entries.append(row)
-    return PolyMatrix(nv, entries)
+    nv = system.n + 1
+    return PolyMatrix(nv, [[linear_form(nv, system.quadrics[k][i]) for k in range(nv)] for i in range(nv)])
 
 
 def gradient_matrix(system: LinearSystem) -> PolyMatrix:
@@ -175,14 +186,12 @@ def singular_at(poly: MultiPoly, point: Sequence) -> bool:
     """Exact test that every partial derivative vanishes at the point."""
     if not poly.is_homogeneous():
         raise ValueError("polynomial must be homogeneous")
-    pt = [as_rat(x) for x in point]
-    if all(x == 0 for x in pt):
-        raise ValueError("projective point must be nonzero")
+    pt = _point(point, poly.nvars)
     return all(poly.diff(i).evaluate(pt) == 0 for i in range(poly.nvars))
 
 
 def is_base_point(system: LinearSystem, point: Sequence) -> bool:
-    pt = [as_rat(x) for x in point]
+    pt = _point(point, system.n + 1)
     return all(quadric_to_poly(q).evaluate(pt) == 0 for q in system.quadrics)
 
 
@@ -207,46 +216,18 @@ def cyclic_relation_check(system: LinearSystem) -> MultiPoly:
 
 # ---- quadrics through points ----
 
-def _quadric_monomials(nv: int) -> list:
-    monos = []
-    for i in range(nv):
-        for j in range(i, nv):
-            mono = [0] * nv
-            mono[i] += 1
-            mono[j] += 1
-            monos.append(tuple(mono))
-    from .polycore import grlex_key
-
-    return sorted(monos, key=grlex_key, reverse=True)
-
-
 def quadrics_through_points(points: Sequence[Sequence], n: int) -> list:
     """Canonical basis (reduced echelon, graded-lex coefficient order) of
     the space of quadrics in P^n vanishing at the given points, returned as
     symmetric matrices."""
     nv = n + 1
-    monos = _quadric_monomials(nv)
+    cells = _cells(nv)
     rows = []
     for p in points:
-        pt = [as_rat(x) for x in p]
-        if len(pt) != nv:
-            raise ValueError("point has wrong number of coordinates")
-        if all(x == 0 for x in pt):
-            raise ValueError("projective point must be nonzero")
         # Rescaling a point to integer coordinates keeps its conditions.
-        coords, _ = clear_denominators(pt)
-        rows.append([prod(x**e for x, e in zip(coords, mono) if e) for mono in monos])
-    # Each nullspace coefficient goes straight into its symmetric matrix,
-    # as poly_to_quadric reads a quadric: the coefficient of x_i^2 at (i, i),
-    # half that of x_i x_j at (i, j) and (j, i).
-    cells = [tuple(i for i, e in enumerate(mono) for _ in range(e)) for mono in monos]
-    out = []
-    for v in linalg.nullspace(rows, ncols=len(monos)):
-        m = [[Fraction(0)] * nv for _ in range(nv)]
-        for (i, j), c in zip(cells, v):
-            m[i][j] = m[j][i] = c if i == j else c / 2
-        out.append(m)
-    return out
+        coords, _ = clear_denominators(_point(p, nv))
+        rows.append([coords[i] * coords[j] for _, i, j in cells])
+    return [_symmetric(nv, v) for v in linalg.nullspace(rows, ncols=len(cells))]
 
 
 def system_through_points(points: Sequence[Sequence], n: int) -> LinearSystem:
@@ -260,6 +241,22 @@ def system_through_points(points: Sequence[Sequence], n: int) -> LinearSystem:
 
 # ---- constructions ----
 
+def _combination(weights: Sequence, matrices: Sequence, nv: int) -> list:
+    """sum_j weights[j] * matrices[j] of symmetric nv x nv matrices, zero
+    weights skipped: summed on and above the diagonal, then mirrored."""
+    q = [[Fraction(0)] * nv for _ in range(nv)]
+    for w, m in zip(weights, matrices):
+        if w:
+            for a in range(nv):
+                row, src = q[a], m[a]
+                for b in range(a, nv):
+                    row[b] += w * src[b]
+    for a in range(nv):
+        for b in range(a):
+            q[a][b] = q[b][a]
+    return q
+
+
 def rank_r_system(forms: Sequence[Sequence], coeffs: Sequence[Sequence], n: int) -> LinearSystem:
     """System with Q_k = sum_i coeffs[k][i] * l_i l_i^T for linear forms l_i
     given by their coefficient vectors."""
@@ -270,16 +267,8 @@ def rank_r_system(forms: Sequence[Sequence], coeffs: Sequence[Sequence], n: int)
     weight = [[as_rat(x) for x in row] for row in coeffs]
     if len(weight) != nv or any(len(row) != len(vecs) for row in weight):
         raise ValueError("coefficient grid must be (n+1) x r")
-    quadrics = []
-    for k in range(nv):
-        q = [[Fraction(0)] * nv for _ in range(nv)]
-        for c, v in zip(weight[k], vecs):
-            if c:
-                for i in range(nv):
-                    for j in range(nv):
-                        q[i][j] += c * v[i] * v[j]
-        quadrics.append(q)
-    return LinearSystem(n, quadrics)
+    outer = [[[x * y for y in v] for x in v] for v in vecs]
+    return LinearSystem(n, [_combination(row, outer, nv) for row in weight])
 
 
 def recombine(system: LinearSystem, matrix: Sequence[Sequence]) -> LinearSystem:
@@ -290,17 +279,7 @@ def recombine(system: LinearSystem, matrix: Sequence[Sequence]) -> LinearSystem:
         raise ValueError("recombination matrix has wrong shape")
     if linalg.det(rows) == 0:
         raise ValueError("recombination matrix must be invertible")
-    quadrics = []
-    for k in range(nv):
-        q = [[Fraction(0)] * nv for _ in range(nv)]
-        for j in range(nv):
-            c = rows[k][j]
-            if c:
-                for a in range(nv):
-                    for b in range(nv):
-                        q[a][b] += c * system.quadrics[j][a][b]
-        quadrics.append(q)
-    return LinearSystem(system.n, quadrics)
+    return LinearSystem(system.n, [_combination(row, system.quadrics, nv) for row in rows])
 
 
 # ---- the rank-5 pencil in P^3 ----
@@ -312,46 +291,40 @@ class Rank5Data:
     mu: tuple
 
 
+def _matrix4(matrix: Sequence[Sequence]) -> tuple:
+    """The rank-5 matrix M as a 4 x 4 tuple of Fractions."""
+    m = tuple(tuple(as_rat(x) for x in row) for row in matrix)
+    if len(m) != 4 or any(len(r) != 4 for r in m):
+        raise ValueError("expected a 4 x 4 matrix")
+    return m
+
+
 def mu_invariants(matrix: Sequence[Sequence]) -> Rank5Data:
     """det M together with the four row-replacement minors mu_s (row s of M
     replaced by the all-ones row)."""
-    m = [[as_rat(x) for x in row] for row in matrix]
-    if len(m) != 4 or any(len(r) != 4 for r in m):
-        raise ValueError("expected a 4 x 4 matrix")
-    mu = []
-    for s in range(4):
-        replaced = [row[:] for row in m]
-        replaced[s] = [Fraction(1)] * 4
-        mu.append(linalg.det(replaced))
-    return Rank5Data(
-        matrix=tuple(tuple(row) for row in m),
-        det=linalg.det(m),
-        mu=tuple(mu),
-    )
+    m = _matrix4(matrix)
+    ones = (Fraction(1),) * 4
+    mu = tuple(linalg.det(m[:s] + (ones,) + m[s + 1:]) for s in range(4))
+    return Rank5Data(matrix=m, det=linalg.det(m), mu=mu)
 
 
 def rank5_canonical_system(matrix: Sequence[Sequence]) -> LinearSystem:
     """The rank-5 system in P^3: squares of the four coordinates plus the
     square of their sum, weighted by the columns of M with unit weight on
     the sum."""
-    data = mu_invariants(matrix)
+    m = _matrix4(matrix)
     forms = [[Fraction(1) if i == j else Fraction(0) for j in range(4)] for i in range(4)]
     forms.append([Fraction(1)] * 4)
-    coeffs = [[data.matrix[i][k] for i in range(4)] + [Fraction(1)] for k in range(4)]
+    coeffs = [[m[i][k] for i in range(4)] + [Fraction(1)] for k in range(4)]
     return rank_r_system(forms, coeffs, 3)
 
 
 def rank5_det_quartic(matrix: Sequence[Sequence]) -> MultiPoly:
     """Symbolic determinant of the matrix with entries xi + x_i M_{ik},
     where xi = x0 + x1 + x2 + x3."""
-    data = mu_invariants(matrix)
+    m = _matrix4(matrix)
     xi = linear_form(4, [1, 1, 1, 1])
-    entries = []
-    for i in range(4):
-        row = []
-        for k in range(4):
-            row.append(xi + MultiPoly.variable(4, i).scale(data.matrix[i][k]))
-        entries.append(row)
+    entries = [[xi + MultiPoly.variable(4, i).scale(m[i][k]) for k in range(4)] for i in range(4)]
     return PolyMatrix(4, entries).det()
 
 
@@ -387,11 +360,11 @@ def splits_into_hyperplanes(poly: MultiPoly, singular_points: Sequence[Sequence]
     if poly.is_zero() or not poly.is_homogeneous():
         raise ValueError("expected a nonzero homogeneous polynomial")
     nv = poly.nvars
-    pts = [[as_rat(x) for x in p] for p in singular_points]
+    pts = [_point(p, nv) for p in singular_points]
     candidates = []
     seen = set()
     for subset in itertools.combinations(pts, nv - 1):
-        vectors = linalg.nullspace([list(p) for p in subset], ncols=nv)
+        vectors = linalg.nullspace(subset, ncols=nv)
         if len(vectors) != 1:
             continue
         form = linear_form(nv, vectors[0]).primitive_normalized()

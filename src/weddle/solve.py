@@ -101,30 +101,26 @@ _POLISH_ITERATIONS = 50
 # ---- points and clusters ----
 
 @dataclass(frozen=True)
-class CPoint:
-    """A point with complex double coordinates; a projective one is
+class Cluster:
+    """point holds complex double coordinates; a projective one is
     normalized as _lift normalizes it."""
 
-    coordinates: tuple
-
-    def sort_key(self) -> tuple:
-        return tuple((round(c.real, 9), round(c.imag, 9)) for c in self.coordinates)
-
-
-@dataclass(frozen=True)
-class Cluster:
-    point: CPoint
+    point: tuple
     multiplicity: int
     residual: float
     rational: Optional[tuple] = None
 
     def to_json(self) -> dict:
         return {
-            "point": [[c.real, c.imag] for c in self.point.coordinates],
+            "point": [[c.real, c.imag] for c in self.point],
             "multiplicity": self.multiplicity,
             "residual": self.residual,
             "rational_match": None if self.rational is None else [str(q) for q in self.rational],
         }
+
+
+def _sort_key(cluster: Cluster) -> tuple:
+    return tuple((round(c.real, 9), round(c.imag, 9)) for c in cluster.point)
 
 
 @dataclass(frozen=True)
@@ -619,13 +615,13 @@ def _certify(points: np.ndarray, filters: _Compiled, filter_polys):
             exact, mismatch = None, True
         clusters.append(
             Cluster(
-                point=CPoint(tuple(complex(c) for c in rep)),
+                point=tuple(complex(c) for c in rep),
                 multiplicity=len(g),
                 residual=best,
                 rational=exact,
             )
         )
-    clusters.sort(key=lambda c: c.point.sort_key())
+    clusters.sort(key=_sort_key)
     return clusters, discarded, mismatch
 
 
@@ -830,13 +826,13 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
             break
 
     def rows(clusters):
-        return np.array([c.point.coordinates for c in clusters], dtype=np.complex128).reshape(-1, nvars)
+        return np.array([c.point for c in clusters], dtype=np.complex128).reshape(-1, nvars)
 
     (surv1, report1), *later = results
     surv2 = [c for survivors, _ in later for c in survivors]
     seen_by_1 = _close(rows(surv2), rows(surv1)).any(axis=1)
     merged = surv1 + [c for c, seen in zip(surv2, seen_by_1) if not seen]
-    merged.sort(key=lambda c: c.point.sort_key())
+    merged.sort(key=_sort_key)
 
     residual = max((c.residual for c in surv1 + surv2), default=0.0)
     mismatch = any(report["rational_mismatch"] for _, report in results)

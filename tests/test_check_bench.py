@@ -17,7 +17,15 @@ def _declaration():
 
 
 def _latest_bench():
-    return json.loads(sorted(ROOT.glob("BENCH_*.json"))[-1].read_text(encoding="utf-8"))
+    return json.loads(check_bench.bench_paths(ROOT)[-1].read_text(encoding="utf-8"))
+
+
+def test_bench_files_are_listed_in_pr_number_order(tmp_path):
+    for pr in (8, 23, 10):
+        (tmp_path / f"BENCH_{pr}.json").write_text("{}", encoding="utf-8")
+    assert [p.name for p in check_bench.bench_paths(tmp_path)] == [
+        "BENCH_8.json", "BENCH_10.json", "BENCH_23.json"
+    ]
 
 
 def test_committed_bench_records_are_complete():

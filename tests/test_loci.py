@@ -11,12 +11,35 @@ from hypothesis import strategies as st
 
 from weddle import cubic, fixtures, linalg, loci, solve, tensor
 from weddle.loci import LinearSystem
-from weddle.polycore import MultiPoly, parse_poly
+from weddle.polycore import MultiPoly, grlex_key, parse_poly
 from test_polycore import reference_det, row_l1_product
+
+_RATIONALS = st.one_of(st.just(0), st.integers(-6, 6), st.fractions(-6, 6, max_denominator=7))
 
 
 def _random_system(dim, rng):
     return LinearSystem.from_tensor(tensor.random_n1(dim, rng=rng))
+
+
+def _symmetric_matrix(size):
+    """Strategy: a size x size symmetric matrix of small rationals."""
+    entries = st.lists(_RATIONALS, min_size=size * size, max_size=size * size)
+    return entries.map(
+        lambda xs: [[xs[size * min(a, b) + max(a, b)] for b in range(size)] for a in range(size)]
+    )
+
+
+def _reference_combination(weights, matrices):
+    """sum_j weights[j] * matrices[j], entry by entry over full matrices."""
+    size = len(matrices[0])
+    return [
+        [sum((Fraction(w) * m[a][b] for w, m in zip(weights, matrices)), Fraction(0)) for b in range(size)]
+        for a in range(size)
+    ]
+
+
+def _as_lists(system):
+    return [[list(row) for row in q] for q in system.quadrics]
 
 
 # ---- quadric/polynomial conversion ----
@@ -30,6 +53,23 @@ def test_quadric_poly_round_trip():
 
 def as_f(x):
     return Fraction(x)
+
+
+@given(st.integers(1, 6).flatmap(_symmetric_matrix))
+@settings(max_examples=60, deadline=None)
+def test_quadric_round_trip_for_random_symmetric_matrices(q):
+    assert loci.poly_to_quadric(loci.quadric_to_poly(q)) == [[Fraction(x) for x in row] for row in q]
+
+
+@pytest.mark.parametrize("nv", range(1, 7))
+def test_cells_pair_each_quadratic_monomial_with_its_cell_in_graded_lex_order(nv):
+    cells = loci._cells(nv)
+    monos = [mono for mono, _, _ in cells]
+    assert len(set(monos)) == nv * (nv + 1) // 2
+    assert monos == sorted(monos, key=grlex_key, reverse=True)
+    for mono, i, j in cells:
+        assert i <= j
+        assert mono == tuple((a == i) + (a == j) for a in range(nv))
 
 
 def test_quadric_conversion_rejects_bad_input():
@@ -222,6 +262,13 @@ def test_base_point_theorem_rejects_non_base_points():
         loci.base_point_theorem_check(system, [1, 0, 0, 1])
 
 
+def test_the_zero_vector_is_not_a_base_point():
+    with pytest.raises(ValueError, match="projective point must be nonzero"):
+        loci.is_base_point(fixtures.system("ex-bpf-conics"), [0, 0, 0])
+    with pytest.raises(ValueError, match="projective point must be nonzero"):
+        loci.base_point_theorem_check(fixtures.system("degenerate-conics"), [0, 0, 0])
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=15, deadline=None)
 def test_base_points_are_singular_on_the_weddle_polynomial(seed):
@@ -271,6 +318,33 @@ def test_recombination_scales_the_weddle_polynomial():
         loci.recombine(system, [[1, 2, 0], [2, 4, 0], [1, 0, 3]])
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_recombine_equals_the_full_matrix_reference(data):
+    nv = data.draw(st.integers(2, 5))
+    faces = [data.draw(_symmetric_matrix(nv)) for _ in range(nv)]
+    matrix = data.draw(st.lists(st.lists(_RATIONALS, min_size=nv, max_size=nv), min_size=nv, max_size=nv))
+    system = LinearSystem(nv - 1, faces)
+    if linalg.det(matrix) == 0:
+        with pytest.raises(ValueError, match="invertible"):
+            loci.recombine(system, matrix)
+        return
+    expected = [_reference_combination(row, faces) for row in matrix]
+    assert _as_lists(loci.recombine(system, matrix)) == expected
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_rank_r_system_equals_the_full_matrix_reference(data):
+    nv = data.draw(st.integers(2, 5))
+    r = data.draw(st.integers(1, 6))
+    forms = data.draw(st.lists(st.lists(_RATIONALS, min_size=nv, max_size=nv), min_size=r, max_size=r))
+    coeffs = data.draw(st.lists(st.lists(_RATIONALS, min_size=r, max_size=r), min_size=nv, max_size=nv))
+    outer = [[[Fraction(x) * y for y in v] for x in v] for v in forms]
+    expected = [_reference_combination(row, outer) for row in coeffs]
+    assert _as_lists(loci.rank_r_system(forms, coeffs, nv - 1)) == expected
+
+
 def test_proportional_generators_give_a_degenerate_system():
     q = parse_poly("x0^2 + x1*x2")
     polys = [q, q.scale(2), parse_poly("x2^2", nvars=3)]
@@ -289,6 +363,23 @@ def test_mu_invariants_match_a_cofactor_oracle():
         assert data.mu[s] == linalg.det(replaced)
     assert data.mu == (1, 1, -1, -1)
     assert data.det == 1
+
+
+def test_rank5_routines_coerce_the_matrix_without_determinants(monkeypatch):
+    calls = []
+    det = linalg.det
+
+    def counting_det(rows):
+        calls.append(rows)
+        return det(rows)
+
+    monkeypatch.setattr(loci.linalg, "det", counting_det)
+    M = fixtures.load("rank5-M")
+    assert loci.rank5_identity_check(M)
+    assert len(calls) == 5  # det M and the four mu_s, all in rank5_closed_form
+    calls.clear()
+    loci.rank5_canonical_system(M)
+    assert calls == []
 
 
 def test_rank5_determinant_matches_the_thirteen_term_quartic():
@@ -329,6 +420,13 @@ def test_quartic_splits_into_four_hyperplanes():
     factors = loci.splits_into_hyperplanes(poly, points)
     assert factors is not None
     assert sorted(str(f) for f in factors) == ["x0", "x1", "x2", "x3"]
+
+
+def test_split_points_must_be_nonzero_points_of_the_polynomial_s_space():
+    with pytest.raises(ValueError, match="point has wrong number of coordinates"):
+        loci.splits_into_hyperplanes(parse_poly("x0*x1*x2"), [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="projective point must be nonzero"):
+        loci.splits_into_hyperplanes(parse_poly("x0*x1*x2"), [[1, 0, 0], [0, 0, 0]])
 
 
 def test_smooth_cubic_does_not_split():
