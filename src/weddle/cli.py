@@ -51,7 +51,10 @@ def _resolve_input(source: str):
     path = Path(source)
     if path.exists():
         described = str(path)
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:  # a directory, or a file that cannot be read
+            raise InputError(f"could not read {source}: {exc}") from exc
         kind = _classify_json(json.loads(text)) if path.suffix == ".json" else "poly"
     elif source in fixtures.REGISTRY:
         described = f"fixture:{source}"

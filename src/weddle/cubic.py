@@ -83,7 +83,7 @@ def _shell(height: int) -> tuple:
     """The primitive integer triples with max absolute entry height and
     first nonzero entry positive, in lexicographic order, each paired with
     its _monomial_values.  The last _FLEX_HEIGHT shells built are kept, so
-    the default flex search builds each of its shells once."""
+    the flex search builds each of its shells once."""
     values = range(-height, height + 1)
     block = []
     for triple in itertools.product(values, values, values):
@@ -161,10 +161,11 @@ def is_flex(f: MultiPoly, point: Sequence) -> bool:
     return test(p, _monomial_values(p))
 
 
-def find_rational_flex(f: MultiPoly, height: int = _FLEX_HEIGHT) -> Optional[tuple]:
-    """First flex among canonical primitive integer triples up to height."""
+def find_rational_flex(f: MultiPoly) -> Optional[tuple]:
+    """First flex among canonical primitive integer triples up to
+    _FLEX_HEIGHT."""
     test = _flex_test(f)
-    return next((t for t, monomials in _canonical_triples(height) if test(t, monomials)), None)
+    return next((t for t, monomials in _canonical_triples(_FLEX_HEIGHT) if test(t, monomials)), None)
 
 
 # ---- the invariants ----

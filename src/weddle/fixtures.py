@@ -58,8 +58,12 @@ def parse_payload(kind_name: str, text: str):
     if kind_name == "tensor":
         return Tensor3.from_json(data)
     if kind_name == "matrix":
+        if set(data) - {"matrix"}:
+            raise ValueError("unexpected keys in matrix record")
         return [[as_rat(x) for x in row] for row in data["matrix"]]
     if kind_name == "points":
+        if set(data) - {"n", "points"}:
+            raise ValueError("unexpected keys in points record")
         n = as_int(data["n"], "points dimension n")
         return n, [[as_rat(x) for x in p] for p in data["points"]]
     raise ValueError(f"unknown fixture kind {kind_name!r}")

@@ -17,9 +17,9 @@ tracks chart 2's only when chart 1 alone fails rule A below.  Each path is
 tracked once and has its own chart, start roots, gamma, t, step size and
 status, every iteration advances the paths still running with one stacked
 RK4 predictor step and Newton corrector, and a final Newton polish on each
-path's chart target classifies each endpoint as finite, stalled (finite,
-but where the polish stalls, as it does at a multiple root), at infinity
-or failed.  A path's next step follows from the corrector's first
+path's chart target (_settle) classifies each endpoint as finite, stalled
+(finite, but where the polish stalls, as it does at a multiple root), at
+infinity or failed.  A path's next step follows from the corrector's first
 update, which estimates the predictor's local error; Newton stops on a
 step below tolerance, or on a predicted next step below it once the steps
 converge quadratically.
@@ -29,10 +29,11 @@ and one batched matvec give value and Jacobian, and each stage returns
 only what its caller uses.  Each output entry is the dot product a path
 tracked alone forms, so a path's floats do not depend on its stack.
 One pass per tracked chart (_finish) lifts its finite endpoints as one
-array (_lift), marks by masks those at infinity, stalled alone or
-nonsingular, and hands the rest to one routine (_certify) that clusters,
-residual-filters and rationally cross-checks them.  A solve is certified
-by one rule:
+array (_lift), marks by masks in its one status array those at infinity
+or stalled alone, and hands the rest to one routine (_certify) that
+clusters, residual-filters and rationally cross-checks them.  Endpoints
+are one point when connected in the graph of endpoints within
+_CLUSTER_RADIUS (_components).  A solve is certified by one rule:
 (A) the finite endpoints of the tracked charts are exactly Bezout-many
 distinct points, each nonsingular for the square system (by the refined
 Bezout theorem this proves the square system finite and completely
@@ -128,10 +129,9 @@ class SolutionSet:
     """Clustered output of one projective solve.
 
     Path statistics describe the first chart; per-chart numbers live in
-    chart_reports.  The invariant
-    paths_tracked + paths_failed == bezout_bound always holds (a run that
-    breaks it raises RuntimeError), with paths_tracked counting finite
-    endpoints plus paths that diverged to infinity.
+    chart_reports.  They count one status per Bezout path, so
+    paths_tracked + paths_failed == bezout_bound, with paths_tracked
+    counting finite endpoints plus paths that diverged to infinity.
     """
 
     clusters: tuple
@@ -412,22 +412,6 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
     return ok, out, error
 
 
-def _polish(target: _Compiled, x: np.ndarray, charts: np.ndarray):
-    """Plain Newton on each row's chart target, up to _POLISH_ITERATIONS
-    steps at tolerance 1e-13 and within the ball of radius
-    _DIVERGENCE_THRESHOLD, with _newton's two stop tests (a step, or the
-    predicted next step after a halving, below tolerance); returns
-    (converged, stalled, points), stalled as _newton marks it."""
-    converged, points, _, stalled = _newton(
-        lambda y, r: target.value_and_jacobian(y, charts[r]),
-        x,
-        1e-13,
-        _POLISH_ITERATIONS,
-        _DIVERGENCE_THRESHOLD,
-    )
-    return converged, stalled, points
-
-
 def _track_paths(hom: _Homotopy, starts):
     """Track every start path from t=1 to t=0 in lockstep.
 
@@ -442,27 +426,23 @@ def _track_paths(hom: _Homotopy, starts):
     geometrically to _T_STOP instead of jumping to 0.
 
     Returns (statuses, endpoints), one status finite | stalled |
-    at_infinity | failed and one endpoint row per start, stalled marking a
-    finite endpoint where the polish stalled, as it does at a multiple
-    root.  Divergence is decided by a hard norm threshold at any time plus
-    a growth test across the endgame phase, so that slowly diverging paths
-    are not handed to the final Newton polish (which would pull them onto a
-    finite root and corrupt multiplicities).
+    at_infinity | failed and one endpoint row per start: at infinity once
+    the norm passes _DIVERGENCE_THRESHOLD, as _settle classifies a path
+    that stopped tracking, and failed otherwise.
     """
     x = np.array(starts, dtype=np.complex128)
     t = np.ones(len(x))
     h = np.full(len(x), _INITIAL_STEP)
     endgame_norm = np.full(len(x), np.nan)  # NaN, failing every test, until the endgame
-    statuses = ["failed"] * len(x)
-    settled = []
+    statuses = np.full(len(x), "failed", dtype=object)
+    settled = np.zeros(len(x), dtype=bool)  # stopped tracking: _settle classifies these
     rows = np.arange(len(x))
     while rows.size:
         running = t[rows] > _T_STOP
-        settled.extend(rows[~running])
+        settled[rows[~running]] = True
         rows = rows[running]
         diverged = _norms(x[rows]) > _DIVERGENCE_THRESHOLD
-        for i in rows[diverged]:
-            statuses[i] = "at_infinity"
+        statuses[rows[diverged]] = "at_infinity"
         rows = rows[~diverged]
         if not rows.size:
             break
@@ -485,35 +465,58 @@ def _track_paths(hom: _Homotopy, starts):
         collapsed = ~ok & (h[rows] < floor)
         # A collapse before the endgame fails the path; in the endgame it
         # stops tracking and the path is classified from where it stands.
-        settled.extend(rows[collapsed & (t[rows] < _ENDGAME_T)])
+        settled[rows[collapsed & (t[rows] < _ENDGAME_T)]] = True
         rows = rows[~collapsed]
 
-    settled = np.array(settled, dtype=np.int64)
-    norms = _norms(x[settled])
-    grew = (norms > 32.0 * endgame_norm[settled]) & (norms > 100.0)
-    lost = (norms > _DIVERGENCE_THRESHOLD) | grew
-    for i in settled[lost]:
-        statuses[i] = "at_infinity"
-    rows, norms = settled[~lost], norms[~lost]
-    converged, stalled, polished = _polish(hom.target, x[rows], hom.charts[rows])
-    jumps = _norms(polished - x[rows])
-    # Newton converges only linearly at a multiple root, and then wanders at
-    # its noise floor, so there the polish takes every iteration without
-    # converging.  Such a path ends "stalled" at the polished point when
-    # that stayed within _CLUSTER_RADIUS of the tracked endpoint (relative
-    # to max(1, |x|)), the resolution at which a solve reports points.
-    stalled &= jumps <= _CLUSTER_RADIUS * np.maximum(1.0, norms)
-    for i, norm, ok, stall, jump, point in zip(rows, norms, converged, stalled, jumps, polished):
-        if ok or stall:
-            if jump <= 0.05 * max(1.0, norm):
-                statuses[i], x[i] = "finite" if ok else "stalled", point
-            elif norm > 100.0:
-                # The polish jumped to an unrelated root: the tracked path
-                # was not actually settling on a finite solution.
-                statuses[i] = "at_infinity"
-        elif np.all(np.isfinite(point)) and _norms(point) > _DIVERGENCE_THRESHOLD:
-            statuses[i], x[i] = "at_infinity", point
-    return statuses, x
+    statuses[settled], x[settled] = _settle(hom.target, hom.charts[settled], x[settled], endgame_norm[settled])
+    return statuses.tolist(), x
+
+
+def _settle(target: _Compiled, charts: np.ndarray, x: np.ndarray, endgame_norm: np.ndarray):
+    """Classify the paths that stopped tracking at the rows of x, each on
+    its chart of target, with the norm it entered the endgame at (NaN for
+    none).  Returns (statuses, points): the polished point where the status
+    says so, else the tracked one.
+
+    A norm above _DIVERGENCE_THRESHOLD, or one that grew 32-fold across the
+    endgame to above 100, is at infinity unpolished: the polish would pull
+    a slowly diverging path onto a finite root.  The rest are polished by
+    plain Newton on the chart target (_POLISH_ITERATIONS steps at tolerance
+    1e-13 within the ball of radius _DIVERGENCE_THRESHOLD).  Where it
+    - converged within 0.05 max(1, |x|), the path is finite;
+    - stalled within _CLUSTER_RADIUS max(1, |x|), it is stalled: Newton
+      converges only linearly at a multiple root, then wanders at its noise
+      floor;
+    - converged farther away, on an unrelated root, it is at infinity above
+      norm 100, else failed;
+    - escaped the ball, it is at infinity.
+    Every other path fails.
+    """
+    norms = _norms(x)
+    lost = (norms > _DIVERGENCE_THRESHOLD) | ((norms > 32.0 * endgame_norm) & (norms > 100.0))
+    statuses = np.full(len(x), "failed", dtype=object)
+    statuses[lost] = "at_infinity"
+    points = x.copy()
+    rows = np.flatnonzero(~lost)
+    converged, polished, _, stalled = _newton(
+        lambda y, r: target.value_and_jacobian(y, charts[rows[r]]),
+        x[rows],
+        1e-13,
+        _POLISH_ITERATIONS,
+        _DIVERGENCE_THRESHOLD,
+    )
+    jumps, scale = _norms(polished - x[rows]), np.maximum(1.0, norms[rows])
+    finite = converged & (jumps <= 0.05 * scale)
+    stalled &= jumps <= _CLUSTER_RADIUS * scale
+    jumped = converged & ~finite & (norms[rows] > 100.0)
+    escaped = ~converged & ~stalled & np.isfinite(polished).all(axis=-1)
+    escaped &= _norms(polished) > _DIVERGENCE_THRESHOLD
+    statuses[rows[finite]] = "finite"
+    statuses[rows[stalled]] = "stalled"
+    statuses[rows[jumped | escaped]] = "at_infinity"
+    moved = finite | stalled | escaped
+    points[rows[moved]] = polished[moved]
+    return statuses, points
 
 
 def _draw_start(degrees: Sequence[int], rng: random.Random):
@@ -542,15 +545,6 @@ def _track_chart(target: _Compiled, degrees, k: int, start):
     return _track_paths(hom, starts)
 
 
-def _check_path_accounting(tracked: int, failed: int, bezout: int) -> None:
-    """Every Bezout path must end finite, at infinity or failed.  A path lost
-    in between would silently lower a count, so that raises instead."""
-    if tracked + failed != bezout:
-        raise RuntimeError(
-            f"path accounting broken: {tracked} tracked + {failed} failed != {bezout} Bezout paths"
-        )
-
-
 # ---- clustering and certification ----
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -558,6 +552,19 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row j of b, for unit-norm projective rows, from one Gram matrix:
     sqrt(2 - 2 |<a_i, b_j>|) <= r exactly when |<a_i, b_j>| >= 1 - r^2 / 2."""
     return np.abs(a.conj() @ b.T) >= 1.0 - _CLUSTER_RADIUS**2 / 2
+
+
+def _components(close: np.ndarray) -> np.ndarray:
+    """Each endpoint's label in the graph of close (a symmetric boolean
+    matrix with a true diagonal): the first index of its connected
+    component.  Each label takes the smallest of its neighbours' labels
+    until none changes."""
+    labels = np.arange(len(close))
+    while True:
+        spread = np.where(close, labels, len(close)).min(axis=1, initial=len(close))
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
 
 
 def _rational_point(coords: np.ndarray, height: int, tol: float) -> Optional[tuple]:
@@ -576,9 +583,9 @@ def _rational_point(coords: np.ndarray, height: int, tol: float) -> Optional[tup
     return primitive_vector(clear_denominators(candidate)[0])
 
 
-def _certify(points: np.ndarray, filters: _Compiled, filter_polys):
-    """Cluster one chart's normalized projective endpoints (rows of points
-    within _CLUSTER_RADIUS of a cluster's first member) and keep the
+def _certify(points: np.ndarray, close: np.ndarray, filters: _Compiled, filter_polys):
+    """Cluster one chart's normalized projective endpoints into the
+    components of their _close matrix close (_components) and keep the
     clusters that lie on filter_polys.
 
     A cluster's residual is the smallest filter residual of its members,
@@ -590,37 +597,21 @@ def _certify(points: np.ndarray, filters: _Compiled, filter_polys):
     rule B of _projective_solve then asks every cluster's residual to be at
     most _RESIDUAL_TOL and no mismatch.
     """
-    close = _close(points, points)
-    groups: list = []
-    for idx in range(len(points)):
-        for g in groups:
-            if close[g[0], idx]:
-                g.append(idx)
-                break
-        else:
-            groups.append([idx])
-    clusters = []
-    discarded = 0
-    mismatch = False
-    for g in groups:
-        members = [points[i] for i in g]
-        residuals = [float(np.max(np.abs(filters.value(m)))) for m in members]
-        best = min(residuals)
+    labels = _components(close)
+    residuals = np.max(np.abs(filters.value(points)), axis=-1)
+    clusters, discarded, mismatch = [], 0, False
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        rep = points[members[np.argmin(residuals[members])]]  # the first best member
+        best = float(residuals[members].min())
         if best >= _FILTER_TOL:
             discarded += 1
             continue
-        rep = members[residuals.index(best)]
         exact = _rational_point(rep, _RATIONAL_HEIGHT, _CLUSTER_RADIUS)
         if exact is not None and any(p.evaluate(exact) != 0 for p in filter_polys):
             exact, mismatch = None, True
-        clusters.append(
-            Cluster(
-                point=tuple(complex(c) for c in rep),
-                multiplicity=len(g),
-                residual=best,
-                rational=exact,
-            )
-        )
+        point = tuple(complex(c) for c in rep)
+        clusters.append(Cluster(point=point, multiplicity=len(members), residual=best, rational=exact))
     clusters.sort(key=_sort_key)
     return clusters, discarded, mismatch
 
@@ -720,34 +711,43 @@ def _finish(statuses, endpoints, chart, k: int, target: _Compiled, degrees, filt
     filtering, and nonsingular says of each whether its polish converged
     (a stalled one sits at a multiple root, where the Jacobian can vanish
     altogether and the ratio below says nothing) and the chart target's
-    Jacobian there has sigma_min / sigma_max above _SIGMA_RATIO, from one
-    stacked SVD.  A finite endpoint whose lift has norm above
-    _DIVERGENCE_THRESHOLD counts as at infinity, and a stalled one within
-    _CLUSTER_RADIUS of no other kept endpoint of its chart as a failed
-    path.
+    Jacobian there is nonsingular, from one stacked SVD: sigma_min /
+    sigma_max above _SIGMA_RATIO, or in one unknown (where that ratio is 1)
+    |J| above it, scale-free on the _unit_row target.  Into the status
+    array, a finite endpoint whose lift has norm above _DIVERGENCE_THRESHOLD
+    goes at infinity, and a stalled one within _CLUSTER_RADIUS of no other
+    kept endpoint of its chart fails; the report counts that array.  Raises
+    RuntimeError unless there is one status per Bezout path, since a path
+    lost in between would silently lower a count.
     """
     size = math.prod(degrees)
-    run = np.array(statuses)
-    finite = (run == "finite") | (run == "stalled")
-    norms, lifted = _lift(endpoints[finite], chart)
-    near = ~(norms > _DIVERGENCE_THRESHOLD)
-    at_infinity = int((run == "at_infinity").sum() + (~near).sum())
-    lifted, kept, stalled = lifted[near], endpoints[finite][near], run[finite][near] == "stalled"
+    if len(statuses) != size:
+        raise RuntimeError(f"path accounting broken: {len(statuses)} statuses for {size} Bezout paths")
+    status = np.array(statuses, dtype=object)
+    kept = np.flatnonzero((status == "finite") | (status == "stalled"))
+    norms, lifted = _lift(endpoints[kept], chart)
+    far = norms > _DIVERGENCE_THRESHOLD
+    status[kept[far]] = "at_infinity"
+    kept, lifted = kept[~far], lifted[~far]
+    close = _close(lifted, lifted)
     # A stalled endpoint stands for a multiple root, which more than one
     # path of the chart reaches; one that no other endpoint meets (say, a
     # point it wandered to on a positive-dimensional component) fails.
-    lone = stalled & (_close(lifted, lifted).sum(axis=1) == 1)
-    lifted, kept, stalled = lifted[~lone], kept[~lone], stalled[~lone]
-    _, jacobians = target.value_and_jacobian(kept, np.full(len(kept), k))
+    lone = (status[kept] == "stalled") & (close.sum(axis=1) == 1)
+    status[kept[lone]] = "failed"
+    kept, lifted, close = kept[~lone], lifted[~lone], close[~lone][:, ~lone]
+    _, jacobians = target.value_and_jacobian(endpoints[kept], np.full(len(kept), k))
     sigma = np.linalg.svd(jacobians, compute_uv=False)
-    nonsingular = ~stalled & (sigma[:, -1] > _SIGMA_RATIO * sigma[:, 0])
-    survivors, discarded, mismatch = _certify(lifted, filters, filter_polys)
+    scale = sigma[:, 0] if len(degrees) > 1 else 1.0
+    nonsingular = (status[kept] == "finite") & (sigma[:, -1] > _SIGMA_RATIO * scale)
+    survivors, discarded, mismatch = _certify(lifted, close, filters, filter_polys)
+    failed = int((status == "failed").sum())
     report = {
         "chart": [str(c) for c in chart[0]],
         "bezout_bound": size,
-        "paths_tracked": len(lifted) + at_infinity,
-        "paths_failed": int((run == "failed").sum() + lone.sum()),
-        "at_infinity": at_infinity,
+        "paths_tracked": size - failed,
+        "paths_failed": failed,
+        "at_infinity": int((status == "at_infinity").sum()),
         # Each tracked chart is tracked once (chart 2 only on demand);
         # perfbench reads this key.
         "attempts": 1,
@@ -755,7 +755,6 @@ def _finish(statuses, endpoints, chart, k: int, target: _Compiled, degrees, filt
         "discarded_clusters": discarded,
         "rational_mismatch": mismatch,
     }
-    _check_path_accounting(report["paths_tracked"], report["paths_failed"], size)
     return (survivors, report), lifted, nonsingular
 
 
@@ -779,10 +778,10 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
     else:
 
     (A) completeness: the lifted finite endpoints of the tracked charts,
-        before filtering, deduplicated within _CLUSTER_RADIUS, number
-        exactly prod(degrees), and each of them is nonsingular: its polish
-        converged, and the chart target's Jacobian there has
-        sigma_min / sigma_max above _SIGMA_RATIO.  By the refined Bezout
+        before filtering, form exactly prod(degrees) connected components
+        (_components), and each of them is nonsingular as _finish decides:
+        its polish converged, and the chart target's Jacobian there is
+        well conditioned.  By the refined Bezout
         theorem (Fulton, Intersection Theory, 12.3) a positive-dimensional
         component of the square system would take at least 1 from the
         Bezout number, so these points are all of its solutions, each of
@@ -819,7 +818,7 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
         lifts.append(lifted)
         flags.append(nonsingular)
         lifted, nonsingular = np.concatenate(lifts), np.concatenate(flags)
-        distinct = int((~np.triu(_close(lifted, lifted), 1).any(axis=0)).sum())
+        distinct = len(np.unique(_components(_close(lifted, lifted))))
         singular = int((~nonsingular).sum())
         complete = distinct == bezout and not singular
         if complete:

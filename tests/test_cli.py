@@ -122,6 +122,23 @@ def test_poly_file_input(tmp_path, capsys):
     assert report["outputs"]["j"] == "0"
 
 
+def test_a_directory_as_input_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "decompose", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: could not read")
+
+
+def test_singular_does_not_certify_a_fourfold_binary_root(tmp_path, capsys):
+    # (x0 - x1)^4 has one singular point, (1:1), where the square system in
+    # one unknown has a triple root
+    path = tmp_path / "quartic.poly"
+    path.write_text("x0^4 - 4*x0^3*x1 + 6*x0^2*x1^2 - 4*x0*x1^3 + x1^4\n", encoding="utf-8")
+    code, report, _ = run_json(capsys, "singular", str(path))
+    assert code == 1
+    assert report["certified"] is False
+
+
 def test_tensor_file_feeds_every_tensor_command(tmp_path, capsys):
     path = tmp_path / "tensor.json"
     path.write_text(fixtures.read_text("cyclic-dim2"), encoding="utf-8")
@@ -332,6 +349,10 @@ def test_sweep_rejects_a_trial_count_below_one(capsys):
         ("linear.poly", "x0 + x1"),
         ("wide-quadric.poly", "x0^2 + x199^2"),
         ("wide-cubic.poly", "x0^3 + x199^3"),
+        ("matrix-note.json", '{"matrix": [[1, 0, 1, 1], [1, 2, 0, 1], [0, 1, -1, 1], [1, 0, 1, 0]], '
+         '"note": 1}'),
+        ("points-note.json", '{"n": 3, "points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+         '[0, 0, 0, 1], [1, 1, 1, 1], [2, -1, 5, -7]], "note": 1}'),
     ],
 )
 def test_malformed_input_files_are_usage_errors(capsys, tmp_path, name, text):

@@ -66,6 +66,54 @@ def test_a_stalled_endpoint_counts_as_singular_and_fails_alone():
     assert nonsingular.tolist() == [False, False, True]
 
 
+@pytest.mark.parametrize(
+    "text, start, endgame_norm, status, point",
+    [
+        ("x0 - 1", 1000, np.nan, "at_infinity", 1000),  # the polish converged but jumped
+        ("x0 - 1", 50, np.nan, "failed", 50),  # jumped from a norm below 100
+        ("x0 - 1", 1 + 1e-9, np.nan, "finite", 1),
+        ("x0 - 1000000000", 1, np.nan, "at_infinity", 1e9),  # the polish escaped
+        ("x0 - 1", 2e8, np.nan, "at_infinity", 2e8),  # too large to polish
+        ("x0 - 1", 500, 10.0, "at_infinity", 500),  # grew 32-fold in the endgame
+        ("x0^2 + 1", 0, np.nan, "failed", 0),  # a singular Jacobian
+    ],
+)
+def test_settle_classifies_hand_made_endpoints(text, start, endgame_norm, status, point):
+    target = solve._Compiled([parse_poly(text, nvars=1)])
+    x = np.array([[start]], dtype=np.complex128)
+    statuses, points = solve._settle(target, np.zeros(1, dtype=np.int64), x, np.array([endgame_norm]))
+    assert statuses.tolist() == [status]
+    assert points[0, 0] == pytest.approx(point, rel=1e-12)
+
+
+def _union_find_labels(close):
+    """Each vertex's smallest connected index, by union-find: the reference
+    for solve._components."""
+    parent = list(range(len(close)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(close)):
+        a, b = root(i), root(j)
+        parent[max(a, b)] = min(a, b)
+    return [root(i) for i in range(len(close))]
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_components_equal_a_union_find_reference(n, data):
+    # sparse edge lists, so that chains and several components are common
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    close = np.eye(n, dtype=bool)
+    for i, j in edges:
+        close[i, j] = close[j, i] = True
+    assert solve._components(close).tolist() == _union_find_labels(close)
+    assert solve._components(np.ones((0, 0), dtype=bool)).tolist() == []
+
+
 def _scalar_lift(y, chart):
     """One chart point's lift and its normalization, one coordinate at a
     time: the reference that solve._lift must match bit for bit."""
@@ -363,6 +411,30 @@ def test_triple_line_product_has_three_singular_points():
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),
     }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0^4 - 4*x0^3*x1 + 6*x0^2*x1^2 - 4*x0*x1^3 + x1^4",  # (x0 - x1)^4
+        "x0^4*x1 - 4*x0^3*x1^2 + 6*x0^2*x1^3 - 4*x0*x1^4 + x1^5",  # (x0 - x1)^4 x1
+    ],
+)
+def test_a_multiple_root_in_one_unknown_is_never_certified(text):
+    # The one singular point (1:1) is a triple root of the square system in
+    # one unknown, whose scattered endpoints lie farther apart than
+    # _CLUSTER_RADIUS.  A 1 x 1 Jacobian has sigma_min / sigma_max = 1, so
+    # only |J| shows them singular.
+    f = parse_poly(text)
+    assert not any(solve.singular_points(f, SolveConfig(seed)).certified for seed in range(10))
+
+
+def test_a_double_root_in_one_unknown_still_certifies_its_point():
+    # (x0 - x1)^2 (x0 + x1) x1: one singular point, (1:1)
+    f = parse_poly("x0^3*x1 - x0^2*x1^2 - x0*x1^3 + x1^4")
+    for seed in range(10):
+        result = solve.singular_points(f, SolveConfig(seed))
+        assert result.certified and [c.rational for c in result.clusters] == [(1, 1)]
 
 
 def test_smooth_cubic_has_no_singular_points():
