@@ -323,8 +323,11 @@ def rank5_det_quartic(matrix: Sequence[Sequence]) -> MultiPoly:
     """Symbolic determinant of the matrix with entries xi + x_i M_{ik},
     where xi = x0 + x1 + x2 + x3."""
     m = _matrix4(matrix)
-    xi = linear_form(4, [1, 1, 1, 1])
-    entries = [[xi + MultiPoly.variable(4, i).scale(m[i][k]) for k in range(4)] for i in range(4)]
+    # Entry (i, k) is one linear form: 1 + M_ik on x_i and 1 elsewhere.
+    entries = [
+        [linear_form(4, [1 + m[i][k] if j == i else 1 for j in range(4)]) for k in range(4)]
+        for i in range(4)
+    ]
     return PolyMatrix(4, entries).det()
 
 

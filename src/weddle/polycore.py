@@ -16,8 +16,8 @@ chart substitution before every numeric solve, and PolyMatrix det and
 primitive_det for Weddle loci) pack every monomial into one int and
 expand over the integers, building a MultiPoly only for the result:
 multiplication and compose on dicts of packed monomials, det on integer
-arrays of minors, int64 when a bound on every coefficient it can reach
-proves that safe and Python ints otherwise.
+arrays of minors, int64 while a bound on every coefficient the next row can
+reach proves that safe and Python ints from the first row where it does not.
 """
 
 from __future__ import annotations
@@ -190,15 +190,20 @@ class MultiPoly:
         return MultiPoly.constant(self.nvars, other)
 
     def __add__(self, other) -> "MultiPoly":
+        # Both operands are canonical and zero sums are dropped, so the
+        # sum's terms are canonical as built.
         other = self._coerce(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, Fraction(0)) + c
-            if s:
-                terms[mono] = s
+            if mono in terms:
+                s = terms[mono] + c
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
             else:
-                terms.pop(mono, None)
-        return MultiPoly(self.nvars, terms)
+                terms[mono] = c
+        return MultiPoly._canonical(self.nvars, terms)
 
     __radd__ = __add__
 
@@ -370,12 +375,28 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self})"
 
 
-def _primitive_poly(nvars: int, monomials: list, values: list) -> MultiPoly:
+def _primitive_poly(nvars: int, monomials: list, values: list, lead: Optional[int] = None) -> MultiPoly:
     """The MultiPoly with the integer values on the monomials, divided by
-    their gcd with the graded-lex leading coefficient made positive."""
-    lead = monomials.index(max(monomials, key=grlex_key)) if monomials else None
+    their gcd with the graded-lex leading coefficient made positive.  lead,
+    when given, is the index of the graded-lex largest monomial."""
+    if lead is None and monomials:
+        lead = monomials.index(max(monomials, key=grlex_key))
     values = primitive_vector(values, lead) or ()
     return MultiPoly._canonical(nvars, {m: Fraction(v) for m, v in zip(monomials, values)})
+
+
+def _grlex_lead(exponents: np.ndarray) -> int:
+    """The index of the graded-lex largest row of a nonempty 2-D array of
+    distinct exponent rows: the rows of top degree, narrowed to those with
+    the largest exponent of x_0, then of x_1, and so on."""
+    degrees = exponents.sum(axis=1)
+    rows = np.flatnonzero(degrees == degrees.max())
+    for column in exponents.T:
+        if len(rows) == 1:
+            break
+        values = column[rows]
+        rows = rows[values == values.max()]
+    return int(rows[0])
 
 
 def _term_body(mono: Monomial, coeff: Fraction) -> str:
@@ -494,17 +515,28 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> MultiPoly:
 
 # ---- linear forms ----
 
+@lru_cache(maxsize=None)
+def _unit_monomials(nvars: int) -> tuple:
+    """The exponent tuples of x_0, ..., x_{nvars-1}."""
+    return tuple(tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars))
+
+
 def linear_form(nvars: int, coeffs: Sequence) -> MultiPoly:
-    """Build sum(coeffs[i] * x_i)."""
+    """Build sum(coeffs[i] * x_i).
+
+    Each coefficient goes through as_rat, so a float or a bool raises
+    TypeError, and a vector whose length is not nvars raises ValueError.
+    The terms are canonical as built (cached unit monomials, nonzero
+    Fractions), so they are not validated again.
+    """
     if len(coeffs) != nvars:
         raise ValueError("coefficient vector has wrong length")
     terms = {}
-    for i, c in enumerate(coeffs):
+    for mono, c in zip(_unit_monomials(nvars), coeffs):
         c = as_rat(c)
         if c:
-            mono = tuple(1 if j == i else 0 for j in range(nvars))
             terms[mono] = c
-    return MultiPoly(nvars, terms)
+    return MultiPoly._canonical(nvars, terms)
 
 
 def linear_coefficients(form: MultiPoly) -> list:
@@ -674,20 +706,26 @@ class PolyMatrix:
 
     def det(self) -> MultiPoly:
         """The determinant, by _integer_det's cofactor expansion."""
-        terms, denominator = self._integer_det()
-        return MultiPoly._canonical(
-            self.nvars, {mono: Fraction(c, denominator) for mono, c in terms.items()}
-        )
+        exponents, values, denominator = self._integer_det()
+        return MultiPoly._canonical(self.nvars, {
+            mono: Fraction(c, denominator) for mono, c in zip(map(tuple, exponents.tolist()), values)
+        })
 
     def primitive_det(self) -> MultiPoly:
         """det().primitive_normalized(), with the gcd and the sign taken on
         the integer coefficients, so each coefficient becomes a Fraction once."""
-        terms, _ = self._integer_det()
-        return _primitive_poly(self.nvars, list(terms), list(terms.values()))
+        exponents, values, _ = self._integer_det()
+        if not values:
+            return MultiPoly._canonical(self.nvars, {})
+        return _primitive_poly(
+            self.nvars, list(map(tuple, exponents.tolist())), values, _grlex_lead(exponents)
+        )
 
     def _integer_det(self) -> tuple:
-        """(terms, denominator): the determinant times the positive integer
-        denominator, as a dict from exponent tuple to nonzero int.
+        """(exponents, values, denominator): the determinant times the
+        positive integer denominator, as a 2-D int64 array with the
+        exponent tuple of a term per row and the list of the terms' nonzero
+        int coefficients in the same order.
 
         Division-free cofactor expansion, exact over the integers.
 
@@ -703,24 +741,33 @@ class PolyMatrix:
         subset's k+1 columns times the minors of the k-subsets left when
         one of those columns is removed.  Each monomial's products are
         added into the next basis where that monomial shifts the old one
-        (np.searchsorted finds where, np.add.at adds).  The last minor is
-        unpacked once; its denominator is the product of the row lcms.
+        (np.searchsorted finds where, np.add.at adds).  The last minor's
+        zero coefficients are dropped on the array and the rest unpacked
+        once; its denominator is the product of the row lcms.
 
-        Overflow: each coefficient of a minor, and each partial sum that
-        builds one, is at most the product over its rows of the row's l1
-        norm (the sum of the absolute values of all its scaled
-        coefficients), because the l1 norm of a product of polynomials is
-        at most the product of their l1 norms.  So the arrays are int64
-        when the product of all the row l1 norms is below 2^63 and every
-        packed monomial fits in 63 bits, and hold Python ints (dtype
-        object) otherwise.  A zero row gives zero at once.  Sizes above
-        MAX_DET_SIZE are refused rather than silently taking forever.
+        Overflow: each coefficient of a minor of the first k+1 rows, and
+        each partial sum that builds one, is a signed sum of products of
+        a coefficient of row k with a coefficient of a minor of the first
+        k rows, each pair at most once, so it is at most M_k times the l1
+        norm of row k (the sum of the absolute values of all its scaled
+        coefficients), where M_k is the largest |coefficient| among the
+        minors of the first k rows (M_0 = 1).  The coefficients stay int64
+        while max(M_k, 1) times that l1 norm is below 2^63 (the 1 covers
+        row k's own coefficients, which are at most its l1 norm), and
+        become Python ints (dtype object) at the first row where it is
+        not.  M_k is at most the product of the l1 norms of the rows
+        before k, so the minors are searched for M_k only at a row where
+        that product is too large to pass the test; on Weddle matrices it
+        is about 2^30 looser than M_k at size 8.  The packed monomials are
+        int64 when every one fits in 63 bits, which is known before the
+        expansion, and Python ints otherwise.  A zero row gives zero at
+        once.  Sizes above MAX_DET_SIZE are refused rather than silently
+        taking forever.
         """
         n = self.size
         if n > MAX_DET_SIZE:
             raise ValueError(f"determinant limited to size {MAX_DET_SIZE}")
         bound = 0
-        norm = 1
         denominator = 1
         rows = []
         for row in self.entries:
@@ -732,19 +779,26 @@ class PolyMatrix:
                 for mono in entry.terms
             ]
             if not places:
-                return {}, 1  # a zero row
+                return np.zeros((0, self.nvars), np.int64), [], 1  # a zero row
             values, lcm = clear_denominators([c for entry in row for c in entry.terms.values()])
             bound += max(sum(mono) for mono in index)
-            norm *= sum(map(abs, values))
             denominator *= lcm
-            rows.append((list(index), places, values))
+            rows.append((list(index), places, values, sum(map(abs, values))))
         width = bound.bit_length()
         offsets = [width * i for i in range(self.nvars)]
-        dtype = np.int64 if norm < 2**63 and self.nvars * width <= 63 else object
+        packed = np.int64 if self.nvars * width <= 63 else object
 
+        dtype = np.int64
+        top = 1  # at least max(M_k, 1): a product of row norms, or measured
         minors = np.ones((1, 1), dtype)
-        basis = np.zeros(1, dtype)
-        for k, (monomials, places, values) in enumerate(rows):
+        basis = np.zeros(1, packed)
+        for k, (monomials, places, values, norm) in enumerate(rows):
+            if dtype is np.int64 and top * norm >= 2**63:
+                top = max(int(np.abs(minors).max()), 1)
+                if top * norm >= 2**63:
+                    dtype = object
+                    minors = minors.astype(object)
+            top *= norm
             table = np.zeros((n, len(monomials)), dtype)
             for (col, d), value in zip(places, values):
                 table[col, d] = value
@@ -753,7 +807,7 @@ class PolyMatrix:
             # row k's coefficient of monomial d times the old minors.
             products = (table[columns] * signs).transpose(0, 2, 1) @ minors[subsets]
             keys = [sum(e << offset for e, offset in zip(mono, offsets)) for mono in monomials]
-            shifted = np.array(keys, dtype).reshape(-1, 1) + basis
+            shifted = np.array(keys, packed).reshape(-1, 1) + basis
             # Sorted and deduplicated by hand: np.unique's hash table costs
             # about a megabyte of resident memory on first use.
             flat = np.sort(shifted, axis=None)
@@ -761,9 +815,9 @@ class PolyMatrix:
             minors = np.zeros((len(subsets), len(basis)), dtype)
             np.add.at(minors, (slice(None), np.searchsorted(basis, shifted)), products)
 
-        exponents = (basis.reshape(-1, 1) >> np.array(offsets, dtype)) & ((1 << width) - 1)
-        terms = {tuple(mono): c for mono, c in zip(exponents.tolist(), minors[0].tolist()) if c}
-        return terms, denominator
+        nonzero = np.flatnonzero(minors[0])
+        exponents = (basis[nonzero].reshape(-1, 1) >> np.array(offsets, packed)) & ((1 << width) - 1)
+        return exponents.astype(np.int64, copy=False), minors[0, nonzero].tolist(), denominator
 
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

@@ -22,13 +22,16 @@ A projector is a sum of at most six gathers with weights in sixths, at
 most 8 times the largest numerator in absolute value, so the array is
 int64 when that bound is below 2^63 and holds Python ints (dtype object)
 otherwise; the same code runs on both.  Only the result is turned back
-into Fractions, one per distinct value.  random_n1 is one integer product
+into Fractions, one per distinct value, and the tensor it makes keeps its
+numerators, so a part of decompose, or a sum of tensors, is not cleared
+again when a kernel reads it.  random_n1 is one integer product
 of its coefficient draws with three times the cached N1 basis.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from enum import Enum
 from fractions import Fraction
@@ -53,7 +56,9 @@ class SymmetryClass(Enum):
 class Tensor3:
     """Dense order-3 tensor with exact rational entries."""
 
-    __slots__ = ("dim", "faces")
+    # _cleared: None, or the (values, den) the tensor was built from by
+    # _from_numerators, until _numerators makes values an array (see there).
+    __slots__ = ("dim", "faces", "_cleared")
 
     def __init__(self, faces: Sequence[Sequence[Sequence]]):
         dim = len(faces)
@@ -67,14 +72,16 @@ class Tensor3:
                 raise ValueError("every face must be dim x dim")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "faces", grid)
+        object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Tensor3 is immutable")
 
     @classmethod
-    def _canonical(cls, dim: int, entries: Sequence[Fraction]) -> "Tensor3":
+    def _canonical(cls, dim: int, entries: Sequence[Fraction], cleared: tuple) -> "Tensor3":
         """The Tensor3 with these dim^3 entries in flatten order, which must
-        already be Fractions: nothing is checked or coerced."""
+        already be Fractions, and with the (values, den) they are cleared to
+        (see _numerators): nothing is checked or coerced."""
         t = object.__new__(cls)
         face = dim * dim
         faces = tuple(
@@ -83,6 +90,7 @@ class Tensor3:
         )
         object.__setattr__(t, "dim", dim)
         object.__setattr__(t, "faces", faces)
+        object.__setattr__(t, "_cleared", cleared)
         return t
 
     @classmethod
@@ -116,7 +124,14 @@ class Tensor3:
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if not isinstance(other, Tensor3) or other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        return Tensor3.build(self.dim, lambda i, j, k: self[i, j, k] + other[i, j, k])
+        # Summed on Python ints over the lcm of the two denominators, so the
+        # sum is exact whatever the size of the numerators.
+        a, den_a = _numerators(self)
+        b, den_b = _numerators(other)
+        den = math.lcm(den_a, den_b)
+        fa, fb = den // den_a, den // den_b
+        total = [x * fa + y * fb for x, y in zip(a.tolist(), b.tolist())]
+        return _from_numerators(self.dim, total, den)
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
         return self + other.scale(-1)
@@ -189,19 +204,34 @@ _OPERATOR_TERMS = {
 
 
 def _numerators(t: Tensor3) -> tuple:
-    """(n, den): T's entries in flatten order by clear_denominators, with n
-    an array: int64 when 8 * max |n| < 2^63, which bounds every sum the
-    projectors and class tests form, and Python ints (dtype object) otherwise."""
-    values, den = clear_denominators(flatten(t))
+    """(n, den): T's entries in flatten order are n / den, with n a
+    read-only array: int64 when 8 * max |n| < 2^63, which bounds every sum
+    the projectors and class tests form, and Python ints (dtype object)
+    otherwise.
+
+    A tensor made by _from_numerators keeps the integer values and the
+    positive den it was made from, which need not be in lowest terms; any
+    other tensor is cleared here by clear_denominators.  The array is made
+    on the first call and kept on the tensor, so a later call, such as
+    in_class or decompose on a part that decompose returned, reads it
+    without clearing the entries again."""
+    cleared = t._cleared or clear_denominators(flatten(t))
+    values, den = cleared
+    if isinstance(values, np.ndarray):
+        return cleared
     dtype = np.int64 if 8 * max(map(abs, values)) < 2**63 else object
-    return np.array(values, dtype), den
+    n = np.array(values, dtype)
+    n.setflags(write=False)
+    object.__setattr__(t, "_cleared", (n, den))
+    return n, den
 
 
 def _from_numerators(dim: int, values: list, den: int) -> Tensor3:
     """The Tensor3 whose entries in flatten order are values / den, with one
-    Fraction per distinct value (Fractions are immutable, so entries share)."""
+    Fraction per distinct value (Fractions are immutable, so entries share).
+    The tensor keeps (values, den) for _numerators."""
     fractions = {v: Fraction(v, den) for v in set(values)}
-    return Tensor3._canonical(dim, [fractions[v] for v in values])
+    return Tensor3._canonical(dim, [fractions[v] for v in values], (values, den))
 
 
 @lru_cache(maxsize=None)

@@ -6,13 +6,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weddle import cubic, fixtures, linalg, loci, solve, tensor
 from weddle.loci import LinearSystem
-from weddle.polycore import MultiPoly, grlex_key, parse_poly
-from test_polycore import reference_det, row_l1_product
+from weddle.polycore import MultiPoly, PolyMatrix, grlex_key, linear_form, parse_poly
+from test_polycore import _assert_canonical, reference_det, row_l1_product
 
 _RATIONALS = st.one_of(st.just(0), st.integers(-6, 6), st.fractions(-6, 6, max_denominator=7))
 
@@ -155,8 +155,8 @@ def test_dim7_weddle_polynomial_at_integer_points_within_budget():
 
 @pytest.mark.parametrize("dim", [6, 7, 8])
 def test_weddle_polynomial_agrees_with_scalar_determinants_up_to_the_size_limit(dim):
-    # Dim 8 is MAX_DET_SIZE, and its row l1 norms multiply past 2^63: that
-    # determinant runs on Python ints.
+    # Dim 8 is MAX_DET_SIZE, and its row l1 norms multiply past 2^63; the
+    # step-wise bound keeps that determinant on int64 all the same.
     system = _random_system(dim, random.Random(800 + dim))
     data = loci.weddle_matrix(system)
     assert (row_l1_product(data.matrix) < 2**63) == (dim < 8)
@@ -380,6 +380,27 @@ def test_rank5_routines_coerce_the_matrix_without_determinants(monkeypatch):
     calls.clear()
     loci.rank5_canonical_system(M)
     assert calls == []
+
+
+def reference_rank5_det_quartic(matrix):
+    """The determinant with the entries xi + x_i M_ik built as a variable,
+    scaled by M_ik and added to xi, expanded by the reference determinant."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    xi = linear_form(4, [1, 1, 1, 1])
+    entries = [[xi + MultiPoly.variable(4, i).scale(m[i][k]) for k in range(4)] for i in range(4)]
+    return reference_det(PolyMatrix(4, entries))
+
+
+@given(st.lists(st.lists(_RATIONALS, min_size=4, max_size=4), min_size=4, max_size=4))
+@example([[-1, 2, 0, 3], [1, -1, 5, 0], [Fraction(1, 2), 0, -1, 2], [3, -1, 1, -1]])
+@example([[-1] * 4] * 4)  # 1 + M_ik = 0 everywhere: every entry is xi - x_i
+@example([[Fraction(-1), Fraction(-2, 3), 0, 1], [0, -1, Fraction(5, 7), 2],
+          [1, 1, Fraction(-1, 1), 0], [Fraction(1, 3), 0, 0, -1]])
+@settings(max_examples=60, deadline=None)
+def test_rank5_det_quartic_equals_the_variable_scale_add_entries(matrix):
+    quartic = loci.rank5_det_quartic(matrix)
+    assert quartic == reference_rank5_det_quartic(matrix)
+    _assert_canonical(quartic)
 
 
 def test_rank5_determinant_matches_the_thirteen_term_quartic():

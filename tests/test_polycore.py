@@ -12,11 +12,12 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weddle import fixtures, linalg, loci, solve
+from weddle import fixtures, linalg, loci, polycore, solve, tensor
 from weddle.polycore import (
     MAX_DET_SIZE,
     MultiPoly,
@@ -433,7 +434,10 @@ def test_determinant_exponents_wider_than_four_bits():
 def row_l1_product(matrix):
     """The product of the rows' l1 norms, each row's coefficients scaled by
     the lcm of its denominators: below 2^63 the determinant of a matrix
-    with no zero row runs on int64, otherwise on Python ints."""
+    with no zero row runs on int64 without measuring a minor; otherwise its
+    kernel measures the largest minor coefficient where this bound is too
+    loose, and stays on int64 while that times the next row's l1 norm is
+    below 2^63."""
     product = 1
     for row in matrix.entries:
         coeffs = [c for e in row for c in e.terms.values()]
@@ -453,6 +457,9 @@ _TWO31 = 2**31
     ([[f"{_TWO31}/3*x0", "0"], ["0", f"{2 * _TWO31}*x1"]], False),
     ([[f"{_TWO31}*x0", "1"], ["1", f"{2 * _TWO31}*x1"]], False),
     ([[f"{2**21}*x0", "0", "0"], ["0", f"{2**21}*x1", "0"], ["0", "0", f"{2**21}*x2"]], False),
+    # The row l1 norms multiply to 2^63, but the minors of the first row are
+    # at most 2^31: the step-wise bound is 2^31 * 2^31 = 2^62, so int64.
+    ([[f"{_TWO31}*x0 + {_TWO31}*x1", "0"], ["0", f"{_TWO31}*x2"]], False),
 ])
 def test_determinant_on_either_side_of_the_int64_bound(rows, below):
     m = PolyMatrix(3, [[parse_poly(s, nvars=3) for s in row] for row in rows])
@@ -460,6 +467,61 @@ def test_determinant_on_either_side_of_the_int64_bound(rows, below):
     det = m.det()
     assert det == reference_det(m)
     _assert_canonical(det)
+
+
+class _RecordingNumpy:
+    """numpy, with the dtype of every array np.zeros makes recorded."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        self.dtypes.append(np.dtype(dtype))
+        return np.zeros(shape, dtype)
+
+
+def _last_minor_dtype(matrix, monkeypatch):
+    """(dtype, det): the dtype of the last minors the kernel builds."""
+    recorder = _RecordingNumpy()
+    monkeypatch.setattr(polycore, "np", recorder)
+    det = matrix.det()
+    monkeypatch.undo()
+    return recorder.dtypes[-1], det
+
+
+@pytest.mark.parametrize("rows, dtype", [
+    ([[f"{_TWO31 - 1}*x0", "x1"], ["x2", f"{2 * _TWO31 - 2}*x0"]], "int64"),
+    # Each of the next three reaches a coefficient of exactly 2^63, so the
+    # last row must leave int64: the first two at row 1, the third at row 2.
+    ([[f"{_TWO31}/3*x0", "0"], ["0", f"{2 * _TWO31}*x1"]], "object"),
+    ([[f"{_TWO31}*x0", "1"], ["1", f"{2 * _TWO31}*x1"]], "object"),
+    ([[f"{2**21}*x0", "0", "0"], ["0", f"{2**21}*x1", "0"], ["0", "0", f"{2**21}*x2"]], "object"),
+    ([[f"{_TWO31}*x0 + {_TWO31}*x1", "0"], ["0", f"{_TWO31}*x2"]], "int64"),
+    # Every minor of the first two rows is zero, and row 2's own
+    # coefficients do not fit in int64.
+    ([["x0", "x1", "0"], ["x0", "x1", "0"], [f"{2**70}*x2", "1", "1"]], "object"),
+])
+def test_determinant_coefficients_follow_the_stepwise_bound(rows, dtype, monkeypatch):
+    m = PolyMatrix(3, [[parse_poly(s, nvars=3) for s in row] for row in rows])
+    got, det = _last_minor_dtype(m, monkeypatch)
+    assert got == dtype
+    assert det == reference_det(m)
+    _assert_canonical(det)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_size_eight_weddle_determinants_run_on_int64(seed, monkeypatch):
+    # Their row l1 norms multiply past 2^63, but no minor comes near it.
+    system = loci.LinearSystem.from_tensor(tensor.random_n1(8, random.Random(seed)))
+    m = loci.contraction_matrix(system)
+    assert row_l1_product(m) >= 2**63
+    dtype, det = _last_minor_dtype(m, monkeypatch)
+    assert dtype == "int64"
+    point = [Fraction(v) for v in random.Random(seed).sample(range(-9, 10), 8)]
+    assert det.evaluate(point) == linalg.det([[e.evaluate(point) for e in row] for row in m.entries])
 
 
 def test_determinant_with_packed_monomials_wider_than_63_bits():
@@ -478,6 +540,48 @@ def test_determinant_above_the_size_limit_is_refused():
     ]
     with pytest.raises(ValueError, match=f"determinant limited to size {MAX_DET_SIZE}"):
         PolyMatrix(3, identity).det()
+
+
+# ---- linear forms and sums built without the checked constructor ----
+
+_coefficients = st.one_of(rationals, st.integers(-5, 5), rationals.map(str))
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(_coefficients, min_size=n, max_size=n)))
+def test_linear_form_equals_the_checked_constructor(coeffs):
+    n = len(coeffs)
+    form = linear_form(n, coeffs)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert form == MultiPoly(n, dict(zip(units, coeffs)))
+    _assert_canonical(form)
+
+
+@pytest.mark.parametrize("coeffs, error", [
+    ([1, 0.5, 0], TypeError),
+    ([1, 0.0, 0], TypeError),
+    ([True, 0, 0], TypeError),
+    ([0, 0, False], TypeError),
+    ([1, 2], ValueError),
+    ([1, 2, 3, 4], ValueError),
+])
+def test_linear_form_rejects_inexact_coefficients_and_wrong_lengths(coeffs, error):
+    with pytest.raises(error):
+        linear_form(3, coeffs)
+
+
+@given(polys(), polys(), st.booleans())
+def test_sum_equals_the_checked_constructor(p, q, cancel):
+    if cancel:
+        q = q - p  # every term of p cancels or merges in p + q
+    reference = {}
+    for poly in (p, q):
+        for mono, c in poly.terms.items():
+            reference[mono] = reference.get(mono, 0) + c
+    total = p + q
+    assert total == MultiPoly(3, reference)
+    _assert_canonical(total)
+    assert (p + (-p)).terms == {}
 
 
 # ---- the integer composition kernel against the MultiPoly reference ----

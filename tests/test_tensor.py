@@ -338,6 +338,73 @@ def test_kernels_on_both_sides_of_the_int64_bound(entry, dtype):
         )
 
 
+# A tensor made by the kernels keeps the numerators it was made from, and a
+# second kernel call reads them: each must answer as the same tensor built
+# fresh from its faces, which clears its entries again.
+
+def _tensors_of(d):
+    return st.lists(_entries, min_size=d**3, max_size=d**3).map(
+        lambda xs: Tensor3([[xs[(k * d + i) * d:(k * d + i + 1) * d] for i in range(d)]
+                            for k in range(d)]))
+
+
+def _near_2_60(dim, seed):
+    """Entries near 2^60, on both sides of the int64 bound of _numerators."""
+    rng = random.Random(seed)
+    return Tensor3.build(dim, lambda i, j, k: rng.choice(
+        [2**60 - 1, -(2**60 - 1), 2**60, 2**60 + 1, Fraction(2**60, 3), 0, 1]))
+
+
+def assert_parts_answer_as_fresh_tensors(t):
+    for part in (*tensor.decompose(t), *members(t).values()):
+        fresh = Tensor3(part.faces)
+        for cls in SymmetryClass:
+            assert tensor.in_class(part, cls) == tensor.in_class(fresh, cls)
+        assert tensor.decompose(part) == tensor.decompose(fresh)
+
+
+@given(st.integers(1, 4).flatmap(_tensors_of))
+@settings(max_examples=30, deadline=None)
+def test_parts_answer_as_fresh_tensors(t):
+    assert_parts_answer_as_fresh_tensors(t)
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (3, 1), (4, 2)])
+def test_parts_of_entries_near_2_60_answer_as_fresh_tensors(dim, seed):
+    t = _near_2_60(dim, seed)
+    assert tensor._numerators(t)[0].dtype == "object"
+    # The parts' numerators are over 6 * den and reach past the bound too.
+    assert any(tensor._numerators(p)[0].dtype == "object" for p in tensor.decompose(t))
+    assert_parts_answer_as_fresh_tensors(t)
+
+
+def assert_sum_is_entrywise(a, b):
+    total = a + b
+    assert total.faces == tuple(
+        tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(fa, fb))
+        for fa, fb in zip(a.faces, b.faces)
+    )
+    for face in total.faces:
+        assert all(type(x) is Fraction for row in face for x in row)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(_tensors_of(d), _tensors_of(d))))
+@settings(max_examples=30, deadline=None)
+def test_sum_equals_the_entrywise_fraction_sum(pair):
+    a, b = pair
+    pa, pb = tensor.decompose(a), tensor.decompose(b)
+    # fresh + fresh, stored + stored over different denominators, both mixes
+    for x, y in ((a, b), *zip(pa, pb), (pa[0], b), (a, pb[3]), (pa[1], pa[2])):
+        assert_sum_is_entrywise(x, y)
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 3), (3, 4)])
+def test_sum_of_entries_near_2_60_is_exact(dim, seed):
+    a, b = _near_2_60(dim, seed), _near_2_60(dim, seed + 10)
+    for x, y in ((a, b), (a, a), *zip(tensor.decompose(a), tensor.decompose(b))):
+        assert_sum_is_entrywise(x, y)
+
+
 @pytest.mark.parametrize("cls", list(SymmetryClass))
 @pytest.mark.parametrize("bump", [1, Fraction(1, 3), 2**62])
 def test_a_one_entry_perturbation_leaves_the_class(cls, bump):
