@@ -115,7 +115,7 @@ def main() -> int:
     parser.add_argument("--write", action="store_true", help="write the files")
     args = parser.parse_args()
 
-    registered = {filename for _, filename in REGISTRY.values()}
+    registered = set(REGISTRY.values())
     if registered != set(BUILDERS):
         missing = registered.symmetric_difference(BUILDERS)
         print(f"registry/builder mismatch: {sorted(missing)}")

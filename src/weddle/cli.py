@@ -31,42 +31,26 @@ class InputError(ValueError):
 
 # ---- input resolution ----
 
-def _classify_json(data) -> str:
-    if not isinstance(data, dict):
-        raise InputError("expected a JSON object (system, tensor, matrix, or points)")
-    keys = set(data)
-    if {"n", "quadrics"} <= keys:
-        return "system"
-    if {"dim", "faces"} <= keys:
-        return "tensor"
-    if "matrix" in keys:
-        return "matrix"
-    if {"n", "points"} <= keys:
-        return "points"
-    raise InputError("unrecognized JSON payload (expected system, tensor, matrix, or points)")
-
-
 def _resolve_input(source: str):
-    """Returns (descriptor, kind, object) for a path or fixture name."""
+    """Returns (descriptor, kind, object) for a path or fixture name; both
+    are read by fixtures.parse."""
     path = Path(source)
     if path.exists():
-        described = str(path)
+        described, filename = str(path), path.name
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:  # a directory, or a file that cannot be read
             raise InputError(f"could not read {source}: {exc}") from exc
-        kind = _classify_json(json.loads(text)) if path.suffix == ".json" else "poly"
     elif source in fixtures.REGISTRY:
-        described = f"fixture:{source}"
+        described, filename = f"fixture:{source}", fixtures.REGISTRY[source]
         text = fixtures.read_text(source)
-        kind = fixtures.kind(source)
     else:
         raise InputError(
             f"no such file or fixture {source!r}; fixtures: {', '.join(fixtures.names())}"
         )
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
-        obj = fixtures.parse_payload(kind, text)
+        kind, obj = fixtures.parse(filename, text)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"could not parse {source}: {exc}") from exc
     return {"source": described, "sha256": digest}, kind, obj
@@ -210,11 +194,15 @@ def _cmd_certify(args):
 
 
 def _parse_dims(text: str) -> list:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p.strip()]
+    """--dims: an inclusive range LO..HI with LO <= HI, or a comma-separated list."""
+    lo, dots, hi = text.partition("..")
+    try:
+        dims = [*range(int(lo), int(hi) + 1)] if dots else [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        dims = []
+    if not dims:
+        raise ValueError(f"--dims takes a range LO..HI with LO <= HI or a list such as 2,3,4; got {text!r}")
+    return dims
 
 
 def _cmd_jacobsthal_sweep(args):

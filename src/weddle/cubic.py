@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import ClassVar, Optional, Sequence
 
 from . import linalg
-from .polycore import MultiPoly, PolyMatrix, Rat, as_rat, clear_denominators, primitive_vector
+from .polycore import MultiPoly, PolyMatrix, Rat, as_point, as_rat, clear_denominators, primitive_vector
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,7 @@ def is_flex(f: MultiPoly, point: Sequence) -> bool:
     """Exact flex test: the point lies on the curve, is a smooth point,
     and the Hessian form vanishes on the tangent direction there."""
     test = _flex_test(f)
-    p = [as_rat(x) for x in point]
-    if all(x == 0 for x in p):
-        raise ValueError("projective point must be nonzero")
-    if len(p) != 3:
-        raise ValueError("point has wrong number of coordinates")
-    p = primitive_vector(clear_denominators(p)[0])
+    p = primitive_vector(clear_denominators(as_point(point, 3))[0])
     return test(p, _monomial_values(p))
 
 

@@ -1,33 +1,33 @@
-"""Named fixture registry.
+"""Named fixture registry and the one payload parser, for fixtures and files.
 
 Each fixture is a data file shipped with the package: quadric systems,
 tensors, point lists, a 4x4 coefficient matrix, and polynomial text files.
-`load(name)` returns the natural object for the file; `system(name)`
-coerces any fixture that determines a linear system of quadrics into one,
-through `as_system`, which the CLI uses for file inputs too.
+`parse` reads any payload and names its kind; `system(name)` coerces a
+fixture to a linear system of quadrics through `as_system`, as the CLI does.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from importlib import resources
 
 from .loci import LinearSystem, rank5_canonical_system, system_through_points
-from .polycore import MultiPoly, as_int, as_rat, parse_poly
+from .polycore import MultiPoly, as_int, as_matrix, parse_poly
 from .tensor import Tensor3
 
-# name -> (kind, filename); kinds: system | tensor | matrix | points | poly
+# name -> filename; each file's kind is read off its payload by parse
 REGISTRY = {
-    "ex-bpf-conics": ("system", "ex-bpf-conics.json"),
-    "degenerate-conics": ("system", "degenerate-conics.json"),
-    "witness-C1-system": ("system", "witness-C1-system.json"),
-    "witness-C2-system": ("system", "witness-C2-system.json"),
-    "random-quartic-sys": ("system", "random-quartic-sys.json"),
-    "rank5-M": ("matrix", "rank5-M.json"),
-    "weddle-6pts": ("points", "weddle-6pts.json"),
-    "witness-C1": ("poly", "witness-C1.poly"),
-    "witness-C2": ("poly", "witness-C2.poly"),
-    "cyclic-dim2": ("tensor", "cyclic-dim2.json"),
+    "ex-bpf-conics": "ex-bpf-conics.json",
+    "degenerate-conics": "degenerate-conics.json",
+    "witness-C1-system": "witness-C1-system.json",
+    "witness-C2-system": "witness-C2-system.json",
+    "random-quartic-sys": "random-quartic-sys.json",
+    "rank5-M": "rank5-M.json",
+    "weddle-6pts": "weddle-6pts.json",
+    "witness-C1": "witness-C1.poly",
+    "witness-C2": "witness-C2.poly",
+    "cyclic-dim2": "cyclic-dim2.json",
 }
 
 
@@ -35,44 +35,52 @@ def names() -> list:
     return sorted(REGISTRY)
 
 
-def kind(name: str) -> str:
-    if name not in REGISTRY:
-        raise KeyError(f"unknown fixture {name!r}")
-    return REGISTRY[name][0]
-
-
 def read_text(name: str) -> str:
     if name not in REGISTRY:
         raise KeyError(f"unknown fixture {name!r}")
-    _, filename = REGISTRY[name]
-    return resources.files("weddle").joinpath("data", filename).read_text(encoding="utf-8")
+    return resources.files("weddle").joinpath("data", REGISTRY[name]).read_text(encoding="utf-8")
 
 
-def parse_payload(kind_name: str, text: str):
-    """Build the natural object for a payload of the given kind."""
-    if kind_name == "poly":
-        return parse_poly(text.strip())
+def parse(filename: str, text: str) -> tuple:
+    """(kind, object) for a file's text: a polynomial unless the suffix is
+    .json; else a JSON object classified by its keys (system, tensor, matrix
+    or points), its rows coerced by polycore.as_matrix."""
+    if os.path.splitext(filename)[1] != ".json":
+        return "poly", parse_poly(text.strip())
     data = json.loads(text)
-    if kind_name == "system":
-        return LinearSystem.from_json(data)
-    if kind_name == "tensor":
-        return Tensor3.from_json(data)
-    if kind_name == "matrix":
-        if set(data) - {"matrix"}:
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object (system, tensor, matrix, or points)")
+    keys = set(data)
+    if {"n", "quadrics"} <= keys:
+        return "system", LinearSystem.from_json(data)
+    if {"dim", "faces"} <= keys:
+        return "tensor", Tensor3.from_json(data)
+    if "matrix" in keys:
+        if keys - {"matrix"}:
             raise ValueError("unexpected keys in matrix record")
-        return [[as_rat(x) for x in row] for row in data["matrix"]]
-    if kind_name == "points":
-        if set(data) - {"n", "points"}:
+        return "matrix", as_matrix(data["matrix"])
+    if {"n", "points"} <= keys:
+        if keys - {"n", "points"}:
             raise ValueError("unexpected keys in points record")
         n = as_int(data["n"], "points dimension n")
-        return n, [[as_rat(x) for x in p] for p in data["points"]]
-    raise ValueError(f"unknown fixture kind {kind_name!r}")
+        return "points", (n, as_matrix(data["points"], what="points"))
+    raise ValueError("unrecognized JSON payload (expected system, tensor, matrix, or points)")
+
+
+def _parsed(name: str) -> tuple:
+    text = read_text(name)
+    return parse(REGISTRY[name], text)
+
+
+def kind(name: str) -> str:
+    """The fixture's kind: system, tensor, matrix, points or poly."""
+    return _parsed(name)[0]
 
 
 def load(name: str):
     """The fixture as its natural object (system, tensor, matrix, points
     pair, or polynomial)."""
-    return parse_payload(kind(name), read_text(name))
+    return _parsed(name)[1]
 
 
 def as_system(kind_name: str, obj) -> LinearSystem:
@@ -93,12 +101,12 @@ def as_system(kind_name: str, obj) -> LinearSystem:
 
 def system(name: str) -> LinearSystem:
     """The fixture coerced to a linear system of quadrics."""
-    return as_system(kind(name), load(name))
+    return as_system(*_parsed(name))
 
 
 def poly(name: str) -> MultiPoly:
-    obj = load(name)
-    if kind(name) != "poly":
+    kind_name, obj = _parsed(name)
+    if kind_name != "poly":
         raise ValueError(f"fixture {name!r} is not a polynomial")
     return obj
 

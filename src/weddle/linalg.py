@@ -27,14 +27,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polycore import as_rat, clear_denominators
+from .polycore import as_matrix, as_rat, clear_denominators
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def to_matrix(rows: Sequence[Sequence]) -> list:
-    return [[as_rat(x) for x in row] for row in rows]
+    """The rows as a list of lists of Fractions, coerced by as_matrix."""
+    return [list(row) for row in as_matrix(rows)]
 
 
 def identity(n: int) -> list:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import linalg, solve
 from .polycore import (
-    MultiPoly, PolyMatrix, as_int, as_rat, clear_denominators, divides, linear_form,
+    MultiPoly, PolyMatrix, as_int, as_matrix, as_point, clear_denominators, divides, linear_form,
 )
 
 
@@ -53,9 +53,7 @@ def _symmetric(nv: int, coefficients: Sequence) -> list:
 
 
 def _check_symmetric(matrix: Sequence[Sequence], size: int) -> tuple:
-    rows = tuple(tuple(as_rat(x) for x in row) for row in matrix)
-    if len(rows) != size or any(len(r) != size for r in rows):
-        raise ValueError(f"quadric matrix must be {size} x {size}")
+    rows = as_matrix(matrix, size, size, "quadric matrix")
     for i in range(size):
         for j in range(i + 1, size):
             if rows[i][j] != rows[j][i]:
@@ -76,16 +74,6 @@ def poly_to_quadric(poly: MultiPoly) -> list:
         raise ValueError("expected a homogeneous quadratic")
     nv = poly.nvars
     return _symmetric(nv, [poly.coefficient(mono) for mono, _, _ in _cells(nv)])
-
-
-def _point(point: Sequence, nv: int) -> list:
-    """A nonzero point with nv coordinates, as Fractions."""
-    pt = [as_rat(x) for x in point]
-    if len(pt) != nv:
-        raise ValueError("point has wrong number of coordinates")
-    if all(x == 0 for x in pt):
-        raise ValueError("projective point must be nonzero")
-    return pt
 
 
 class LinearSystem:
@@ -186,12 +174,12 @@ def singular_at(poly: MultiPoly, point: Sequence) -> bool:
     """Exact test that every partial derivative vanishes at the point."""
     if not poly.is_homogeneous():
         raise ValueError("polynomial must be homogeneous")
-    pt = _point(point, poly.nvars)
+    pt = as_point(point, poly.nvars)
     return all(poly.diff(i).evaluate(pt) == 0 for i in range(poly.nvars))
 
 
 def is_base_point(system: LinearSystem, point: Sequence) -> bool:
-    pt = _point(point, system.n + 1)
+    pt = as_point(point, system.n + 1)
     return all(quadric_to_poly(q).evaluate(pt) == 0 for q in system.quadrics)
 
 
@@ -225,7 +213,7 @@ def quadrics_through_points(points: Sequence[Sequence], n: int) -> list:
     rows = []
     for p in points:
         # Rescaling a point to integer coordinates keeps its conditions.
-        coords, _ = clear_denominators(_point(p, nv))
+        coords, _ = clear_denominators(as_point(p, nv))
         rows.append([coords[i] * coords[j] for _, i, j in cells])
     return [_symmetric(nv, v) for v in linalg.nullspace(rows, ncols=len(cells))]
 
@@ -261,12 +249,8 @@ def rank_r_system(forms: Sequence[Sequence], coeffs: Sequence[Sequence], n: int)
     """System with Q_k = sum_i coeffs[k][i] * l_i l_i^T for linear forms l_i
     given by their coefficient vectors."""
     nv = n + 1
-    vecs = [[as_rat(x) for x in f] for f in forms]
-    if any(len(v) != nv for v in vecs):
-        raise ValueError("linear forms must have n+1 coefficients")
-    weight = [[as_rat(x) for x in row] for row in coeffs]
-    if len(weight) != nv or any(len(row) != len(vecs) for row in weight):
-        raise ValueError("coefficient grid must be (n+1) x r")
+    vecs = as_matrix(forms, None, nv, "linear forms")
+    weight = as_matrix(coeffs, nv, len(vecs), "coefficient grid")
     outer = [[[x * y for y in v] for x in v] for v in vecs]
     return LinearSystem(n, [_combination(row, outer, nv) for row in weight])
 
@@ -274,9 +258,7 @@ def rank_r_system(forms: Sequence[Sequence], coeffs: Sequence[Sequence], n: int)
 def recombine(system: LinearSystem, matrix: Sequence[Sequence]) -> LinearSystem:
     """Replace the generators by invertible linear combinations."""
     nv = system.n + 1
-    rows = [[as_rat(x) for x in row] for row in matrix]
-    if len(rows) != nv or any(len(r) != nv for r in rows):
-        raise ValueError("recombination matrix has wrong shape")
+    rows = as_matrix(matrix, nv, nv, "recombination matrix")
     if linalg.det(rows) == 0:
         raise ValueError("recombination matrix must be invertible")
     return LinearSystem(system.n, [_combination(row, system.quadrics, nv) for row in rows])
@@ -291,18 +273,10 @@ class Rank5Data:
     mu: tuple
 
 
-def _matrix4(matrix: Sequence[Sequence]) -> tuple:
-    """The rank-5 matrix M as a 4 x 4 tuple of Fractions."""
-    m = tuple(tuple(as_rat(x) for x in row) for row in matrix)
-    if len(m) != 4 or any(len(r) != 4 for r in m):
-        raise ValueError("expected a 4 x 4 matrix")
-    return m
-
-
 def mu_invariants(matrix: Sequence[Sequence]) -> Rank5Data:
     """det M together with the four row-replacement minors mu_s (row s of M
     replaced by the all-ones row)."""
-    m = _matrix4(matrix)
+    m = as_matrix(matrix, 4, 4, "rank-5 matrix")
     ones = (Fraction(1),) * 4
     mu = tuple(linalg.det(m[:s] + (ones,) + m[s + 1:]) for s in range(4))
     return Rank5Data(matrix=m, det=linalg.det(m), mu=mu)
@@ -312,7 +286,7 @@ def rank5_canonical_system(matrix: Sequence[Sequence]) -> LinearSystem:
     """The rank-5 system in P^3: squares of the four coordinates plus the
     square of their sum, weighted by the columns of M with unit weight on
     the sum."""
-    m = _matrix4(matrix)
+    m = as_matrix(matrix, 4, 4, "rank-5 matrix")
     forms = [[Fraction(1) if i == j else Fraction(0) for j in range(4)] for i in range(4)]
     forms.append([Fraction(1)] * 4)
     coeffs = [[m[i][k] for i in range(4)] + [Fraction(1)] for k in range(4)]
@@ -322,7 +296,7 @@ def rank5_canonical_system(matrix: Sequence[Sequence]) -> LinearSystem:
 def rank5_det_quartic(matrix: Sequence[Sequence]) -> MultiPoly:
     """Symbolic determinant of the matrix with entries xi + x_i M_{ik},
     where xi = x0 + x1 + x2 + x3."""
-    m = _matrix4(matrix)
+    m = as_matrix(matrix, 4, 4, "rank-5 matrix")
     # Entry (i, k) is one linear form: 1 + M_ik on x_i and 1 elsewhere.
     entries = [
         [linear_form(4, [1 + m[i][k] if j == i else 1 for j in range(4)]) for k in range(4)]
@@ -363,7 +337,7 @@ def splits_into_hyperplanes(poly: MultiPoly, singular_points: Sequence[Sequence]
     if poly.is_zero() or not poly.is_homogeneous():
         raise ValueError("expected a nonzero homogeneous polynomial")
     nv = poly.nvars
-    pts = [_point(p, nv) for p in singular_points]
+    pts = [as_point(p, nv) for p in singular_points]
     candidates = []
     seen = set()
     for subset in itertools.combinations(pts, nv - 1):

@@ -61,6 +61,40 @@ def as_int(value, name: str) -> int:
     return value
 
 
+def as_vector(values, length: Optional[int] = None, what: str = "vector") -> tuple:
+    """values as a tuple of as_rat Fractions, of the given length if any.
+    A string or a dict is a ValueError: iterating '12' would read (1, 2)."""
+    if isinstance(values, (str, dict)):
+        raise ValueError(f"{what}: expected a sequence of numbers, got {values!r}")
+    vector = tuple(map(as_rat, values))
+    if length is not None and len(vector) != length:
+        raise ValueError(f"{what}: expected {length} entries, got {len(vector)}")
+    return vector
+
+
+def as_matrix(rows, nrows: Optional[int] = None, ncols: Optional[int] = None,
+              what: str = "matrix") -> tuple:
+    """rows as a tuple of as_vector rows, of the given shape if any: the one
+    coercion of every input matrix (quadrics, tensor faces, weight grids,
+    point lists, records).  Messages are formatted only on error."""
+    if isinstance(rows, (str, dict)):
+        raise ValueError(f"{what}: expected a sequence of rows, got {rows!r}")
+    matrix = tuple([as_vector(row, ncols, what) for row in rows])
+    if nrows is not None and len(matrix) != nrows:
+        raise ValueError(f"{what}: expected {nrows} rows, got {len(matrix)}")
+    return matrix
+
+
+def as_point(point, nvars: int) -> tuple:
+    """A nonzero projective point with nvars coordinates, by as_vector."""
+    pt = as_vector(point, what="point")
+    if len(pt) != nvars:
+        raise ValueError("point has wrong number of coordinates")
+    if not any(pt):
+        raise ValueError("projective point must be nonzero")
+    return pt
+
+
 def clear_denominators(values) -> tuple:
     """(numerators, lcm): the ints and Fractions of the collection values,
     each times lcm, the lcm of their denominators (1 when there are none),
@@ -580,19 +614,11 @@ def divides(form: MultiPoly, poly: MultiPoly) -> Optional[MultiPoly]:
 
 
 def projectively_equal(p: Sequence, q: Sequence) -> bool:
-    """True when two nonzero coordinate vectors span the same line."""
-    pv = [as_rat(x) for x in p]
-    qv = [as_rat(x) for x in q]
-    if len(pv) != len(qv):
-        raise ValueError("points live in different spaces")
-    if all(x == 0 for x in pv) or all(x == 0 for x in qv):
-        raise ValueError("projective points must be nonzero")
-    n = len(pv)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pv[i] * qv[j] - pv[j] * qv[i] != 0:
-                return False
-    return True
+    """True when two nonzero coordinate vectors span the same line: when
+    their primitive integer vectors agree."""
+    pv = as_point(p, len(p))
+    qv = as_point(q, len(pv))
+    return primitive_vector(clear_denominators(pv)[0]) == primitive_vector(clear_denominators(qv)[0])
 
 
 # ---- packed integer polynomials ----

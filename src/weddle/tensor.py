@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .polycore import as_int, as_rat, clear_denominators
+from .polycore import as_int, as_matrix, as_rat, clear_denominators
 
 
 class SymmetryClass(Enum):
@@ -64,12 +64,7 @@ class Tensor3:
         dim = len(faces)
         if dim == 0:
             raise ValueError("tensor dimension must be positive")
-        grid = tuple(
-            tuple(tuple(as_rat(x) for x in row) for row in face) for face in faces
-        )
-        for face in grid:
-            if len(face) != dim or any(len(row) != dim for row in face):
-                raise ValueError("every face must be dim x dim")
+        grid = tuple([as_matrix(face, dim, dim, "tensor face") for face in faces])
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "faces", grid)
         object.__setattr__(self, "_cleared", None)
@@ -107,9 +102,7 @@ class Tensor3:
 
     @classmethod
     def build(cls, dim: int, fn: Callable[[int, int, int], object]) -> "Tensor3":
-        return cls(
-            [[[as_rat(fn(i, j, k)) for j in range(dim)] for i in range(dim)] for k in range(dim)]
-        )
+        return cls([[[fn(i, j, k) for j in range(dim)] for i in range(dim)] for k in range(dim)])
 
     def __getitem__(self, key) -> Fraction:
         i, j, k = key
@@ -364,9 +357,7 @@ def extend(t: Tensor3, free: Sequence[Sequence]) -> Tensor3:
     """
     _require_n1(t)
     n = t.dim
-    grid = [[as_rat(x) for x in row] for row in free]
-    if len(grid) != n or any(len(row) != n + 1 for row in grid):
-        raise ValueError(f"free entries must form an {n} x {n + 1} grid")
+    grid = as_matrix(free, n, n + 1, "free entries")
 
     def entry(i: int, j: int, k: int) -> Fraction:
         if k < n:

@@ -417,6 +417,37 @@ def test_boolean_tensor_entry_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+# Read one character per entry, each string row below would make a valid
+# record, with a full report and certified: True.
+_STRING_ROW_RECORDS = {
+    "system": ("weddle", {"n": 1, "quadrics": [["10", "00"], ["00", "01"]]}),
+    "tensor": ("decompose", {"dim": 2, "faces": [["01", "14"], [[-2, -2], [-2, 0]]]}),
+    "matrix": ("weddle", {"matrix": ["1011", "1201", "0111", "1010"]}),
+    "points": ("weddle", {"n": 2, "points": ["100", "010", "001"]}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STRING_ROW_RECORDS))
+def test_a_string_row_in_a_record_is_a_usage_error(capsys, tmp_path, kind):
+    command, record = _STRING_ROW_RECORDS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert "could not parse" in err
+    assert "expected a sequence of numbers" in err
+
+
+@pytest.mark.parametrize("dims", ["5..3", "", "2..3,5", "a..b", " "])
+def test_sweep_names_the_accepted_dims_forms(capsys, dims):
+    code, out, err = run_cli(capsys, "jacobsthal-sweep", "--dims", dims, "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert "--dims takes a range LO..HI with LO <= HI or a list such as 2,3,4" in err
+    assert repr(dims) in err
+
+
 # ---- the installed console script ----
 
 def test_console_script_runs_end_to_end():
@@ -446,6 +477,34 @@ def test_fixture_payloads_are_byte_identical_to_their_serializations():
             assert str(obj) + "\n" == text
         else:
             assert json.loads(text)  # matrix and point payloads stay raw JSON
+
+
+# Each fixture's kind, fixed here: fixtures are classified by their payloads,
+# as user files are, and no fixture may change kind.
+_REGISTERED_KINDS = {
+    "ex-bpf-conics": "system",
+    "degenerate-conics": "system",
+    "witness-C1-system": "system",
+    "witness-C2-system": "system",
+    "random-quartic-sys": "system",
+    "rank5-M": "matrix",
+    "weddle-6pts": "points",
+    "witness-C1": "poly",
+    "witness-C2": "poly",
+    "cyclic-dim2": "tensor",
+}
+
+
+def test_every_fixture_classifies_as_its_registered_kind(tmp_path):
+    assert set(fixtures.names()) == set(_REGISTERED_KINDS)
+    for name, kind in _REGISTERED_KINDS.items():
+        assert fixtures.kind(name) == kind
+        assert fixtures.parse(fixtures.REGISTRY[name], fixtures.read_text(name))[0] == kind
+        # The same payload as a user file resolves to the same object.
+        path = tmp_path / fixtures.REGISTRY[name]
+        path.write_text(fixtures.read_text(name), encoding="utf-8")
+        _, file_kind, obj = cli._resolve_input(str(path))
+        assert (file_kind, obj) == (kind, fixtures.load(name))
 
 
 def test_registry_known_names():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weddle import fixtures, linalg, loci, polycore, solve, tensor
+from weddle import cubic, fixtures, linalg, loci, polycore, solve, tensor
 from weddle.polycore import (
     MAX_DET_SIZE,
     MultiPoly,
@@ -710,3 +710,153 @@ def test_chart_substitution_of_the_dim5_weddle_gradient_is_fast():
             solve._chart_substitute(square, chart)
         cpu.append(time.process_time() - start)
     assert min(cpu) < 0.08
+
+
+# ---- input coercion: as_vector, as_matrix, as_point ----
+#
+# Every matrix, row and point read from outside goes through as_matrix or
+# as_point.  The reference below is the comprehension each call site used
+# before; projectively_equal is checked against the cross-product test it
+# replaced.
+
+def reference_coerce(rows):
+    return tuple(tuple(as_rat(x) for x in row) for row in rows)
+
+
+def reference_projectively_equal(p, q):
+    pv = [as_rat(x) for x in p]
+    qv = [as_rat(x) for x in q]
+    return all(
+        pv[i] * qv[j] - pv[j] * qv[i] == 0 for i in range(len(pv)) for j in range(i + 1, len(pv))
+    )
+
+
+_EXACT_ENTRIES = st.one_of(
+    st.integers(-10**20, 10**20),
+    rationals,
+    rationals.map(str),
+    st.integers(-99, 99).map(str),
+)
+
+
+@st.composite
+def _grids(draw):
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    row = st.lists(_EXACT_ENTRIES, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), nrows, ncols
+
+
+@given(_grids())
+def test_as_matrix_equals_the_per_site_comprehension(grid):
+    rows, nrows, ncols = grid
+    expected = reference_coerce(rows)
+    assert polycore.as_matrix(rows) == expected
+    assert polycore.as_matrix(rows, nrows, ncols) == expected
+    assert all(type(x) is Fraction for row in polycore.as_matrix(rows) for x in row)
+    for row in rows:
+        assert polycore.as_vector(row, ncols) == tuple(as_rat(x) for x in row)
+
+
+@given(_grids(), st.integers(1, 3))
+def test_as_matrix_rejects_a_wrong_shape(grid, off):
+    rows, nrows, ncols = grid
+    with pytest.raises(ValueError, match="rows"):
+        polycore.as_matrix(rows, nrows + off, ncols)
+    if nrows:
+        with pytest.raises(ValueError, match="entries"):
+            polycore.as_matrix(rows, nrows, ncols + off)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, True, False, None])
+def test_as_matrix_rejects_inexact_entries(bad):
+    with pytest.raises(TypeError):
+        polycore.as_matrix([[1, 2], [3, bad]])
+    with pytest.raises(TypeError):
+        polycore.as_vector([bad, 1])
+    with pytest.raises(TypeError):
+        polycore.as_point([1, bad, 1], 3)
+
+
+def test_a_string_or_object_where_a_sequence_belongs_is_rejected():
+    with pytest.raises(ValueError, match="expected a sequence of numbers"):
+        polycore.as_vector("12")
+    with pytest.raises(ValueError, match="expected a sequence of numbers"):
+        polycore.as_matrix(["12", "34"], 2, 2)
+    with pytest.raises(ValueError, match="expected a sequence of numbers"):
+        polycore.as_matrix([{"1": 2}, [3, 4]])
+    with pytest.raises(ValueError, match="expected a sequence of rows"):
+        polycore.as_matrix("1234")
+    with pytest.raises(ValueError, match="expected a sequence of rows"):
+        polycore.as_matrix("")
+    with pytest.raises(ValueError, match="expected a sequence of numbers"):
+        polycore.as_point("101", 3)
+
+
+def test_as_point_checks_length_then_zero():
+    assert polycore.as_point(["1/2", 0, 3], 3) == (Fraction(1, 2), 0, 3)
+    with pytest.raises(ValueError, match="point has wrong number of coordinates"):
+        polycore.as_point([1, 0], 3)
+    with pytest.raises(ValueError, match="projective point must be nonzero"):
+        polycore.as_point([0, "0", Fraction(0)], 3)
+
+
+_INT_VECTORS = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(any),
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(any),
+        st.integers(-3, 3).filter(bool),
+    )
+)
+
+
+@given(_INT_VECTORS)
+@example(([1, 0, 0], [2, 0, 0], 1))
+@example(([0, -2, 4], [0, 1, 3], 1))
+def test_projectively_equal_matches_the_cross_product_test(vectors):
+    p, q, k = vectors
+    scaled = [Fraction(k * x, 3) for x in p]
+    assert projectively_equal(p, q) == reference_projectively_equal(p, q)
+    assert projectively_equal(p, scaled) and reference_projectively_equal(p, scaled)
+
+
+def test_projectively_equal_rejects_mismatched_or_zero_points():
+    with pytest.raises(ValueError, match="point has wrong number of coordinates"):
+        projectively_equal([1, 0], [1, 0, 0])
+    with pytest.raises(ValueError, match="projective point must be nonzero"):
+        projectively_equal([1, 0, 0], [0, 0, 0])
+
+
+def _string_row_calls():
+    """(label, call) for every entry point that coerces a matrix, row or
+    point: each call has a string where a row or point belongs, which a
+    per-character reading would accept."""
+    system = fixtures.system("ex-bpf-conics")
+    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    m = ["1011", "1201", "0111", "1010"]
+    t = tensor.random_n1(2, rng=random.Random(3))
+    return [
+        ("LinearSystem", lambda: loci.LinearSystem(1, [["10", "00"], ["00", "01"]])),
+        ("quadric_to_poly", lambda: loci.quadric_to_poly(["10", "01"])),
+        ("rank_r_system forms", lambda: loci.rank_r_system(["100", "010", "001"], eye3, 2)),
+        ("rank_r_system coeffs", lambda: loci.rank_r_system(eye3, ["100", "010", "001"], 2)),
+        ("recombine", lambda: loci.recombine(system, ["100", "010", "001"])),
+        ("mu_invariants", lambda: loci.mu_invariants(m)),
+        ("rank5_canonical_system", lambda: loci.rank5_canonical_system(m)),
+        ("rank5_det_quartic", lambda: loci.rank5_det_quartic(m)),
+        ("singular_at", lambda: loci.singular_at(parse_poly("x0*x1*x2"), "100")),
+        ("is_base_point", lambda: loci.is_base_point(system, "100")),
+        ("quadrics_through_points", lambda: loci.quadrics_through_points(["100", "010"], 2)),
+        ("splits_into_hyperplanes",
+         lambda: loci.splits_into_hyperplanes(parse_poly("x0*x1*x2"), ["100", "010", "001"])),
+        ("Tensor3", lambda: tensor.Tensor3([["01", "14"], [[-2, -2], [-2, 0]]])),
+        ("extend", lambda: tensor.extend(t, ["000", "000"])),
+        ("is_flex", lambda: cubic.is_flex(fixtures.poly("witness-C1"), "101")),
+        ("projectively_equal", lambda: projectively_equal("123", [1, 2, 3])),
+        ("to_matrix", lambda: linalg.to_matrix(["12", "34"])),
+    ]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=label) for label, call in _string_row_calls()])
+def test_every_entry_point_rejects_a_string_row_or_point(call):
+    with pytest.raises(ValueError, match="expected a sequence of numbers"):
+        call()
