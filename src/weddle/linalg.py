@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polycore import as_matrix, as_rat, clear_denominators
+from .polycore import as_matrix, clear_denominators
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,11 +44,14 @@ def identity(n: int) -> list:
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
     """Each row by clear_denominators; returns (rows, product of the row
-    lcms).  Entries are coerced as by `to_matrix`."""
+    lcms).  A matrix of ints and Fractions is taken as it stands; any other
+    is coerced by as_matrix first, as by `to_matrix`."""
+    if not all(type(x) is int or type(x) is Fraction for row in rows for x in row):
+        rows = as_matrix(rows)
     m = []
     den = 1
     for row in rows:
-        values, scale = clear_denominators([x if type(x) is int else as_rat(x) for x in row])
+        values, scale = clear_denominators(row)
         m.append(values)
         den *= scale
     return m, den

@@ -312,9 +312,10 @@ class MultiPoly:
         return [self.diff(i) for i in range(self.nvars)]
 
     def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
+        """The value at point, coerced by as_vector (zero is a point here)."""
+        pt = as_vector(point, what="point")
+        if len(pt) != self.nvars:
             raise ValueError("point has wrong number of coordinates")
-        pt = [as_rat(x) for x in point]
         total = Fraction(0)
         for mono, c in self.terms.items():
             value = c

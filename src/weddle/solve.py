@@ -23,10 +23,14 @@ infinity or failed.  A path's next step follows from the corrector's first
 update, which estimates the predictor's local error; Newton stops on a
 step below tolerance, or on a predicted next step below it once the steps
 converge quadratically.
-Every stage evaluates the target once for the whole stack (_Compiled): one
-table of monomial values, one gather from one stacked coefficient array,
-and one batched matvec give value and Jacobian, and each stage returns
-only what its caller uses.  Each output entry is the dot product a path
+Each lockstep iteration takes the homotopy of its running paths once
+(_Homotopy.take): each path's coefficient tables, start roots and gamma
+are gathered into arrays with one row per path, and gathered again only
+when a stage drops a row.  Every stage then evaluates the target once for
+the whole stack (_Compiled.apply): one table of monomial values and one
+batched matvec against the gathered tables give value and Jacobian, each
+stage returns only what its caller uses, and its linear solves are one
+LAPACK call (_solve_stack).  Each output entry is the dot product a path
 tracked alone forms, so a path's floats do not depend on its stack.
 One pass per tracked chart (_finish) lifts its finite endpoints as one
 array (_lift), marks by masks in its one status array those at infinity
@@ -53,6 +57,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the gufunc behind np.linalg.solve
 
 from .polycore import MultiPoly, clear_denominators, primitive_vector, projectively_equal
 
@@ -169,14 +174,15 @@ class _Compiled:
     points (shape (..., nvars)), each row on its own system.
 
     coeff[k] is system k's table on the union of all supports, zero where
-    system k lacks a monomial.  value_and_jacobian computes one table of
-    monomial values per point: the monomials together with the monomial of
-    each term's partial derivative in each variable.  One coefficient stack
-    of shape (systems, 1 + nvars, rows, monomials) holds each system's
-    value table followed by its derivative table in each variable, and one
-    index array of shape (1 + nvars, monomials) picks the matching monomial
-    values, so a stack of points is evaluated with one gather of each and
-    one stacked matvec: a point's monomials are computed once.
+    system k lacks a monomial.  apply computes one table of monomial values
+    per point: the monomials together with the monomial of each term's
+    partial derivative in each variable.  One coefficient stack of shape
+    (systems, 1 + nvars, rows, monomials) holds each system's value table
+    followed by its derivative table in each variable, and one index array
+    of shape (1 + nvars, monomials) picks the matching monomial values, so
+    a stack of points is evaluated with one gather of its monomial values
+    and one stacked matvec against the rows of the coefficient stack it is
+    given: a point's monomials are computed once.
     """
 
     def __init__(self, *systems: Sequence[MultiPoly]):
@@ -217,10 +223,16 @@ class _Compiled:
 
     def value_and_jacobian(self, x: np.ndarray, systems):
         """(value, Jacobian) at each point of the stack x, row p on system
-        systems[p], from one monomial table and one stacked matvec; the
-        Jacobian is a view into the same product."""
+        systems[p]: apply on those systems' gathered coefficient tables."""
+        return self.apply(x, self._stack[systems])
+
+    def apply(self, x: np.ndarray, stack: np.ndarray):
+        """(value, Jacobian) at each point of the stack x, row p on the
+        coefficient tables stack[p] (rows gathered from self._stack), from
+        one monomial table and one stacked matvec; the Jacobian is a view
+        into the same product."""
         table = _monomials(x, self._table)
-        out = _matvec(self._stack[systems], table[..., self._index])
+        out = _matvec(stack, table[..., self._index])
         return out[..., 0, :], out[..., 1:, :].swapaxes(-1, -2)
 
 
@@ -244,15 +256,23 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0])
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray):
-    """Solve a[i] @ y[i] = b[i] for every row of a stack.
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
 
-    Returns (ok, y).  A stacked LAPACK call raises when any matrix in it is
-    singular; then every row is solved on its own, and only the rows that
-    raise are not ok (their y is zero).
+
+def _solve_stack(a: np.ndarray, b: np.ndarray):
+    """Solve a[i] @ y[i] = b[i] for every row of a complex stack.
+
+    One call of the gufunc behind np.linalg.solve, under the errstate that
+    np.linalg.solve sets, so the floats are its floats without its argument
+    checks.  Returns (ok, y), ok being np.True_ when every row is solved
+    (callers test it by identity).  A stacked LAPACK call raises when any
+    matrix in it is singular; then every row is solved on its own, ok is a
+    mask, and only the rows that raise are not ok (their y is zero).
     """
     try:
-        return np.ones(len(a), dtype=bool), np.linalg.solve(a, b[..., np.newaxis])[..., 0]
+        with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            return np.True_, _umath_linalg.solve(a, b[..., np.newaxis], signature="DD->D")[..., 0]
     except np.linalg.LinAlgError:
         ok = np.ones(len(a), dtype=bool)
         y = np.zeros_like(b)
@@ -271,8 +291,13 @@ class _Homotopy:
     x_i^{d_i} = r_i with unit-modulus r = roots[p], and gamma = gamma[p].
     D is the positive diagonal row scaling of each chart target (each row
     divided by its largest coefficient magnitude; the target passed in is
-    D * F).  Evaluated on a stack of points x (P, n) of the given paths,
-    each with its own t (shape (P,)).
+    D * F).
+
+    Each path's data is gathered once, into arrays with one row per path:
+    its chart's coefficient tables (_stack, rows of target._stack), its
+    start roots and its gamma.  take(paths) gathers the homotopy of
+    a subset of rows, and a stage evaluates the taken homotopy on a stack
+    of points x (P, n), one per row, each with its own t (shape (P,)).
     """
 
     def __init__(self, target: _Compiled, degrees: Sequence[int], charts, roots, gamma):
@@ -282,10 +307,21 @@ class _Homotopy:
         self.roots = np.array(roots, dtype=np.complex128)
         self.gamma = np.array(gamma, dtype=np.complex128)
         self._powers = self.degrees - 1
+        self._stack = target._stack[self.charts]
 
-    def evaluate(self, x: np.ndarray, t: np.ndarray, paths: np.ndarray, corrector: bool = False):
+    def take(self, paths) -> "_Homotopy":
+        """The homotopy of the given rows (an index array or a mask): each
+        per-path array gathered once, the rest shared."""
+        part = object.__new__(_Homotopy)
+        part.__dict__.update(self.__dict__)
+        part.charts, part.roots, part.gamma = self.charts[paths], self.roots[paths], self.gamma[paths]
+        part._stack = self._stack[paths]
+        return part
+
+    def evaluate(self, x: np.ndarray, t: np.ndarray, paths=None, corrector: bool = False):
         """(dH/dx, dH/dt) for an RK4 stage, or (H, dH/dx) for the corrector,
-        at the points of the given paths, from one evaluation of the target.
+        at the points x of every row, or of take(paths) when paths are
+        given, from one evaluation of the target.
 
         dH/dx is the target Jacobian scaled by (1 - t) in place, with the
         start system's diagonal gamma * t * d_i * x_i^(d_i - 1) added onto
@@ -294,9 +330,11 @@ class _Homotopy:
         transpose of the target's derivative block, whose n x n entries per
         point are contiguous, so every (n + 1)-th of them is a diagonal
         entry."""
-        value, jacobian = self.target.value_and_jacobian(x, self.charts[paths])
-        start = x ** self.degrees - self.roots[paths]
-        gv, weight = self.gamma[paths, np.newaxis], (1.0 - t)[:, np.newaxis]
+        if paths is not None:
+            return self.take(paths).evaluate(x, t, corrector=corrector)
+        value, jacobian = self.target.apply(x, self._stack)
+        start = x ** self.degrees - self.roots
+        gv, weight = self.gamma[:, np.newaxis], (1.0 - t)[:, np.newaxis]
         gt = gv * t[:, np.newaxis]
         jacobian *= weight[..., np.newaxis]
         n = len(self.degrees)
@@ -341,7 +379,7 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
         y = x[rows]
         values, jacobians = system(y, rows)
         ok, delta = _solve_stack(jacobians, values)
-        if not ok.all():
+        if ok is not np.True_:
             rows, y, delta = rows[ok], y[ok], delta[ok]
         y = y - delta
         x[rows] = y
@@ -376,34 +414,38 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
     measures the predictor's local error."""
     out = x.copy()
     rows = np.arange(len(x))
+    part = hom.take(paths)
     tangents = []
     # k1 at (x, t); k2 and k3 half a step along k1 and k2; k4 a full step
     # along k3.  A row whose Jacobian is singular at any stage is rejected;
-    # while no row is, x, t, h and paths are used as they stand.
+    # while no row is, x, t, h and the homotopy taken above are used as
+    # they stand.
     for scale in (0.0, 0.5, 0.5, 1.0):
         if scale:
             step = scale * h
             y, s = x - step[:, np.newaxis] * tangents[-1], t - step
         else:
             y, s = x, t
-        jacobian, t_derivative = hom.evaluate(y, s, paths)
+        jacobian, t_derivative = part.evaluate(y, s)
         ok, k = _solve_stack(jacobian, -t_derivative)
         tangents.append(k)
-        if not ok.all():
+        if ok is not np.True_:
             rows, tangents = rows[ok], [v[ok] for v in tangents]
-            x, t, h, paths = x[ok], t[ok], h[ok], paths[ok]
+            x, t, h, part = x[ok], t[ok], h[ok], part.take(ok)
     k1, k2, k3, k4 = tangents
     predicted = x - (h / 6.0)[:, np.newaxis] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     t_next = t - h
     finite = np.isfinite(predicted).all(axis=-1)
     if not finite.all():
-        rows, predicted, t_next, paths = rows[finite], predicted[finite], t_next[finite], paths[finite]
-    converged, corrected, first, _ = _newton(
-        lambda y, r: hom.evaluate(y, t_next[r], paths[r], corrector=True),
-        predicted,
-        _TRACK_TOL,
-        _CORRECTOR_ITERATIONS,
-    )
+        rows, predicted, t_next, part = rows[finite], predicted[finite], t_next[finite], part.take(finite)
+
+    def corrector(y, r):
+        # while every row still iterates, the homotopy as taken
+        if len(r) < len(t_next):
+            return part.take(r).evaluate(y, t_next[r], corrector=True)
+        return part.evaluate(y, t_next, corrector=True)
+
+    converged, corrected, first, _ = _newton(corrector, predicted, _TRACK_TOL, _CORRECTOR_ITERATIONS)
     ok = np.zeros(len(out), dtype=bool)
     ok[rows[converged]] = True
     error = np.full(len(out), np.inf)

@@ -222,3 +222,12 @@ def test_kernel_edge_cases():
 def test_float_and_bool_entries_raise_type_error(name, bad):
     with pytest.raises(TypeError):
         getattr(linalg, name)([[1, 2], [bad, 4]])
+
+
+@pytest.mark.parametrize("name", ["rref", "rank", "nullspace", "det"])
+def test_string_entries_are_rationals(name):
+    # a string row raises (tests/test_polycore.py); a string entry is as_rat's
+    strings = [["1/2", "3"], ["5", "-1/3"]]
+    fractions = [[Fraction(1, 2), 3], [5, Fraction(-1, 3)]]
+    assert getattr(linalg, name)(strings) == getattr(linalg, name)(fractions)
+    assert linalg.det(strings) == Fraction(-91, 6)

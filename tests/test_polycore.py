@@ -792,6 +792,16 @@ def test_a_string_or_object_where_a_sequence_belongs_is_rejected():
         polycore.as_point("101", 3)
 
 
+def test_evaluate_reads_a_point_by_as_vector():
+    # a string point raises (_string_row_calls below); zero is a point here
+    p = parse_poly("x0*x1 - x1^2 + 3")
+    assert p.evaluate(["1/2", 2]) == Fraction(0) and p.evaluate([0, 0]) == 3
+    with pytest.raises(ValueError, match="point has wrong number of coordinates"):
+        p.evaluate([1, 2, 3])
+    with pytest.raises(TypeError):
+        p.evaluate([1.0, 2])
+
+
 def test_as_point_checks_length_then_zero():
     assert polycore.as_point(["1/2", 0, 3], 3) == (Fraction(1, 2), 0, 3)
     with pytest.raises(ValueError, match="point has wrong number of coordinates"):
@@ -853,6 +863,11 @@ def _string_row_calls():
         ("is_flex", lambda: cubic.is_flex(fixtures.poly("witness-C1"), "101")),
         ("projectively_equal", lambda: projectively_equal("123", [1, 2, 3])),
         ("to_matrix", lambda: linalg.to_matrix(["12", "34"])),
+        ("rref", lambda: linalg.rref(["12", "34"])),
+        ("rank", lambda: linalg.rank(["12", "34"])),
+        ("nullspace", lambda: linalg.nullspace(["12", "34"])),
+        ("det", lambda: linalg.det(["12", "34"])),
+        ("evaluate", lambda: parse_poly("x0*x1 - x1^2").evaluate("11")),
     ]
 
 

@@ -627,6 +627,27 @@ def test_stacked_kernel_matches_per_row_evaluation(nvars):
         assert {first.shape, second.shape} == {(0, nvars, nvars), (0, nvars)}
 
 
+@pytest.mark.parametrize("nvars", [1, 4])
+def test_a_taken_homotopy_evaluates_as_its_rows(nvars):
+    """take(paths) on a mixed-chart stack: its evaluation is, bit for bit,
+    evaluate(x, t, paths), and each row's is that row's in the whole
+    homotopy; a take of a take by a mask, as a rejected RK4 stage makes,
+    is the take of the composed rows."""
+    hom, x, t, paths = _random_homotopy(nvars, random.Random(20 + nvars))
+    part = hom.take(paths)
+    assert part.target is hom.target and part.charts.tolist() == hom.charts[paths].tolist()
+    keep = np.arange(len(paths)) % 3 != 1
+    order = np.argsort(paths)  # row j of the whole homotopy at the point of path j
+    for corrector in (False, True):
+        taken = part.evaluate(x, t, corrector=corrector)
+        whole = hom.evaluate(x[order], t[order], corrector=corrector)
+        for got, via_paths, full in zip(taken, hom.evaluate(x, t, paths, corrector), whole):
+            assert np.array_equal(got, via_paths) and np.array_equal(got, full[paths])
+        again = part.take(keep).evaluate(x[keep], t[keep], corrector=corrector)
+        for got, want in zip(again, hom.evaluate(x[keep], t[keep], paths[keep], corrector)):
+            assert np.array_equal(got, want)
+
+
 def test_stacked_kernel_matches_per_row_evaluation_on_a_weddle_quartic_chart(monkeypatch):
     recorded = []
 

@@ -268,6 +268,16 @@ def test_predicted_convergence_cuts_the_homotopy_evaluations(monkeypatch):
     assert _count_calls(monkeypatch, solve._Homotopy, "evaluate") <= 750
 
 
+def test_each_lockstep_iteration_gathers_its_rows_once(monkeypatch):
+    """Homotopy takes of the same four solves: each gathers the coefficient
+    tables, roots and gamma of its rows once.  _rk4_step takes its rows
+    once (112), again where a stage rejects a row or a prediction is not
+    finite, and the corrector again for each iteration after a row stops:
+    189 in all.  When every evaluation gathered its rows, the 747
+    evaluations above made 747 gathers."""
+    assert _count_calls(monkeypatch, solve._Homotopy, "take") <= 189
+
+
 @pytest.mark.parametrize("factor",[Fraction(2**20), Fraction(1, 2**20)])
 def test_tracking_is_invariant_under_rescaling_every_quadric(monkeypatch, factor):
     """Each chart target row is divided exactly by its largest coefficient
@@ -404,6 +414,41 @@ def test_singular_matrix_rejects_only_its_own_row():
     assert ok.tolist() == [True, True, False, True, True]
     for i in (0, 1, 3, 4):
         assert np.array_equal(y[i], np.linalg.solve(a[i], b[i]))
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_stack_solve_matches_numpy_solve_bit_for_bit(n):
+    # n = 1 is a dim-2 chart (one unknown); n = 5 is one more unknown than any chart
+    rng = np.random.default_rng(10 + n)
+    a = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+    b = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+    ok, y = solve._solve_stack(a, b)
+    assert ok.all()
+    assert np.array_equal(y, np.linalg.solve(a, b[..., np.newaxis])[..., 0])
+    for i in range(7):
+        assert np.array_equal(y[i], np.linalg.solve(a[i], b[i]))
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_stack_solve_of_an_empty_stack(n):
+    a, b = np.zeros((0, n, n), dtype=complex), np.zeros((0, n), dtype=complex)
+    ok, y = solve._solve_stack(a, b)
+    assert ok.all()
+    assert y.shape == np.linalg.solve(a, b[..., np.newaxis])[..., 0].shape == (0, n)
+
+
+def test_a_stack_of_singular_matrices_rejects_every_row():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    for i, column in enumerate([0, 1, 2, 1]):
+        a[i, :, column] = 0  # elimination meets an exactly zero pivot
+    b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    for i in range(4):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a[i], b[i])
+    ok, y = solve._solve_stack(a, b)
+    assert ok.tolist() == [False] * 4
+    assert y.shape == b.shape and not y.any()
 
 
 def test_nonsingular_stack_matches_row_by_row_solves():
