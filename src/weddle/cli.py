@@ -92,9 +92,9 @@ def _cmd_decompose(args):
     }
     certified = resum and all(memberships.values())
     lines = [f"decomposition of a dim-{t.dim} tensor into S + N1 + N2 + A parts"]
-    for label, part in (("S", sym), ("N1", n1), ("N2", n2), ("A", skew)):
+    for label, key, part in (("S", "symmetric", sym), ("N1", "n1", n1), ("N2", "n2", n2), ("A", "skew", skew)):
         zero = " (zero)" if part.is_zero() else ""
-        lines.append(f"  {label}: faces {part.to_json()['faces']}{zero}")
+        lines.append(f"  {label}: faces {outputs[key]['faces']}{zero}")
     lines.append(f"  parts re-sum to input: {resum}; class memberships: {memberships}")
     return inputs, outputs, certified, lines
 
@@ -115,7 +115,7 @@ def _cmd_weddle(args):
     }
     lines = [f"Weddle matrix ({system.n + 1} x {system.n + 1}):"]
     lines += [f"  [{', '.join(row)}]" for row in matrix_rows]
-    lines.append(f"polynomial: {data.polynomial}")
+    lines.append(f"polynomial: {outputs['polynomial']}")
     lines.append(f"degenerate: {data.degenerate}")
     return inputs, outputs, True, lines
 

@@ -23,14 +23,16 @@ infinity or failed.  A path's next step follows from the corrector's first
 update, which estimates the predictor's local error; Newton stops on a
 step below tolerance, or on a predicted next step below it once the steps
 converge quadratically.
-Each lockstep iteration takes the homotopy of its running paths once
-(_Homotopy.take): each path's coefficient tables, start roots and gamma
-are gathered into arrays with one row per path, and gathered again only
-when a stage drops a row.  Every stage then evaluates the target once for
-the whole stack (_Compiled.apply): one table of monomial values and one
-batched matvec against the gathered tables give value and Jacobian, each
-stage returns only what its caller uses, and its linear solves are one
-LAPACK call (_solve_stack).  Each output entry is the dot product a path
+The lockstep state holds only the running paths, and their homotopy is
+taken (_Homotopy.take: each path's coefficient tables, start roots and
+gamma gathered into arrays with one row per path) once per change of the
+running set, not once per iteration: again only when a path stops, a
+stage drops a row or a corrector row stops, so an iteration in which no
+row stops gathers and scatters nothing.  Every stage evaluates the
+target once for the whole stack (_Compiled.apply): one table of monomial
+values and one batched matvec against the gathered tables give value and
+Jacobian, each stage returns only what its caller uses, and its linear
+solves are one LAPACK call (_solve_stack).  Each output entry is the dot product a path
 tracked alone forms, so a path's floats do not depend on its stack.
 One pass per tracked chart (_finish) lifts its finite endpoints as one
 array (_lift), marks by masks in its one status array those at infinity
@@ -306,7 +308,9 @@ class _Homotopy:
         self.charts = np.array(charts, dtype=np.int64)
         self.roots = np.array(roots, dtype=np.complex128)
         self.gamma = np.array(gamma, dtype=np.complex128)
-        self._powers = self.degrees - 1
+        # x ** 1 is x, but for a zero coordinate, which comes out +0 and can
+        # flip only the sign of a zero entry of dH/dx: quadrics skip it.
+        self._powers = None if (self.degrees == 2).all() else self.degrees - 1
         self._stack = target._stack[self.charts]
 
     def take(self, paths) -> "_Homotopy":
@@ -339,7 +343,7 @@ class _Homotopy:
         jacobian *= weight[..., np.newaxis]
         n = len(self.degrees)
         diagonal = jacobian.swapaxes(-1, -2).reshape(len(x), n * n)[:, :: n + 1]
-        diagonal += gt * (self.degrees * x ** self._powers)
+        diagonal += gt * (self.degrees * (x if self._powers is None else x ** self._powers))
         if corrector:
             return gt * start + weight * value, jacobian
         return jacobian, gv * start - value
@@ -349,10 +353,11 @@ class _Homotopy:
 #
 # All paths of one homotopy are tracked in lockstep on stacked arrays: every
 # routine below takes a stack of points (P, n) with the homotopy path of
-# each row, and works on the masked subset of rows still running.  Per row,
-# the floating-point operations are those of tracking that path alone, in
-# the same order, so an endpoint does not depend on which other paths
-# share its stack.
+# each row, and carries only the rows still running.  Per row, the
+# floating-point operations are those of tracking that path alone, in the
+# same order, so an endpoint does not depend on which other paths share its
+# stack.  A mask of a few rows is tested by any(mask.tolist()), several
+# times faster than mask.any().
 
 def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit: float = math.inf):
     """Up to ``iterations`` Newton steps per row, where ``system(y, rows)``
@@ -365,61 +370,71 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
     or leaves the ball of radius ``limit``.  Returns (converged, points,
     first, stalled), first being each row's first step relative to its norm
     (inf for a row stopped before that step was measured), and stalled
-    whether a row took every iteration without converging or stopping."""
-    x = x.copy()
+    whether a row took every iteration without converging or stopping.
+
+    The arrays hold only the rows still iterating (rows, with their points
+    y and last step sizes), used as they stand while no row stops; a row's
+    point is written out when it stops.  system is given one rows array
+    until a row stops, so it can tell a new set of rows by identity."""
     converged = np.zeros(len(x), dtype=bool)
     first = np.full(len(x), np.inf)
-    previous = np.empty(len(x))  # each row's last step size
-    rows = np.arange(len(x))
-    # A mask is applied only when it drops a row (usually every row
-    # survives), and the ball only when there is a limit.
+    points = None  # each row's last point, made when the first row stops
+    rows, y, previous = np.arange(len(x)), x, None
+
+    def stop(keep, *arrays):
+        nonlocal points
+        points = x.copy() if points is None else points
+        points[rows[~keep]] = y[~keep]
+        return [a if a is None else a[keep] for a in (rows, y, previous, *arrays)]
+
     for k in range(iterations):
         if not rows.size:
             break
-        y = x[rows]
         values, jacobians = system(y, rows)
         ok, delta = _solve_stack(jacobians, values)
-        if ok is not np.True_:
-            rows, y, delta = rows[ok], y[ok], delta[ok]
-        y = y - delta
-        x[rows] = y
-        keep = np.isfinite(y).all(axis=-1)
-        if not keep.all():
-            rows, y, delta = rows[keep], y[keep], delta[keep]
-        norms = _norms(y)
+        y = y - delta  # a row whose solve failed has delta 0 and keeps its point
+        norms = _norms(y)  # not finite on a row that is not finite (or is huge)
+        if ok is not np.True_ or not all(np.isfinite(norms).tolist()):
+            keep = np.isfinite(y).all(axis=-1) & ok
+            if not all(keep.tolist()):
+                rows, y, previous, delta, norms = stop(keep, delta, norms)
         if limit < math.inf:
             keep = ~(norms > limit)
-            rows, delta, norms = rows[keep], delta[keep], norms[keep]
+            if not all(keep.tolist()):
+                rows, y, previous, delta, norms = stop(keep, delta, norms)
         size, scale = _norms(delta), np.maximum(1.0, norms)
-        done = size < tol * scale
+        bound = tol * scale
+        done = size < bound
         if k == 0:
             first[rows] = size / scale
         else:
-            last = previous[rows]
-            done |= (size * size / last < tol * scale) & (size < 0.5 * last)
-        previous[rows] = size
-        converged[rows[done]] = True
-        rows = rows[~done]
+            done |= (size * size / previous < bound) & (size < 0.5 * previous)
+        previous = size
+        if any(done.tolist()):
+            converged[rows[done]] = True
+            rows, y, previous = stop(~done)
     stalled = np.zeros(len(x), dtype=bool)
     stalled[rows] = True
-    return converged, x, first, stalled
+    if points is None:  # every row iterated to the end
+        return converged, y, first, stalled
+    points[rows] = y
+    return converged, points, first, stalled
 
 
-def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths: np.ndarray):
-    """RK4 predictor from t to t - h, then the Newton corrector, per row.
-    A row is accepted when _newton converges within _CORRECTOR_ITERATIONS
-    steps at tolerance _TRACK_TOL, on a step or a predicted next step.
-    Returns (ok, points, error): a rejected row keeps its point, and error
-    is the corrector's first step relative to the point's norm, which
-    measures the predictor's local error."""
-    out = x.copy()
-    rows = np.arange(len(x))
-    part = hom.take(paths)
+def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths=None):
+    """RK4 predictor from t to t - h, then the Newton corrector, per row of
+    hom, or of hom.take(paths) when paths are given.  A row is accepted
+    when _newton converges within _CORRECTOR_ITERATIONS steps at tolerance
+    _TRACK_TOL, on a step or a predicted next step.  Returns (ok, points,
+    error): a rejected row keeps its point, and error is the corrector's
+    first step relative to the point's norm, which measures the predictor's
+    local error."""
+    part = hom if paths is None else hom.take(paths)
+    start, rows = x, None  # rows: the rows still stepping, once one is rejected
     tangents = []
     # k1 at (x, t); k2 and k3 half a step along k1 and k2; k4 a full step
     # along k3.  A row whose Jacobian is singular at any stage is rejected;
-    # while no row is, x, t, h and the homotopy taken above are used as
-    # they stand.
+    # while no row is, x, t, h and the homotopy are used as they stand.
     for scale in (0.0, 0.5, 0.5, 1.0):
         if scale:
             step = scale * h
@@ -430,27 +445,32 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
         ok, k = _solve_stack(jacobian, -t_derivative)
         tangents.append(k)
         if ok is not np.True_:
-            rows, tangents = rows[ok], [v[ok] for v in tangents]
+            rows = np.flatnonzero(ok) if rows is None else rows[ok]
+            tangents = [v[ok] for v in tangents]
             x, t, h, part = x[ok], t[ok], h[ok], part.take(ok)
     k1, k2, k3, k4 = tangents
     predicted = x - (h / 6.0)[:, np.newaxis] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     t_next = t - h
     finite = np.isfinite(predicted).all(axis=-1)
-    if not finite.all():
-        rows, predicted, t_next, part = rows[finite], predicted[finite], t_next[finite], part.take(finite)
+    if not all(finite.tolist()):
+        rows = np.flatnonzero(finite) if rows is None else rows[finite]
+        predicted, t_next, part = predicted[finite], t_next[finite], part.take(finite)
+    taken = [None, part, t_next]
 
     def corrector(y, r):
-        # while every row still iterates, the homotopy as taken
-        if len(r) < len(t_next):
-            return part.take(r).evaluate(y, t_next[r], corrector=True)
-        return part.evaluate(y, t_next, corrector=True)
+        # the homotopy as taken while every row iterates, taken again when
+        # a row stops
+        if len(r) < len(t_next) and taken[0] is not r:
+            taken[:] = r, part.take(r), t_next[r]
+        return taken[1].evaluate(y, taken[2], corrector=True)
 
     converged, corrected, first, _ = _newton(corrector, predicted, _TRACK_TOL, _CORRECTOR_ITERATIONS)
-    ok = np.zeros(len(out), dtype=bool)
-    ok[rows[converged]] = True
-    error = np.full(len(out), np.inf)
-    error[rows] = first
-    out[rows[converged]] = corrected[converged]
+    if rows is None:  # a rejected row keeps its point
+        if not all(converged.tolist()):
+            corrected = np.where(converged[:, np.newaxis], corrected, x)
+        return converged, corrected, first
+    ok, error, out = np.zeros(len(start), dtype=bool), np.full(len(start), np.inf), start.copy()
+    ok[rows[converged]], error[rows], out[rows[converged]] = True, first, corrected[converged]
     return ok, out, error
 
 
@@ -467,51 +487,58 @@ def _track_paths(hom: _Homotopy, starts):
     stands after it.  Below _ENDGAME_T a step is at most 0.9 t, so t falls
     geometrically to _T_STOP instead of jumping to 0.
 
+    The state holds only the running paths (paths, with their x, t, h and
+    endgame norm) and their homotopy, taken again only when a path stops,
+    so an iteration in which no path stops gathers and scatters nothing.
+    A path's endpoint and endgame norm are written out when it stops.
+
     Returns (statuses, endpoints), one status finite | stalled |
     at_infinity | failed and one endpoint row per start: at infinity once
     the norm passes _DIVERGENCE_THRESHOLD, as _settle classifies a path
     that stopped tracking, and failed otherwise.
     """
     x = np.array(starts, dtype=np.complex128)
-    t = np.ones(len(x))
-    h = np.full(len(x), _INITIAL_STEP)
-    endgame_norm = np.full(len(x), np.nan)  # NaN, failing every test, until the endgame
     statuses = np.full(len(x), "failed", dtype=object)
+    endpoints, endgame_norms = x.copy(), np.full(len(x), np.nan)
     settled = np.zeros(len(x), dtype=bool)  # stopped tracking: _settle classifies these
-    rows = np.arange(len(x))
-    while rows.size:
-        running = t[rows] > _T_STOP
-        settled[rows[~running]] = True
-        rows = rows[running]
-        diverged = _norms(x[rows]) > _DIVERGENCE_THRESHOLD
-        statuses[rows[diverged]] = "at_infinity"
-        rows = rows[~diverged]
-        if not rows.size:
-            break
-        now = t[rows]
-        late = now < _ENDGAME_T
-        if late.any():  # a path's norm as it enters the endgame
-            first = rows[late & np.isnan(endgame_norm[rows])]
-            endgame_norm[first] = np.maximum(1.0, _norms(x[first]))
-        step = np.where(late, np.minimum(h[rows], 0.9 * now), np.minimum(h[rows], now))
-        ok, x_new, error = _rk4_step(hom, x[rows], now, step, rows)
-
-        accepted = rows[ok]
-        x[accepted] = x_new[ok]
-        t[accepted] -= step[ok]
+    # the running paths with their x, t, h, endgame norm (NaN, failing every
+    # test, until the endgame), homotopy, and whether their last step collapsed
+    paths, t, h, endgame = np.arange(len(x)), np.ones(len(x)), np.full(len(x), _INITIAL_STEP), endgame_norms.copy()
+    part, collapsed = hom, np.zeros(len(x), dtype=bool)
+    while paths.size:
+        leaving = (t <= _T_STOP) | (_norms(x) > _DIVERGENCE_THRESHOLD) | collapsed
+        if any(leaving.tolist()):
+            # A collapse before the endgame fails the path; in the endgame
+            # it stops tracking and the path is classified from where it
+            # stands.
+            stopped = (t <= _T_STOP) | collapsed & (t < _ENDGAME_T)
+            gone = paths[leaving]
+            endpoints[gone], endgame_norms[gone] = x[leaving], endgame[leaving]
+            settled[paths[stopped]] = True
+            statuses[paths[leaving & ~(stopped | collapsed)]] = "at_infinity"
+            keep = ~leaving
+            paths, x, t, h, endgame = paths[keep], x[keep], t[keep], h[keep], endgame[keep]
+            if not paths.size:
+                break
+            part = hom.take(paths)
+        late, step = t < _ENDGAME_T, np.minimum(h, t)
+        if any(late.tolist()):  # a path's norm as it enters the endgame
+            first = late & np.isnan(endgame)
+            endgame[first] = np.maximum(1.0, _norms(x[first]))
+            step = np.where(late, np.minimum(h, 0.9 * t), step)
+        ok, x, error = _rk4_step(part, x, t, step)
         # An error below 1e-300 (even 0) gives growth 2 like any below 1e-6.
-        growth = 0.8 * (_PREDICTOR_TOL / np.maximum(error[ok], 1e-300)) ** 0.2
-        h[accepted] = step[ok] * np.clip(growth, 0.5, 2.0)
-        h[rows[~ok]] *= 0.5
-        floor = np.maximum(1e-16, _MIN_STEP * np.minimum(1.0, t[rows]))
-        collapsed = ~ok & (h[rows] < floor)
-        # A collapse before the endgame fails the path; in the endgame it
-        # stops tracking and the path is classified from where it stands.
-        settled[rows[collapsed & (t[rows] < _ENDGAME_T)]] = True
-        rows = rows[~collapsed]
+        growth = np.minimum(np.maximum(0.8 * (_PREDICTOR_TOL / np.maximum(error, 1e-300)) ** 0.2, 0.5), 2.0)
+        if all(ok.tolist()):
+            t, h, collapsed = t - step, step * growth, ~ok
+        else:
+            t, h = np.where(ok, t - step, t), np.where(ok, step * growth, 0.5 * h)
+            collapsed = ~ok & (h < np.maximum(1e-16, _MIN_STEP * np.minimum(1.0, t)))
 
-    statuses[settled], x[settled] = _settle(hom.target, hom.charts[settled], x[settled], endgame_norm[settled])
-    return statuses.tolist(), x
+    statuses[settled], endpoints[settled] = _settle(
+        hom.target, hom.charts[settled], endpoints[settled], endgame_norms[settled]
+    )
+    return statuses.tolist(), endpoints
 
 
 def _settle(target: _Compiled, charts: np.ndarray, x: np.ndarray, endgame_norm: np.ndarray):
@@ -882,9 +909,10 @@ def _projective_solve(polys, degrees, rng) -> SolutionSet:
         merged = [replace(c, multiplicity=1) for c in merged]
     notes = ()
     if not certified:
+        test = "sigma_min/sigma_max" if len(degrees) > 1 else "|J|"  # as _finish tests it
         notes = (
             f"uncertified: {distinct} distinct finite endpoint(s) for {bezout} Bezout paths, "
-            f"{singular} with sigma_min/sigma_max <= {_SIGMA_RATIO:g}; largest survivor "
+            f"{singular} with {test} <= {_SIGMA_RATIO:g}; largest survivor "
             f"residual {residual:.1e}{'; rational mismatch' if mismatch else ''}",
         )
     return SolutionSet(

@@ -278,6 +278,16 @@ def test_each_lockstep_iteration_gathers_its_rows_once(monkeypatch):
     assert _count_calls(monkeypatch, solve._Homotopy, "take") <= 189
 
 
+def test_the_running_paths_are_taken_once_per_change_of_the_running_set(monkeypatch):
+    """Homotopy takes of the same four solves when _track_paths keeps its
+    running paths' homotopy from one iteration to the next: taken again
+    only when a path stops, by an RK4 stage that rejects a row or a
+    prediction that is not finite, and by the corrector once per change
+    of its iterating rows: 98, against 189 above when _rk4_step took its
+    rows at every iteration."""
+    assert _count_calls(monkeypatch, solve._Homotopy, "take") <= 98
+
+
 @pytest.mark.parametrize("factor",[Fraction(2**20), Fraction(1, 2**20)])
 def test_tracking_is_invariant_under_rescaling_every_quadric(monkeypatch, factor):
     """Each chart target row is divided exactly by its largest coefficient
@@ -332,6 +342,108 @@ def test_lockstep_matches_reference_on_a_weddle_quartic_chart(monkeypatch):
     (hom, starts, _, _), = calls
     assert list(hom.degrees) == [3, 3, 3]
     assert "finite" in _assert_matches_reference(calls)
+
+
+def test_lockstep_matches_reference_where_paths_stop_for_different_reasons():
+    """One stack whose paths stop at different iterations: on x^2 + 1 with
+    gamma 1 both paths meet at x = 0 at t = 1/2, where the step collapses
+    before the endgame (failed); on x - 2 one path diverges while tracking
+    (at infinity); the rest reach t <= _T_STOP, on simple roots and on the
+    double root of x^2.  Each path stops with its own status and endpoint,
+    bit for bit those of tracking it alone."""
+    systems = ("x0^2 + 1", "x0 - 2", "x0^2 - 3", "x0^2")
+    target = solve._Compiled(*([parse_poly(text, nvars=1)] for text in systems))
+    charts = np.repeat(np.arange(len(systems)), 2)
+    gammas = np.array([1.0, 0.6 + 0.8j, -0.28 + 0.96j, 0.8 - 0.6j])[charts]
+    hom = solve._Homotopy(target, [2], charts, np.ones((len(charts), 1)), gammas)
+    starts = [[1.0], [-1.0]] * len(systems)
+    statuses, endpoints = solve._track_paths(hom, starts)
+    assert statuses[:4] == ["failed", "failed", "finite", "at_infinity"]
+    assert _assert_matches_reference([(hom, starts, statuses, endpoints)]) == {"failed", "finite", "at_infinity"}
+
+
+# ---- Newton on the rows still iterating ----
+
+def _scripted_system(steps, singular=()):
+    """system(y, rows, ids): for _newton's rows, the rows ids[rows] of
+    steps (shape (rows, iterations)), iteration k stepping row p by
+    steps[p, k] along a unit direction of its own, through a Jacobian of
+    its own that is zero (singular) at each (row, iteration) in singular.
+    Returns (system, calls), calls listing the rows of each call."""
+    rng = np.random.default_rng(5)
+    n = 2
+    direction = rng.standard_normal((len(steps), n)) + 1j * rng.standard_normal((len(steps), n))
+    direction /= np.linalg.norm(direction, axis=1)[:, np.newaxis]
+    jacobians = rng.standard_normal((len(steps), n, n)) + 1j * rng.standard_normal((len(steps), n, n))
+    calls = []
+
+    def system(y, rows, ids):
+        k = len(calls)
+        calls.append(rows.tolist())
+        jacobian = jacobians[ids[rows]].copy()
+        for p, q in enumerate(ids[rows]):
+            if (q, k) in singular:
+                jacobian[p] = 0
+        step = steps[ids[rows], k, np.newaxis] * direction[ids[rows]]
+        return _matvec(jacobian, step), jacobian
+
+    return system, calls
+
+
+def _matvec(a, v):
+    return np.matmul(a, v[..., np.newaxis])[..., 0]
+
+
+def _newton_rows_alone(steps, singular, x):
+    """_newton on the whole stack, and on each row alone (the same scripted
+    system), with the number of calls each row's own run made."""
+    whole, calls = _scripted_system(steps, singular)
+    ids = np.arange(len(x))
+    stacked = solve._newton(lambda y, rows: whole(y, rows, ids), x, 1e-10, steps.shape[1])
+    alone = []
+    for p in range(len(x)):
+        single, single_calls = _scripted_system(steps, singular)
+        result = solve._newton(lambda y, rows: single(y, rows, np.array([p])), x[p : p + 1], 1e-10, steps.shape[1])
+        alone.append((result, len(single_calls)))
+    return stacked, calls, alone
+
+
+def _assert_rows_as_alone(stacked, alone):
+    converged, points, first, stalled = stacked
+    for p, ((c, y, f, s), _) in enumerate(alone):
+        assert (c[0], f[0], s[0]) == (converged[p], first[p], stalled[p])
+        assert np.array_equal(y[0], points[p])
+
+
+def test_newton_rows_that_all_iterate_to_the_end_match_each_row_alone():
+    steps = np.array([[1e-2, 1e-2, 1e-2], [3e-3, 2e-3, 1.5e-3], [0.5, 0.4, 0.3]])
+    x = np.array([[1 + 1j, 2], [0.5j, -1], [3, 3 - 1j]])
+    stacked, calls, alone = _newton_rows_alone(steps, (), x)
+    assert calls == [[0, 1, 2]] * 3
+    assert stacked[3].all() and not stacked[0].any()
+    _assert_rows_as_alone(stacked, alone)
+    assert not np.shares_memory(stacked[1], x) and np.array_equal(x, [[1 + 1j, 2], [0.5j, -1], [3, 3 - 1j]])
+
+
+def test_newton_rows_that_stop_at_different_iterations_match_each_row_alone():
+    """Row 0 converges at iteration 1 (a step below tolerance), row 1 at
+    iteration 2 (a predicted step), row 2 at iteration 3; row 3 is singular
+    at iteration 2 and keeps the point of iteration 1; row 4 stalls."""
+    steps = np.array(
+        [[1e-12, 0, 0], [1e-3, 1e-7, 0], [1e-2, 1e-3, 1e-12], [1e-2, 1e-3, 0], [1.5e-10, 1.2e-10, 1.1e-10]]
+    )
+    x = np.array([[1, 1j], [2, 0.5], [-1j, 3], [1 + 1j, 1 - 1j], [0.25, 0.5]])
+    stacked, calls, alone = _newton_rows_alone(steps, {(3, 1)}, x)
+    assert calls == [[0, 1, 2, 3, 4], [1, 2, 3, 4], [2, 4]]
+    converged, points, first, stalled = stacked
+    assert converged.tolist() == [True, True, True, False, False]
+    assert stalled.tolist() == [False, False, False, False, True]
+    assert [n for _, n in alone] == [1, 2, 3, 2, 3]
+    _assert_rows_as_alone(stacked, alone)
+    # the singular row keeps its point of iteration 1
+    single, _ = _scripted_system(steps)
+    _, once, _, _ = solve._newton(lambda y, rows: single(y, rows, np.array([3])), x[3:4], 1e-10, 1)
+    assert np.array_equal(points[3], once[0])
 
 
 # ---- chart 2 only on demand ----
