@@ -24,8 +24,9 @@ int64 when that bound is below 2^63 and holds Python ints (dtype object)
 otherwise; the same code runs on both.  Only the result is turned back
 into Fractions, one per distinct value, and the tensor it makes keeps its
 numerators, so a part of decompose, or a sum of tensors, is not cleared
-again when a kernel reads it.  random_n1 is one integer product
-of its coefficient draws with three times the cached N1 basis.
+again when a kernel reads it.  A basis is the projections of integer unit
+rows, and random_n1 is one integer product of its coefficient draws with
+three times the cached N1 basis, read off those numerators.
 """
 
 from __future__ import annotations
@@ -319,15 +320,20 @@ def _index_triples(cls: SymmetryClass, dim: int) -> list:
 
 @lru_cache(maxsize=None)
 def _basis_cached(cls: SymmetryClass, dim: int) -> tuple:
-    return tuple(
-        _apply(cls, dim, *_numerators(Tensor3.basis_tensor(dim, i, j, k)))
-        for i, j, k in _index_triples(cls, dim)
-    )
+    """The projections of the elementary tensors e_i (x) e_j (x) e_k over
+    the class's index triples, each read off the integer unit row with a 1
+    at the flatten index of (i, j, k), over den 1."""
+    flat = [(k * dim + i) * dim + j for i, j, k in _index_triples(cls, dim)]
+    units = np.zeros((len(flat), dim**3), np.int64)
+    units[range(len(flat)), flat] = 1
+    return tuple(_apply(cls, dim, row, 1) for row in units)
 
 
 def basis(cls: SymmetryClass, dim: int) -> list:
     """Distinguished basis of the summand: projected elementary tensors
     indexed by the class's index-triple pattern, in lexicographic order."""
+    if dim < 1:
+        raise ValueError("tensor dimension must be positive")
     return list(_basis_cached(cls, dim))
 
 
@@ -383,9 +389,10 @@ def extend(t: Tensor3, free: Sequence[Sequence]) -> Tensor3:
 @lru_cache(maxsize=None)
 def _n1_thirds(dim: int) -> np.ndarray:
     """Three times the distinguished N1 basis, whose entries are thirds: an
-    int64 row per basis tensor, in flatten order.  Cached, so read-only."""
+    int64 row per basis tensor, in flatten order, read off the numerators
+    each basis tensor was made from.  Cached, so read-only."""
     rows = np.array(
-        [[int(3 * x) for x in flatten(b)] for b in basis(SymmetryClass.RESIDUAL1, dim)],
+        [3 * n // den for n, den in map(_numerators, basis(SymmetryClass.RESIDUAL1, dim))],
         np.int64,
     ).reshape(-1, dim**3)
     rows.setflags(write=False)

@@ -163,6 +163,46 @@ def test_cyclic_basis_in_dimension_three_entry_for_entry():
     ]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cls", PART_CLASSES)
+def test_basis_equals_the_projected_fraction_elementary_tensors(dim, cls):
+    # The Fraction route the integer unit rows replace.
+    expected = [
+        tensor._apply(cls, dim, *tensor._numerators(Tensor3.basis_tensor(dim, i, j, k)))
+        for i, j, k in tensor._index_triples(cls, dim)
+    ]
+    b = tensor.basis(cls, dim)
+    assert b == expected
+    for t, e in zip(b, expected):
+        n, den = tensor._numerators(t)
+        n_e, den_e = tensor._numerators(e)
+        assert (n.tolist(), den, n.dtype) == (n_e.tolist(), den_e, n_e.dtype)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_n1_sampling_table_is_three_times_the_basis(dim):
+    table = tensor._n1_thirds(dim)
+    assert table.dtype == "int64" and table.shape[1] == dim**3
+    assert table.tolist() == [
+        [int(3 * x) for x in tensor.flatten(b)]
+        for b in tensor.basis(SymmetryClass.RESIDUAL1, dim)
+    ]
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_bases_and_draws_of_impossible_dims_are_rejected(dim):
+    for cls in SymmetryClass:
+        with pytest.raises(ValueError, match="tensor dimension must be positive"):
+            tensor.basis(cls, dim)
+    with pytest.raises(ValueError, match="tensor dimension must be positive"):
+        tensor.random_n1(dim, random.Random(0))
+
+
+def test_dimension_one_bases_and_draws():
+    assert [len(tensor.basis(cls, 1)) for cls in PART_CLASSES] == [1, 0, 0, 0]
+    assert tensor.random_n1(1, random.Random(0)) == Tensor3.zero(1)
+
+
 # ---- restriction and extension ----
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -437,7 +477,10 @@ def test_random_n1_draws_are_pinned():
 # Best of three on a shared 2-CPU x86-64 host: a cold dim-7 N1 basis took
 # 0.46-0.92 s with Fraction projectors and 0.025-0.04 s on the integer
 # kernels; decompose plus the four class tests at dim 7 took 23-39 ms and
-# 0.9-1.2 ms.  Each budget is about five times the integer time.
+# 0.9-1.2 ms.  Each budget is about five times the integer time.  A cold
+# random_n1(8), its basis and sampling table included, took 0.17-0.21 s
+# with bases projected from Fraction elementary tensors and 16-18 ms with
+# bases and table read off integer unit rows.
 
 def _best_cpu(fn, repeats=3):
     best = math.inf
@@ -456,6 +499,17 @@ def test_cold_dim7_n1_basis_within_budget():
 
     cpu = _best_cpu(cold)
     assert cpu < 0.2, f"cold dim-7 N1 basis took {cpu:.3f}s"
+
+
+def test_cold_dim8_random_n1_within_budget():
+    def cold():
+        tensor._basis_cached.cache_clear()
+        tensor._gather.cache_clear()
+        tensor._n1_thirds.cache_clear()
+        tensor.random_n1(8, random.Random(1))
+
+    cpu = _best_cpu(cold)
+    assert cpu < 0.08, f"cold dim-8 random_n1 took {cpu:.3f}s"
 
 
 def test_dim7_decompose_and_class_tests_within_budget():
