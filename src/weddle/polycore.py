@@ -18,6 +18,15 @@ expand over the integers, building a MultiPoly only for the result:
 multiplication and compose on dicts of packed monomials, det on integer
 arrays of minors, int64 while a bound on every coefficient the next row can
 reach proves that safe and Python ints from the first row where it does not.
+
+What a determinant does with its monomials depends only on each row's
+support, the sorted monomials of its entries: the packed basis of every
+Laplace step, where each step's products land in the next basis, and the
+monomials of the result.  That is a plan, built once per support pattern
+by _det_plan and kept in an lru_cache of at most DET_PLAN_CACHE_SIZE plans,
+whose arrays are read-only.  Each call clears its rows' denominators, picks
+int64 or Python ints row by row, fills each row's coefficient table, and
+runs one batched matrix product and one np.add.reduceat per row.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -420,20 +429,6 @@ def _primitive_poly(nvars: int, monomials: list, values: list, lead: Optional[in
     return MultiPoly._canonical(nvars, {m: Fraction(v) for m, v in zip(monomials, values)})
 
 
-def _grlex_lead(exponents: np.ndarray) -> int:
-    """The index of the graded-lex largest row of a nonempty 2-D array of
-    distinct exponent rows: the rows of top degree, narrowed to those with
-    the largest exponent of x_0, then of x_1, and so on."""
-    degrees = exponents.sum(axis=1)
-    rows = np.flatnonzero(degrees == degrees.max())
-    for column in exponents.T:
-        if len(rows) == 1:
-            break
-        values = column[rows]
-        rows = rows[values == values.max()]
-    return int(rows[0])
-
-
 def _term_body(mono: Monomial, coeff: Fraction) -> str:
     """Render one term without its sign."""
     c = abs(coeff)
@@ -629,9 +624,9 @@ def projectively_equal(p: Sequence, q: Sequence) -> bool:
 # the kernel can reach, so a product of monomials is one int addition that
 # never carries into the next field.  MultiPoly multiplication and compose
 # work on dicts from a packed monomial to an int coefficient, built by the
-# helpers below.  PolyMatrix.det keeps the packed monomials it reaches in a
-# sorted array and the coefficients of its minors in a 2-D integer array
-# over them.
+# helpers below.  PolyMatrix.det's plan keeps the packed monomials it
+# reaches in sorted arrays, and each call the coefficients of its minors in
+# a 2-D integer array over them.
 
 
 def _packed(poly: MultiPoly, width: int) -> tuple:
@@ -692,6 +687,70 @@ def _laplace_step(n: int, k: int) -> tuple:
     return tables
 
 
+# The most plans _det_plan keeps.  A plan holds int32 arrays of the size of
+# its packed bases and the last basis's exponent tuples: about 0.25 MB for a
+# size-7 matrix of linear forms in 7 variables and 1 MB at size 8.  The
+# exact workloads reach a handful of row-support patterns.
+DET_PLAN_CACHE_SIZE = 32
+
+
+class _DetPlan(NamedTuple):
+    """The structure of a determinant whose rows have given supports."""
+
+    columns: tuple  # per row: {monomial: its column in the row's table}
+    steps: tuple  # per row: (order, starts) that add its products into the next basis
+    monomials: tuple  # the last basis as exponent tuples
+    grlex: np.ndarray  # the rank of each of them in graded-lex order
+
+
+@lru_cache(maxsize=DET_PLAN_CACHE_SIZE)
+def _det_plan(nvars: int, supports: tuple) -> _DetPlan:
+    """The plan of PolyMatrix._integer_det for a matrix in nvars variables
+    whose row k holds the monomials supports[k], a sorted tuple of
+    exponent tuples; the size is len(supports).
+
+    Monomials are packed (see the packed integer polynomials above) with
+    fields as wide as the bit length of the determinant's degree bound, the
+    sum over rows of the row's largest degree; they are int64 when every
+    one fits in 63 bits and Python ints otherwise.  The basis of step k is
+    the sorted packed monomials the minors of the first k rows can reach
+    (the first is {0}).  Step k's products are laid out as (support
+    monomial, basis monomial) pairs, flattened; the pair lands on the sum
+    of the two packed monomials in the next basis.  order sorts the pairs
+    by where they land, and starts marks the first pair of each monomial
+    of the next basis, so np.add.reduceat over the products taken in that
+    order builds the next minors.  The plan is shared by every call, so
+    its arrays are read-only.
+    """
+    width = sum(max(map(sum, support)) for support in supports).bit_length()
+    offsets = [width * i for i in range(nvars)]
+    packed = np.int64 if nvars * width <= 63 else object
+    basis = np.zeros(1, packed)
+    steps = []
+    for support in supports:
+        keys = np.array([sum(e << offset for e, offset in zip(mono, offsets)) for mono in support], packed)
+        shifted = (keys.reshape(-1, 1) + basis).reshape(-1)
+        # Sorted and deduplicated by hand: np.unique's hash table costs
+        # about a megabyte of resident memory on first use.
+        order = np.argsort(shifted)
+        flat = shifted[order]
+        starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        basis = flat[starts]
+        steps.append((order.astype(np.int32), starts.astype(np.int32)))
+    exponents = ((basis.reshape(-1, 1) >> np.array(offsets, packed)) & ((1 << width) - 1)).astype(np.int64)
+    # np.lexsort sorts by its last key first: degree, then x_0, x_1, ...
+    grlex = np.empty(len(basis), np.int32)
+    grlex[np.lexsort((*exponents.T[::-1], exponents.sum(axis=1)))] = np.arange(len(basis))
+    for array in (grlex, *(a for step in steps for a in step)):
+        array.setflags(write=False)
+    return _DetPlan(
+        tuple({mono: d for d, mono in enumerate(support)} for support in supports),
+        tuple(steps),
+        tuple(map(tuple, exponents.tolist())),
+        grlex,
+    )
+
+
 class PolyMatrix:
     """Square matrix of MultiPoly entries with an exact determinant."""
 
@@ -733,44 +792,51 @@ class PolyMatrix:
 
     def det(self) -> MultiPoly:
         """The determinant, by _integer_det's cofactor expansion."""
-        exponents, values, denominator = self._integer_det()
-        return MultiPoly._canonical(self.nvars, {
-            mono: Fraction(c, denominator) for mono, c in zip(map(tuple, exponents.tolist()), values)
-        })
+        monomials, _, values, denominator = self._integer_det()
+        if denominator == 1:
+            terms = {m: Fraction(c) for m, c in zip(monomials, values)}
+        else:
+            terms = {m: Fraction(c, denominator) for m, c in zip(monomials, values)}
+        return MultiPoly._canonical(self.nvars, terms)
 
     def primitive_det(self) -> MultiPoly:
         """det().primitive_normalized(), with the gcd and the sign taken on
         the integer coefficients, so each coefficient becomes a Fraction once."""
-        exponents, values, _ = self._integer_det()
+        monomials, grlex, values, _ = self._integer_det()
         if not values:
             return MultiPoly._canonical(self.nvars, {})
-        return _primitive_poly(
-            self.nvars, list(map(tuple, exponents.tolist())), values, _grlex_lead(exponents)
-        )
+        return _primitive_poly(self.nvars, monomials, values, int(grlex.argmax()))
 
     def _integer_det(self) -> tuple:
-        """(exponents, values, denominator): the determinant times the
-        positive integer denominator, as a 2-D int64 array with the
-        exponent tuple of a term per row and the list of the terms' nonzero
-        int coefficients in the same order.
+        """(monomials, grlex, values, denominator): the determinant times
+        the positive integer denominator, as the list of its terms' exponent
+        tuples in ascending order of packed monomial, an int array of their
+        ranks in graded-lex order (its argmax is the leading term), and the
+        list of the terms' nonzero int coefficients, in the same order.
 
-        Division-free cofactor expansion, exact over the integers.
+        Division-free cofactor expansion, exact over the integers, in two
+        parts: a plan that depends only on which monomials each row holds,
+        and a numeric pass per call.  The plan is _det_plan's, keyed on
+        nvars and each row's support (the sorted monomials of its entries,
+        so the order in which an entry lists its terms does not matter); a
+        miss builds it, then runs the same numeric pass.  At most
+        DET_PLAN_CACHE_SIZE plans are kept, and their arrays are read-only.
 
-        Each row's coefficients are cleared by clear_denominators, and its
-        monomials are packed (see the packed integer polynomials above)
-        with fields as wide as the bit length of the determinant's degree
-        bound: the sum over rows of the row's largest entry degree.
-        The minors of the first k rows are one 2-D integer array, with a
-        row per k-subset of the columns and a column per packed monomial
-        they can reach (the basis, sorted).  Row k is one batched matrix
-        product (see _laplace_step): for each (k+1)-subset and each
-        monomial of row k, the signed coefficients of that monomial on the
-        subset's k+1 columns times the minors of the k-subsets left when
-        one of those columns is removed.  Each monomial's products are
-        added into the next basis where that monomial shifts the old one
-        (np.searchsorted finds where, np.add.at adds).  The last minor's
-        zero coefficients are dropped on the array and the rest unpacked
-        once; its denominator is the product of the row lcms.
+        Per call, each row's coefficients are cleared by
+        clear_denominators.  The minors of the first k rows are one 2-D
+        integer array, with a row per k-subset of the columns and a column
+        per monomial of the plan's basis for that step.  Row k's
+        coefficients fill a table with a row per entry column and a column
+        per monomial of the row's support (the plan's monomial -> column
+        map), and one batched matrix product (see _laplace_step) gives, for
+        each (k+1)-subset and each monomial of row k, the signed
+        coefficients of that monomial on the subset's k+1 columns times the
+        minors of the k-subsets left when one of those columns is removed.
+        The plan's permutation and segment starts for step k add the
+        products that land on one monomial of the next basis with one
+        np.add.reduceat.  The last minor's zero coefficients are dropped
+        and the rest take their monomials from the plan; the denominator
+        is the product of the row lcms.
 
         Overflow: each coefficient of a minor of the first k+1 rows, and
         each partial sum that builds one, is a signed sum of products of
@@ -785,66 +851,57 @@ class PolyMatrix:
         not.  M_k is at most the product of the l1 norms of the rows
         before k, so the minors are searched for M_k only at a row where
         that product is too large to pass the test; on Weddle matrices it
-        is about 2^30 looser than M_k at size 8.  The packed monomials are
-        int64 when every one fits in 63 bits, which is known before the
-        expansion, and Python ints otherwise.  A zero row gives zero at
+        is about 2^30 looser than M_k at size 8.  A zero row gives zero at
         once.  Sizes above MAX_DET_SIZE are refused rather than silently
         taking forever.
         """
         n = self.size
         if n > MAX_DET_SIZE:
             raise ValueError(f"determinant limited to size {MAX_DET_SIZE}")
-        bound = 0
         denominator = 1
         rows = []
+        supports = []
         for row in self.entries:
-            index: dict = {}  # monomial -> its column in the row's table
-            # (entry column, monomial column) of each coefficient, in order
-            places = [
-                (col, index.setdefault(mono, len(index)))
-                for col, entry in enumerate(row)
-                for mono in entry.terms
-            ]
-            if not places:
-                return np.zeros((0, self.nvars), np.int64), [], 1  # a zero row
+            support = sorted({mono for entry in row for mono in entry.terms})
+            if not support:
+                return [], np.zeros(0, np.int32), [], 1  # a zero row
             values, lcm = clear_denominators([c for entry in row for c in entry.terms.values()])
-            bound += max(sum(mono) for mono in index)
             denominator *= lcm
-            rows.append((list(index), places, values, sum(map(abs, values))))
-        width = bound.bit_length()
-        offsets = [width * i for i in range(self.nvars)]
-        packed = np.int64 if self.nvars * width <= 63 else object
+            rows.append((values, sum(map(abs, values))))
+            supports.append(tuple(support))
+        plan = _det_plan(self.nvars, tuple(supports))
 
         dtype = np.int64
         top = 1  # at least max(M_k, 1): a product of row norms, or measured
         minors = np.ones((1, 1), dtype)
-        basis = np.zeros(1, packed)
-        for k, (monomials, places, values, norm) in enumerate(rows):
+        for k, (row, (values, norm), index, (order, starts)) in enumerate(
+            zip(self.entries, rows, plan.columns, plan.steps)
+        ):
             if dtype is np.int64 and top * norm >= 2**63:
                 top = max(int(np.abs(minors).max()), 1)
                 if top * norm >= 2**63:
                     dtype = object
                     minors = minors.astype(object)
             top *= norm
-            table = np.zeros((n, len(monomials)), dtype)
-            for (col, d), value in zip(places, values):
-                table[col, d] = value
+            nmono = len(index)
+            table = np.zeros((n, nmono), dtype)
+            places = [col * nmono + index[mono] for col, entry in enumerate(row) for mono in entry.terms]
+            table.reshape(-1)[places] = values
             subsets, columns, signs = _laplace_step(n, k)
-            # products[s, d]: the Laplace sum over the columns of subset s of
-            # row k's coefficient of monomial d times the old minors.
+            # products[s, d, b]: the Laplace sum over the columns of subset s
+            # of row k's coefficient of monomial d times the old minors'
+            # coefficient of basis monomial b.
             products = (table[columns] * signs).transpose(0, 2, 1) @ minors[subsets]
-            keys = [sum(e << offset for e, offset in zip(mono, offsets)) for mono in monomials]
-            shifted = np.array(keys, packed).reshape(-1, 1) + basis
-            # Sorted and deduplicated by hand: np.unique's hash table costs
-            # about a megabyte of resident memory on first use.
-            flat = np.sort(shifted, axis=None)
-            basis = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-            minors = np.zeros((len(subsets), len(basis)), dtype)
-            np.add.at(minors, (slice(None), np.searchsorted(basis, shifted)), products)
+            minors = np.add.reduceat(products.reshape(len(subsets), -1)[:, order], starts, axis=1)
 
         nonzero = np.flatnonzero(minors[0])
-        exponents = (basis[nonzero].reshape(-1, 1) >> np.array(offsets, packed)) & ((1 << width) - 1)
-        return exponents.astype(np.int64, copy=False), minors[0, nonzero].tolist(), denominator
+        monomials = plan.monomials
+        return (
+            [monomials[i] for i in nonzero.tolist()],
+            plan.grlex[nonzero],
+            minors[0, nonzero].tolist(),
+            denominator,
+        )
 
     def __repr__(self) -> str:
         rows = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

@@ -542,6 +542,152 @@ def test_determinant_above_the_size_limit_is_refused():
         PolyMatrix(3, identity).det()
 
 
+# ---- determinant plans: one per row-support pattern, reused across values ----
+
+def _supports(matrix):
+    """The plan key's supports: each row's monomials, sorted."""
+    return tuple(tuple(sorted({m for e in row for m in e.terms})) for row in matrix.entries)
+
+
+def _on_pattern(supports, rows):
+    """The matrix whose row i puts rows[i][m] = {column: coefficient} on
+    monomial m of supports[i]; every monomial must reach some column."""
+    n = len(supports)
+    entries = [[{} for _ in range(n)] for _ in range(n)]
+    for i, (support, row) in enumerate(zip(supports, rows)):
+        for m in support:
+            for col, c in row[m].items():
+                entries[i][col][m] = c
+    return PolyMatrix(3, [[MultiPoly(3, e) for e in row] for row in entries])
+
+
+_X0, _X1, _X2, _ONE = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+_PATTERN = ((_X1, _X0), (_ONE, _X2), (_X1, _X0))  # each row's support, sorted
+
+
+# On _PATTERN, with an entry that lacks a monomial of its row's support
+# (column 2 of row 0 has no x1), minors that cancel (row 2 a multiple of
+# row 0) and coefficients that leave int64 at row 0, at row 2 or never.
+_FIXED_DRAWS = [_on_pattern(_PATTERN, rows) for rows in [
+    [{_X0: {0: 1, 2: 3}, _X1: {1: -2}}, {_ONE: {0: 5, 1: 1}, _X2: {2: 1}},
+     {_X0: {0: 2, 2: 6}, _X1: {1: -4}}],
+    [{_X0: {0: 2**70}, _X1: {1: 1, 2: 1}}, {_ONE: {2: 7}, _X2: {0: 1, 1: -1}},
+     {_X0: {1: 3}, _X1: {0: -1}}],
+    [{_X0: {0: 2**30}, _X1: {1: 2**30}}, {_ONE: {1: 1}, _X2: {0: 1}},
+     {_X0: {2: Fraction(1, 3)}, _X1: {2: 2**40}}],
+    [{_X0: {2: 1}, _X1: {0: Fraction(-1, 2)}}, {_ONE: {0: 1}, _X2: {1: 1, 2: 9}},
+     {_X0: {0: 1, 1: 1}, _X1: {2: 1}}],
+]]
+
+
+@st.composite
+def _draws_on_one_pattern(draw):
+    """Two to four matrices whose rows hold the same supports: monomials of
+    degree 0..2 in three variables, each on a random nonempty set of
+    columns, with small or 2^40- or 2^70-sized coefficients over a random
+    denominator per row.  One draw in four copies a row into a later one
+    of the same support, and one in four also has a zero row."""
+    n = draw(st.integers(1, 4))
+    supports = [draw(st.sets(_monomials, min_size=1, max_size=3)) for _ in range(n)]
+    copy = n > 1 and draw(st.integers(0, 3)) == 0
+    if copy:
+        supports[-1] = supports[0]
+    supports = [tuple(sorted(s)) for s in supports]
+    sizes = st.sampled_from([6, 2**40, 2**70])
+    matrices = []
+    for _ in range(draw(st.integers(2, 4))):
+        rows = []
+        for support in supports:
+            bound = draw(sizes)
+            denominator = draw(st.integers(1, 7))
+            coefficient = st.integers(-bound, bound).filter(bool).map(lambda c: Fraction(c, denominator))
+            columns = st.sets(st.integers(0, n - 1), min_size=1)
+            rows.append({m: {col: draw(coefficient) for col in draw(columns)} for m in support})
+        if copy and draw(st.booleans()):
+            rows[-1] = {m: {col: 3 * c for col, c in row.items()} for m, row in rows[0].items()}
+        matrices.append(_on_pattern(supports, rows))
+    if draw(st.integers(0, 3)) == 0:
+        matrices.append(PolyMatrix(3, [*matrices[0].entries[:-1], [MultiPoly.zero(3)] * n]))
+    return matrices
+
+
+@given(_draws_on_one_pattern())
+@example(_FIXED_DRAWS)
+@settings(max_examples=100, deadline=None)
+def test_a_plan_reused_across_values_gives_the_reference_determinant(matrices):
+    for m in matrices:
+        det = m.det()
+        assert det == reference_det(m)
+        _assert_canonical(det)
+        primitive = m.primitive_det()
+        assert primitive == det.primitive_normalized()
+        _assert_canonical(primitive)
+
+
+def test_fixed_draws_share_a_plan_and_leave_int64_at_different_rows(monkeypatch):
+    assert {_supports(m) for m in _FIXED_DRAWS} == {_PATTERN}
+    assert _FIXED_DRAWS[0].det().is_zero()  # row 2 is twice row 0
+    for m in _FIXED_DRAWS:
+        m.det()  # the plan is built before the dtypes are recorded
+    rows = []
+    for m in _FIXED_DRAWS:
+        recorder = _RecordingNumpy()
+        monkeypatch.setattr(polycore, "np", recorder)
+        m.det()
+        monkeypatch.undo()
+        rows.append([str(dtype) for dtype in recorder.dtypes])
+    # One np.zeros per row: the row's table, in the row's dtype.
+    assert rows == [
+        ["int64"] * 3,
+        ["object"] * 3,
+        ["int64", "int64", "object"],
+        ["int64"] * 3,
+    ]
+
+
+def _weddle_matrices(dim, seeds):
+    return [
+        loci.contraction_matrix(loci.LinearSystem.from_tensor(tensor.random_n1(dim, random.Random(s))))
+        for s in seeds
+    ]
+
+
+def _reordered(matrix):
+    """The same matrix with every entry's terms inserted in reverse order."""
+    return PolyMatrix(matrix.nvars, [
+        [MultiPoly(e.nvars, dict(reversed(list(e.terms.items())))) for e in row]
+        for row in matrix.entries
+    ])
+
+
+def test_one_plan_per_row_support_pattern():
+    matrices = _weddle_matrices(5, range(1, 5))
+    assert len({_supports(m) for m in matrices}) == 1
+    polycore._det_plan.cache_clear()
+    dets = [m.det() for m in matrices]
+    assert [m.primitive_det() for m in matrices] == [d.primitive_normalized() for d in dets]
+    reordered = _reordered(matrices[0])
+    assert list(reordered.entry(0, 0).terms) != list(matrices[0].entry(0, 0).terms)
+    assert reordered.det() == dets[0]
+    info = polycore._det_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(matrices))
+    assert info.maxsize == polycore.DET_PLAN_CACHE_SIZE > 0
+    # Terms come out in ascending packed order, x_{n-1} the most significant
+    # field: lexicographic order on the reversed exponent tuples.
+    for poly in (*dets, matrices[0].primitive_det()):
+        assert list(poly.terms) == sorted(poly.terms, key=lambda m: m[::-1])
+
+
+def test_a_plan_is_read_only():
+    m = _weddle_matrices(4, [1])[0]
+    m.det()
+    plan = polycore._det_plan(m.nvars, _supports(m))
+    arrays = [plan.grlex, *(a for step in plan.steps for a in step)]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
 # ---- linear forms and sums built without the checked constructor ----
 
 _coefficients = st.one_of(rationals, st.integers(-5, 5), rationals.map(str))
