@@ -107,9 +107,10 @@ def as_point(point, nvars: int) -> tuple:
 def clear_denominators(values) -> tuple:
     """(numerators, lcm): the ints and Fractions of the collection values,
     each times lcm, the lcm of their denominators (1 when there are none),
-    as a list of ints in the same order."""
-    lcm = math.lcm(*(q.denominator for q in values))
-    return [q.numerator * (lcm // q.denominator) for q in values], lcm
+    as a list of ints in the same order.  Each denominator is read once."""
+    denominators = [q.denominator for q in values]
+    lcm = math.lcm(*denominators)
+    return [q.numerator * (lcm // d) for q, d in zip(values, denominators)], lcm
 
 
 def primitive_vector(values: Sequence[int], lead: Optional[int] = None) -> Optional[tuple]:

@@ -26,14 +26,15 @@ converge quadratically.
 The lockstep state holds only the running paths, and their homotopy is
 taken (_Homotopy.take: each path's coefficient tables, start roots and
 gamma gathered into arrays with one row per path) once per change of the
-running set, not once per iteration: again only when a path stops, a
-stage drops a row or a corrector row stops, so an iteration in which no
-row stops gathers and scatters nothing.  Every stage evaluates the
-target once for the whole stack (_Compiled.apply): one table of monomial
-values and one batched matvec against the gathered tables give value and
-Jacobian, each stage returns only what its caller uses, and its linear
-solves are one LAPACK call (_solve_stack).  Each output entry is the dot product a path
-tracked alone forms, so a path's floats do not depend on its stack.
+running set, not once per iteration: again only when a path stops or a
+corrector row stops, so an iteration in which no row stops gathers and
+scatters nothing; a row an RK4 stage rejects rides to the end of its
+step.  Every stage evaluates the target once for the whole stack
+(_Compiled.apply): one table of monomial values and one batched matvec
+against the gathered tables give value and Jacobian, each stage returns
+only what its caller uses, and its linear solves are one LAPACK call
+(_solve_stack).  Each output entry is the dot product a path tracked
+alone forms, so a path's floats do not depend on its stack.
 One pass per tracked chart (_finish) lifts its finite endpoints as one
 array (_lift), marks by masks in its one status array those at infinity
 or stalled alone, and hands the rest to one routine (_certify) that
@@ -219,10 +220,6 @@ class _Compiled:
         derivatives = [coeff * e for e in self.exponents.T.astype(np.float64)]
         self._stack = np.stack([coeff, *derivatives], axis=1)
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """The first system's value at x."""
-        return _matvec(self.coeff[0], _monomials(x, self.exponents))
-
     def value_and_jacobian(self, x: np.ndarray, systems):
         """(value, Jacobian) at each point of the stack x, row p on system
         systems[p]: apply on those systems' gathered coefficient tables."""
@@ -373,17 +370,16 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
     whether a row took every iteration without converging or stopping.
 
     The arrays hold only the rows still iterating (rows, with their points
-    y and last step sizes), used as they stand while no row stops; a row's
-    point is written out when it stops.  system is given one rows array
-    until a row stops, so it can tell a new set of rows by identity."""
+    y and last step sizes), used as they stand while no row stops; the
+    output buffer, made once from x, takes a row's point when it stops and
+    the rest at the end.  system is given one rows array until a row stops,
+    so it can tell a new set of rows by identity."""
     converged = np.zeros(len(x), dtype=bool)
     first = np.full(len(x), np.inf)
-    points = None  # each row's last point, made when the first row stops
+    points = x.copy()
     rows, y, previous = np.arange(len(x)), x, None
 
     def stop(keep, *arrays):
-        nonlocal points
-        points = x.copy() if points is None else points
         points[rows[~keep]] = y[~keep]
         return [a if a is None else a[keep] for a in (rows, y, previous, *arrays)]
 
@@ -415,8 +411,6 @@ def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit:
             rows, y, previous = stop(~done)
     stalled = np.zeros(len(x), dtype=bool)
     stalled[rows] = True
-    if points is None:  # every row iterated to the end
-        return converged, y, first, stalled
     points[rows] = y
     return converged, points, first, stalled
 
@@ -428,13 +422,16 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
     _TRACK_TOL, on a step or a predicted next step.  Returns (ok, points,
     error): a rejected row keeps its point, and error is the corrector's
     first step relative to the point's norm, which measures the predictor's
-    local error."""
+    local error.
+
+    Every row rides the whole step.  A row whose Jacobian is singular at a
+    stage, or whose prediction is not finite, is rejected (the mask is made
+    only then): it takes a zero tangent at every later stage, predicts x,
+    and comes out of its corrector with ok False, point x and error inf."""
     part = hom if paths is None else hom.take(paths)
-    start, rows = x, None  # rows: the rows still stepping, once one is rejected
+    rejected = None
     tangents = []
-    # k1 at (x, t); k2 and k3 half a step along k1 and k2; k4 a full step
-    # along k3.  A row whose Jacobian is singular at any stage is rejected;
-    # while no row is, x, t, h and the homotopy are used as they stand.
+    # k1 at (x, t); k2 and k3 half a step along k1 and k2; k4 along k3
     for scale in (0.0, 0.5, 0.5, 1.0):
         if scale:
             step = scale * h
@@ -443,18 +440,18 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
             y, s = x, t
         jacobian, t_derivative = part.evaluate(y, s)
         ok, k = _solve_stack(jacobian, -t_derivative)
-        tangents.append(k)
         if ok is not np.True_:
-            rows = np.flatnonzero(ok) if rows is None else rows[ok]
-            tangents = [v[ok] for v in tangents]
-            x, t, h, part = x[ok], t[ok], h[ok], part.take(ok)
+            rejected = ~ok if rejected is None else rejected | ~ok
+        if rejected is not None:
+            k[rejected] = 0.0
+        tangents.append(k)
     k1, k2, k3, k4 = tangents
     predicted = x - (h / 6.0)[:, np.newaxis] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     t_next = t - h
     finite = np.isfinite(predicted).all(axis=-1)
-    if not all(finite.tolist()):
-        rows = np.flatnonzero(finite) if rows is None else rows[finite]
-        predicted, t_next, part = predicted[finite], t_next[finite], part.take(finite)
+    if rejected is not None or not all(finite.tolist()):
+        rejected = ~finite if rejected is None else rejected | ~finite
+        predicted = np.where(rejected[:, np.newaxis], x, predicted)
     taken = [None, part, t_next]
 
     def corrector(y, r):
@@ -465,13 +462,12 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
         return taken[1].evaluate(y, taken[2], corrector=True)
 
     converged, corrected, first, _ = _newton(corrector, predicted, _TRACK_TOL, _CORRECTOR_ITERATIONS)
-    if rows is None:  # a rejected row keeps its point
-        if not all(converged.tolist()):
-            corrected = np.where(converged[:, np.newaxis], corrected, x)
-        return converged, corrected, first
-    ok, error, out = np.zeros(len(start), dtype=bool), np.full(len(start), np.inf), start.copy()
-    ok[rows[converged]], error[rows], out[rows[converged]] = True, first, corrected[converged]
-    return ok, out, error
+    if rejected is not None:
+        converged &= ~rejected
+        first[rejected] = np.inf
+    if not all(converged.tolist()):  # a rejected row keeps its point
+        corrected = np.where(converged[:, np.newaxis], corrected, x)
+    return converged, corrected, first
 
 
 def _track_paths(hom: _Homotopy, starts):
@@ -658,8 +654,9 @@ def _certify(points: np.ndarray, close: np.ndarray, filters: _Compiled, filter_p
     clusters that lie on filter_polys.
 
     A cluster's residual is the smallest filter residual of its members,
-    filters being the _unit_row forms of filter_polys, so the residual does
-    not depend on how an input polynomial is scaled; clusters where it
+    filters being the _unit_row forms of filter_polys (evaluated by
+    value_and_jacobian, the stacked kernel of the homotopy), so the residual
+    does not depend on how an input polynomial is scaled; clusters where it
     reaches _FILTER_TOL are discarded.  The minimum-residual member's
     _rational_point is kept when it is an exact common zero of filter_polys,
     else it is a mismatch.  Returns (sorted clusters, discarded, mismatch);
@@ -667,7 +664,8 @@ def _certify(points: np.ndarray, close: np.ndarray, filters: _Compiled, filter_p
     most _RESIDUAL_TOL and no mismatch.
     """
     labels = _components(close)
-    residuals = np.max(np.abs(filters.value(points)), axis=-1)
+    values, _ = filters.value_and_jacobian(points, np.zeros(len(points), dtype=np.int64))
+    residuals = np.max(np.abs(values), axis=-1)
     clusters, discarded, mismatch = [], 0, False
     for label in np.unique(labels):
         members = np.flatnonzero(labels == label)
