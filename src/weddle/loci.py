@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from . import linalg, solve
+from . import linalg, solve, tensor
 from .polycore import (
     MultiPoly, PolyMatrix, as_int, as_matrix, as_point, clear_denominators, divides, linear_form,
 )
@@ -105,16 +105,12 @@ class LinearSystem:
 
     @classmethod
     def from_tensor(cls, t) -> "LinearSystem":
-        from .tensor import SymmetryClass, in_class
-
-        if not in_class(t, SymmetryClass.PARTIAL_SYM12):
+        if not tensor.in_class(t, tensor.SymmetryClass.PARTIAL_SYM12):
             raise ValueError("tensor is not partially symmetric in its first two indices")
         return cls(t.dim - 1, [t.faces[k] for k in range(t.dim)])
 
     def to_tensor(self):
-        from .tensor import Tensor3
-
-        return Tensor3(self.quadrics)
+        return tensor.Tensor3(self.quadrics)
 
     def quadric_polys(self) -> list:
         return [quadric_to_poly(q) for q in self.quadrics]
@@ -407,10 +403,8 @@ def sample_general_cyclic(dim: int, rng: random.Random):
     weddle_matrix.  Raises RuntimeError after _SAMPLE_DRAWS consecutive
     degenerate draws.
     """
-    from .tensor import random_n1
-
     for _ in range(_SAMPLE_DRAWS):
-        t = random_n1(dim, rng=rng)
+        t = tensor.random_n1(dim, rng=rng)
         system = LinearSystem.from_tensor(t)
         data = weddle_matrix(system)
         if not data.degenerate:

@@ -24,16 +24,17 @@ update, which estimates the predictor's local error; Newton stops on a
 step below tolerance, or on a predicted next step below it once the steps
 converge quadratically.
 The lockstep state holds only the running paths, and their homotopy is
-taken (_Homotopy.take: each path's coefficient tables, start roots and
-gamma gathered into arrays with one row per path) once per change of the
-running set, not once per iteration: again only when a path stops or a
-corrector row stops, so an iteration in which no row stops gathers and
-scatters nothing; a row an RK4 stage rejects rides to the end of its
-step.  Every stage evaluates the target once for the whole stack
-(_Compiled.apply): one table of monomial values and one batched matvec
-against the gathered tables give value and Jacobian, each stage returns
-only what its caller uses, and its linear solves are one LAPACK call
-(_solve_stack).  Each output entry is the dot product a path tracked
+taken (hom[paths]: each path's coefficient tables, start roots and gamma
+gathered into arrays with one row per path) once per change of the
+running set, not once per iteration: again only when a path stops, or by
+the Newton corrector (_newton, which indexes its own rows) before its
+first evaluation after a row stops, so an iteration in which no row
+stops gathers and scatters nothing; a row an RK4 stage rejects rides to
+the end of its step.  Every stage evaluates the target once for the
+whole stack (_Compiled.apply, the one evaluation entry): one table of
+monomial values and one batched matvec against the gathered tables give
+value and Jacobian, each stage returns only what its caller uses, and
+its linear solves are one LAPACK call (_solve_stack).  Each output entry is the dot product a path tracked
 alone forms, so a path's floats do not depend on its stack.
 One pass per tracked chart (_finish) lifts its finite endpoints as one
 array (_lift), marks by masks in its one status array those at infinity
@@ -62,6 +63,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg  # the gufunc behind np.linalg.solve
 
+from . import linalg
 from .polycore import MultiPoly, clear_denominators, primitive_vector, projectively_equal
 
 
@@ -220,16 +222,12 @@ class _Compiled:
         derivatives = [coeff * e for e in self.exponents.T.astype(np.float64)]
         self._stack = np.stack([coeff, *derivatives], axis=1)
 
-    def value_and_jacobian(self, x: np.ndarray, systems):
-        """(value, Jacobian) at each point of the stack x, row p on system
-        systems[p]: apply on those systems' gathered coefficient tables."""
-        return self.apply(x, self._stack[systems])
-
     def apply(self, x: np.ndarray, stack: np.ndarray):
         """(value, Jacobian) at each point of the stack x, row p on the
-        coefficient tables stack[p] (rows gathered from self._stack), from
-        one monomial table and one stacked matvec; the Jacobian is a view
-        into the same product."""
+        coefficient tables stack[p] (rows gathered from self._stack), or
+        every row on one system's tables self._stack[k], from one monomial
+        table and one stacked matvec; the Jacobian is a view into the same
+        product."""
         table = _monomials(x, self._table)
         out = _matvec(stack, table[..., self._index])
         return out[..., 0, :], out[..., 1:, :].swapaxes(-1, -2)
@@ -294,9 +292,9 @@ class _Homotopy:
 
     Each path's data is gathered once, into arrays with one row per path:
     its chart's coefficient tables (_stack, rows of target._stack), its
-    start roots and its gamma.  take(paths) gathers the homotopy of
-    a subset of rows, and a stage evaluates the taken homotopy on a stack
-    of points x (P, n), one per row, each with its own t (shape (P,)).
+    start roots and its gamma.  hom[paths] gathers the homotopy of a
+    subset of rows, and a stage evaluates the taken homotopy on a stack of
+    points x (P, n), one per row, each with its own t (shape (P,)).
     """
 
     def __init__(self, target: _Compiled, degrees: Sequence[int], charts, roots, gamma):
@@ -310,7 +308,7 @@ class _Homotopy:
         self._powers = None if (self.degrees == 2).all() else self.degrees - 1
         self._stack = target._stack[self.charts]
 
-    def take(self, paths) -> "_Homotopy":
+    def __getitem__(self, paths) -> "_Homotopy":
         """The homotopy of the given rows (an index array or a mask): each
         per-path array gathered once, the rest shared."""
         part = object.__new__(_Homotopy)
@@ -319,10 +317,9 @@ class _Homotopy:
         part._stack = self._stack[paths]
         return part
 
-    def evaluate(self, x: np.ndarray, t: np.ndarray, paths=None, corrector: bool = False):
+    def evaluate(self, x: np.ndarray, t: np.ndarray, corrector: bool = False):
         """(dH/dx, dH/dt) for an RK4 stage, or (H, dH/dx) for the corrector,
-        at the points x of every row, or of take(paths) when paths are
-        given, from one evaluation of the target.
+        at the points x of every row, from one evaluation of the target.
 
         dH/dx is the target Jacobian scaled by (1 - t) in place, with the
         start system's diagonal gamma * t * d_i * x_i^(d_i - 1) added onto
@@ -331,8 +328,6 @@ class _Homotopy:
         transpose of the target's derivative block, whose n x n entries per
         point are contiguous, so every (n + 1)-th of them is a diagonal
         entry."""
-        if paths is not None:
-            return self.take(paths).evaluate(x, t, corrector=corrector)
         value, jacobian = self.target.apply(x, self._stack)
         start = x ** self.degrees - self.roots
         gv, weight = self.gamma[:, np.newaxis], (1.0 - t)[:, np.newaxis]
@@ -356,79 +351,87 @@ class _Homotopy:
 # stack.  A mask of a few rows is tested by any(mask.tolist()), several
 # times faster than mask.any().
 
-def _newton(system: Callable, x: np.ndarray, tol: float, iterations: int, limit: float = math.inf):
-    """Up to ``iterations`` Newton steps per row, where ``system(y, rows)``
-    returns the values and Jacobians at the points y of the given rows.  A
-    row stops as converged when its step is below ``tol`` relative to its
-    norm, or, from the second step on, when the step at least halved and
-    its square over the previous step (the next step that quadratic
-    convergence predicts) is below ``tol`` relative to the norm.  It stops
-    unconverged when its Jacobian is singular, or when it turns non-finite
-    or leaves the ball of radius ``limit``.  Returns (converged, points,
-    first, stalled), first being each row's first step relative to its norm
-    (inf for a row stopped before that step was measured), and stalled
-    whether a row took every iteration without converging or stopping.
+def _newton(system: Callable, rows: tuple, x: np.ndarray, tol: float, iterations: int, limit: float = math.inf):
+    """Up to ``iterations`` Newton steps per row, where ``system(y, *rows)``
+    returns the values and Jacobians at the points y, each entry of rows
+    holding one row per point of x (an array or a _Homotopy).  A row stops
+    as converged when its step is below ``tol`` relative to its norm, or,
+    from the second step on, when the step at least halved and its square
+    over the previous step (the next step that quadratic convergence
+    predicts) is below ``tol`` relative to the norm.  It stops unconverged
+    when its Jacobian is singular, or when it turns non-finite or leaves
+    the ball of radius ``limit``.  Returns (converged, points, first,
+    stalled), first being each row's first step relative to its norm (inf
+    for a row stopped before that step was measured), and stalled whether a
+    row took every iteration without converging or stopping.
 
-    The arrays hold only the rows still iterating (rows, with their points
-    y and last step sizes), used as they stand while no row stops; the
-    output buffer, made once from x, takes a row's point when it stops and
-    the rest at the end.  system is given one rows array until a row stops,
-    so it can tell a new set of rows by identity."""
+    The arrays hold only the rows still iterating (running, with their
+    points y and last step sizes), used as they stand while no row stops;
+    the output buffer, made once from x, takes a row's point when it stops
+    and the rest at the end.  Each entry of rows is indexed by the running
+    rows lazily, once before the first evaluation after a row stops, so a
+    row set that is never evaluated again is never gathered."""
     converged = np.zeros(len(x), dtype=bool)
     first = np.full(len(x), np.inf)
     points = x.copy()
-    rows, y, previous = np.arange(len(x)), x, None
+    running, y, previous = np.arange(len(x)), x, None
+    selected, indexed = rows, len(x)  # rows as indexed, and for how many running rows
 
     def stop(keep, *arrays):
-        points[rows[~keep]] = y[~keep]
-        return [a if a is None else a[keep] for a in (rows, y, previous, *arrays)]
+        points[running[~keep]] = y[~keep]
+        return [a if a is None else a[keep] for a in (running, y, previous, *arrays)]
 
     for k in range(iterations):
-        if not rows.size:
+        if not running.size:
             break
-        values, jacobians = system(y, rows)
+        if len(running) < indexed:
+            selected, indexed = [r[running] for r in rows], len(running)
+        values, jacobians = system(y, *selected)
         ok, delta = _solve_stack(jacobians, values)
         y = y - delta  # a row whose solve failed has delta 0 and keeps its point
         norms = _norms(y)  # not finite on a row that is not finite (or is huge)
         if ok is not np.True_ or not all(np.isfinite(norms).tolist()):
             keep = np.isfinite(y).all(axis=-1) & ok
             if not all(keep.tolist()):
-                rows, y, previous, delta, norms = stop(keep, delta, norms)
+                running, y, previous, delta, norms = stop(keep, delta, norms)
         if limit < math.inf:
             keep = ~(norms > limit)
             if not all(keep.tolist()):
-                rows, y, previous, delta, norms = stop(keep, delta, norms)
+                running, y, previous, delta, norms = stop(keep, delta, norms)
         size, scale = _norms(delta), np.maximum(1.0, norms)
         bound = tol * scale
         done = size < bound
         if k == 0:
-            first[rows] = size / scale
+            first[running] = size / scale
         else:
             done |= (size * size / previous < bound) & (size < 0.5 * previous)
         previous = size
         if any(done.tolist()):
-            converged[rows[done]] = True
-            rows, y, previous = stop(~done)
+            converged[running[done]] = True
+            running, y, previous = stop(~done)
     stalled = np.zeros(len(x), dtype=bool)
-    stalled[rows] = True
-    points[rows] = y
+    stalled[running] = True
+    points[running] = y
     return converged, points, first, stalled
 
 
-def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths=None):
-    """RK4 predictor from t to t - h, then the Newton corrector, per row of
-    hom, or of hom.take(paths) when paths are given.  A row is accepted
-    when _newton converges within _CORRECTOR_ITERATIONS steps at tolerance
-    _TRACK_TOL, on a step or a predicted next step.  Returns (ok, points,
-    error): a rejected row keeps its point, and error is the corrector's
-    first step relative to the point's norm, which measures the predictor's
-    local error.
+def _correct(y: np.ndarray, hom: _Homotopy, t: np.ndarray):
+    """The corrector's system for _newton: (H, dH/dx) of hom at (y, t)."""
+    return hom.evaluate(y, t, corrector=True)
+
+
+def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray):
+    """RK4 predictor from t to t - h, then the Newton corrector (_correct),
+    per row of hom.  A row is accepted when _newton converges within
+    _CORRECTOR_ITERATIONS steps at tolerance _TRACK_TOL, on a step or a
+    predicted next step.  Returns (ok, points, error): a rejected row keeps
+    its point, and error is the corrector's first step relative to the
+    point's norm, which measures the predictor's local error.
 
     Every row rides the whole step.  A row whose Jacobian is singular at a
     stage, or whose prediction is not finite, is rejected (the mask is made
     only then): it takes a zero tangent at every later stage, predicts x,
     and comes out of its corrector with ok False, point x and error inf."""
-    part = hom if paths is None else hom.take(paths)
     rejected = None
     tangents = []
     # k1 at (x, t); k2 and k3 half a step along k1 and k2; k4 along k3
@@ -438,7 +441,7 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
             y, s = x - step[:, np.newaxis] * tangents[-1], t - step
         else:
             y, s = x, t
-        jacobian, t_derivative = part.evaluate(y, s)
+        jacobian, t_derivative = hom.evaluate(y, s)
         ok, k = _solve_stack(jacobian, -t_derivative)
         if ok is not np.True_:
             rejected = ~ok if rejected is None else rejected | ~ok
@@ -447,21 +450,12 @@ def _rk4_step(hom: _Homotopy, x: np.ndarray, t: np.ndarray, h: np.ndarray, paths
         tangents.append(k)
     k1, k2, k3, k4 = tangents
     predicted = x - (h / 6.0)[:, np.newaxis] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    t_next = t - h
     finite = np.isfinite(predicted).all(axis=-1)
     if rejected is not None or not all(finite.tolist()):
         rejected = ~finite if rejected is None else rejected | ~finite
         predicted = np.where(rejected[:, np.newaxis], x, predicted)
-    taken = [None, part, t_next]
-
-    def corrector(y, r):
-        # the homotopy as taken while every row iterates, taken again when
-        # a row stops
-        if len(r) < len(t_next) and taken[0] is not r:
-            taken[:] = r, part.take(r), t_next[r]
-        return taken[1].evaluate(y, taken[2], corrector=True)
-
-    converged, corrected, first, _ = _newton(corrector, predicted, _TRACK_TOL, _CORRECTOR_ITERATIONS)
+    rows = (hom, t - h)
+    converged, corrected, first, _ = _newton(_correct, rows, predicted, _TRACK_TOL, _CORRECTOR_ITERATIONS)
     if rejected is not None:
         converged &= ~rejected
         first[rejected] = np.inf
@@ -484,9 +478,10 @@ def _track_paths(hom: _Homotopy, starts):
     geometrically to _T_STOP instead of jumping to 0.
 
     The state holds only the running paths (paths, with their x, t, h and
-    endgame norm) and their homotopy, taken again only when a path stops,
-    so an iteration in which no path stops gathers and scatters nothing.
-    A path's endpoint and endgame norm are written out when it stops.
+    endgame norm) and their homotopy, taken again (hom[paths]) only when a
+    path stops, so an iteration in which no path stops gathers and
+    scatters nothing.  A path's endpoint and endgame norm are written out
+    when it stops.
 
     Returns (statuses, endpoints), one status finite | stalled |
     at_infinity | failed and one endpoint row per start: at infinity once
@@ -516,7 +511,7 @@ def _track_paths(hom: _Homotopy, starts):
             paths, x, t, h, endgame = paths[keep], x[keep], t[keep], h[keep], endgame[keep]
             if not paths.size:
                 break
-            part = hom.take(paths)
+            part = hom[paths]
         late, step = t < _ENDGAME_T, np.minimum(h, t)
         if any(late.tolist()):  # a path's norm as it enters the endgame
             first = late & np.isnan(endgame)
@@ -547,7 +542,8 @@ def _settle(target: _Compiled, charts: np.ndarray, x: np.ndarray, endgame_norm: 
     endgame to above 100, is at infinity unpolished: the polish would pull
     a slowly diverging path onto a finite root.  The rest are polished by
     plain Newton on the chart target (_POLISH_ITERATIONS steps at tolerance
-    1e-13 within the ball of radius _DIVERGENCE_THRESHOLD).  Where it
+    1e-13 within the ball of radius _DIVERGENCE_THRESHOLD), given their
+    charts' coefficient tables gathered once.  Where it
     - converged within 0.05 max(1, |x|), the path is finite;
     - stalled within _CLUSTER_RADIUS max(1, |x|), it is stalled: Newton
       converges only linearly at a multiple root, then wanders at its noise
@@ -564,7 +560,8 @@ def _settle(target: _Compiled, charts: np.ndarray, x: np.ndarray, endgame_norm: 
     points = x.copy()
     rows = np.flatnonzero(~lost)
     converged, polished, _, stalled = _newton(
-        lambda y, r: target.value_and_jacobian(y, charts[rows[r]]),
+        target.apply,
+        (target._stack[charts[rows]],),
         x[rows],
         1e-13,
         _POLISH_ITERATIONS,
@@ -655,7 +652,7 @@ def _certify(points: np.ndarray, close: np.ndarray, filters: _Compiled, filter_p
 
     A cluster's residual is the smallest filter residual of its members,
     filters being the _unit_row forms of filter_polys (evaluated by
-    value_and_jacobian, the stacked kernel of the homotopy), so the residual
+    _Compiled.apply, the stacked kernel of the homotopy), so the residual
     does not depend on how an input polynomial is scaled; clusters where it
     reaches _FILTER_TOL are discarded.  The minimum-residual member's
     _rational_point is kept when it is an exact common zero of filter_polys,
@@ -664,7 +661,7 @@ def _certify(points: np.ndarray, close: np.ndarray, filters: _Compiled, filter_p
     most _RESIDUAL_TOL and no mismatch.
     """
     labels = _components(close)
-    values, _ = filters.value_and_jacobian(points, np.zeros(len(points), dtype=np.int64))
+    values, _ = filters.apply(points, filters._stack[0])
     residuals = np.max(np.abs(values), axis=-1)
     clusters, discarded, mismatch = [], 0, False
     for label in np.unique(labels):
@@ -803,7 +800,7 @@ def _finish(statuses, endpoints, chart, k: int, target: _Compiled, degrees, filt
     lone = (status[kept] == "stalled") & (close.sum(axis=1) == 1)
     status[kept[lone]] = "failed"
     kept, lifted, close = kept[~lone], lifted[~lone], close[~lone][:, ~lone]
-    _, jacobians = target.value_and_jacobian(endpoints[kept], np.full(len(kept), k))
+    _, jacobians = target.apply(endpoints[kept], target._stack[k])
     sigma = np.linalg.svd(jacobians, compute_uv=False)
     scale = sigma[:, 0] if len(degrees) > 1 else 1.0
     nonsingular = (status[kept] == "finite") & (sigma[:, -1] > _SIGMA_RATIO * scale)
@@ -934,8 +931,6 @@ def _random_square_subsystem(polys: Sequence[MultiPoly], count: int, rng) -> lis
     spans the same system while cutting a finite set.  Resamples weights
     up to 16 times, raising when every draw degenerates.
     """
-    from . import linalg
-
     # The combinations are summed on integer numerators over one common
     # denominator.
     values, den = clear_denominators([c for g in polys for c in g.terms.values()])

@@ -45,8 +45,9 @@ def test_basepoints_exits_1_on_a_rational_mismatch(tmp_path, capsys):
 
 
 def _rank3_draws():
-    """Three rank-3 systems in P^3 from one Random(11): per draw four
-    linear forms, then a 4 x 4 coefficient grid, entries in [-5, 5]."""
+    """Three systems in P^3 (n = 3) from one Random(11): per draw four
+    linear forms, so a rank of at most 4 (rank 4 in ROADMAP item 2's
+    table), then a 4 x 4 coefficient grid, entries in [-5, 5]."""
     rng = random.Random(11)
     for _ in range(3):
         forms = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]

@@ -41,10 +41,9 @@ def _record_evaluations(monkeypatch):
     calls = []
     evaluate = solve._Homotopy.evaluate
 
-    def recording(self, x, t, paths=None, corrector=False):
-        if paths is None:
-            calls.append((x.copy(), np.array(t), corrector))
-        return evaluate(self, x, t, paths, corrector)
+    def recording(self, x, t, corrector=False):
+        calls.append((x.copy(), np.array(t), corrector))
+        return evaluate(self, x, t, corrector)
 
     monkeypatch.setattr(solve._Homotopy, "evaluate", recording)
     return calls
@@ -67,7 +66,7 @@ def _patch_stage(monkeypatch, stage, change):
 
 def _assert_the_others_step_as_without_it(hom, x, t, h, ok, points, error):
     others = np.array([p for p in range(len(x)) if p != _REJECTED])
-    alone = solve._rk4_step(hom, x[others], t[others], h[others], others)
+    alone = solve._rk4_step(hom[others], x[others], t[others], h[others])
     assert ok[others].tolist() == alone[0].tolist() and all(alone[0].tolist())
     assert np.array_equal(points[others], alone[1]) and np.array_equal(error[others], alone[2])
 

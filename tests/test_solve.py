@@ -574,9 +574,9 @@ def _row_homotopy(hom, path, x, t):
 
 def _assert_kernel_matches_rows(hom, x, t, paths):
     charts = hom.charts[paths]
-    value, jacobian = hom.target.value_and_jacobian(x, charts)
-    stage = hom.evaluate(x, t, paths)
-    corrector = hom.evaluate(x, t, paths, corrector=True)
+    value, jacobian = hom.target.apply(x, hom.target._stack[charts])
+    stage = hom[paths].evaluate(x, t)
+    corrector = hom[paths].evaluate(x, t, corrector=True)
     for p in range(len(x)):
         want_value, want_jacobian = _row_value_and_jacobian(hom.target, charts[p], x[p])
         assert np.array_equal(value[p], want_value)
@@ -585,9 +585,9 @@ def _assert_kernel_matches_rows(hom, x, t, paths):
         assert np.array_equal(stage[0][p], dx) and np.array_equal(stage[1][p], dt)
         assert np.array_equal(corrector[0][p], h) and np.array_equal(corrector[1][p], dx)
         one = slice(p, p + 1)
-        alone = hom.target.value_and_jacobian(x[one], charts[one])
+        alone = hom.target.apply(x[one], hom.target._stack[charts[one]])
         assert np.array_equal(alone[0][0], value[p]) and np.array_equal(alone[1][0], jacobian[p])
-        alone = hom.evaluate(x[one], t[one], paths[one])
+        alone = hom[paths[one]].evaluate(x[one], t[one])
         assert np.array_equal(alone[0][0], stage[0][p]) and np.array_equal(alone[1][0], stage[1][p])
 
 
@@ -623,28 +623,29 @@ def test_stacked_kernel_matches_per_row_evaluation(nvars):
     _assert_kernel_matches_rows(hom, x, t, paths)
     # An RK4 stage whose every row was rejected evaluates an empty stack.
     for corrector in (False, True):
-        first, second = hom.evaluate(x[:0], t[:0], paths[:0], corrector)
+        first, second = hom[paths[:0]].evaluate(x[:0], t[:0], corrector)
         assert {first.shape, second.shape} == {(0, nvars, nvars), (0, nvars)}
 
 
 @pytest.mark.parametrize("nvars", [1, 4])
 def test_a_taken_homotopy_evaluates_as_its_rows(nvars):
-    """take(paths) on a mixed-chart stack: its evaluation is, bit for bit,
-    evaluate(x, t, paths), and each row's is that row's in the whole
-    homotopy; a take of a take by a mask, as a rejected RK4 stage makes,
-    is the take of the composed rows."""
+    """hom[paths] on a mixed-chart stack: its evaluation is, bit for bit,
+    that of another take of the same rows, and each row's is that row's in
+    the whole homotopy; a take of a take, as the corrector's _newton makes
+    of the running paths' homotopy when one of its rows stops, is the take
+    of the composed rows."""
     hom, x, t, paths = _random_homotopy(nvars, random.Random(20 + nvars))
-    part = hom.take(paths)
+    part = hom[paths]
     assert part.target is hom.target and part.charts.tolist() == hom.charts[paths].tolist()
     keep = np.arange(len(paths)) % 3 != 1
     order = np.argsort(paths)  # row j of the whole homotopy at the point of path j
     for corrector in (False, True):
         taken = part.evaluate(x, t, corrector=corrector)
         whole = hom.evaluate(x[order], t[order], corrector=corrector)
-        for got, via_paths, full in zip(taken, hom.evaluate(x, t, paths, corrector), whole):
+        for got, via_paths, full in zip(taken, hom[paths].evaluate(x, t, corrector), whole):
             assert np.array_equal(got, via_paths) and np.array_equal(got, full[paths])
-        again = part.take(keep).evaluate(x[keep], t[keep], corrector=corrector)
-        for got, want in zip(again, hom.evaluate(x[keep], t[keep], paths[keep], corrector)):
+        again = part[keep].evaluate(x[keep], t[keep], corrector=corrector)
+        for got, want in zip(again, hom[paths[keep]].evaluate(x[keep], t[keep], corrector)):
             assert np.array_equal(got, want)
 
 
@@ -677,9 +678,10 @@ def test_stacked_kernel_matches_per_row_evaluation_on_a_weddle_quartic_chart(mon
 
 
 def test_one_row_stack_steps_exactly_as_its_row_of_the_full_stack():
-    """Rows dropped mid-stack make the RK4 stages and the Newton loop mask
-    their stacks; a healthy row stepped alone takes the branch where every
-    row survives.  Both give each row the same floats."""
+    """Rows rejected mid-step make the RK4 stages mask their tangents, and
+    rows that stop make the Newton loop drop them from its stack; a
+    healthy row stepped alone takes the branch where every row survives.
+    Both give each row the same floats."""
     hom, _, t, paths = _random_homotopy(4, random.Random(11))
     t[:] = 1.0
     x = hom.roots[paths] ** (1.0 / hom.degrees)  # start solutions: on the paths
@@ -689,11 +691,10 @@ def test_one_row_stack_steps_exactly_as_its_row_of_the_full_stack():
     h = np.full(len(x), 1e-4)
 
     def step(rows):
-        return solve._rk4_step(hom, x[rows], t[rows], h[rows], paths[rows])
+        return solve._rk4_step(hom[paths[rows]], x[rows], t[rows], h[rows])
 
     def newton(rows):
-        corrector = lambda y, r: hom.evaluate(y, t[rows][r], paths[rows][r], corrector=True)
-        return solve._newton(corrector, x[rows], 1e-13, 4, 1e8)
+        return solve._newton(solve._correct, (hom[paths[rows]], t[rows]), x[rows], 1e-13, 4, 1e8)
 
     everything = slice(None)
     ok, stepped, error = step(everything)
@@ -724,7 +725,7 @@ def test_newton_stops_on_a_predicted_step_only_after_a_halving():
         calls.append(rows.tolist())
         return steps[rows, len(calls) - 1, np.newaxis].astype(complex), np.ones((len(rows), 1, 1))
 
-    converged, x, first, stalled = solve._newton(system, np.full((2, 1), 0.5 + 0j), 1e-10, 3)
+    converged, x, first, stalled = solve._newton(system, (np.arange(2),), np.full((2, 1), 0.5 + 0j), 1e-10, 3)
     assert calls == [[0, 1], [0, 1], [1]]
     assert converged.tolist() == [True, False]
     assert stalled.tolist() == [False, True]

@@ -269,23 +269,24 @@ def test_predicted_convergence_cuts_the_homotopy_evaluations(monkeypatch):
 
 
 def test_each_lockstep_iteration_gathers_its_rows_once(monkeypatch):
-    """Homotopy takes of the same four solves: each gathers the coefficient
-    tables, roots and gamma of its rows once.  _rk4_step takes its rows
-    once (112), again where a stage rejects a row or a prediction is not
-    finite, and the corrector again for each iteration after a row stops:
-    189 in all.  When every evaluation gathered its rows, the 747
-    evaluations above made 747 gathers."""
-    assert _count_calls(monkeypatch, solve._Homotopy, "take") <= 189
+    """Homotopy takes (hom[paths]) of the same four solves: each gathers the
+    coefficient tables, roots and gamma of its rows once.  When every
+    evaluation gathered its rows, the 747 evaluations above made 747
+    gathers; taking the running rows once per lockstep iteration (112),
+    again where an RK4 stage rejected a row, and again in the corrector
+    for each iteration after a row stopped made 189."""
+    assert _count_calls(monkeypatch, solve._Homotopy, "__getitem__") <= 189
 
 
 def test_the_running_paths_are_taken_once_per_change_of_the_running_set(monkeypatch):
     """Homotopy takes of the same four solves when _track_paths keeps its
-    running paths' homotopy from one iteration to the next: taken again
-    only when a path stops, by an RK4 stage that rejects a row or a
-    prediction that is not finite, and by the corrector once per change
-    of its iterating rows: 98, against 189 above when _rk4_step took its
-    rows at every iteration."""
-    assert _count_calls(monkeypatch, solve._Homotopy, "take") <= 98
+    running paths' homotopy from one iteration to the next: taken again by
+    _track_paths only when a path stops (22), and by the corrector's
+    _newton once before the first evaluation after one of its rows stops
+    (76); an RK4 stage that rejects a row takes nothing, since the row
+    rides to the end of its step.  98, against 189 above when the running
+    rows were taken at every iteration."""
+    assert _count_calls(monkeypatch, solve._Homotopy, "__getitem__") <= 98
 
 
 @pytest.mark.parametrize("factor",[Fraction(2**20), Fraction(1, 2**20)])
@@ -399,11 +400,13 @@ def _newton_rows_alone(steps, singular, x):
     system), with the number of calls each row's own run made."""
     whole, calls = _scripted_system(steps, singular)
     ids = np.arange(len(x))
-    stacked = solve._newton(lambda y, rows: whole(y, rows, ids), x, 1e-10, steps.shape[1])
+    stacked = solve._newton(lambda y, rows: whole(y, rows, ids), (ids,), x, 1e-10, steps.shape[1])
     alone = []
     for p in range(len(x)):
         single, single_calls = _scripted_system(steps, singular)
-        result = solve._newton(lambda y, rows: single(y, rows, np.array([p])), x[p : p + 1], 1e-10, steps.shape[1])
+        result = solve._newton(
+            lambda y, rows: single(y, rows, np.array([p])), (np.arange(1),), x[p : p + 1], 1e-10, steps.shape[1]
+        )
         alone.append((result, len(single_calls)))
     return stacked, calls, alone
 
@@ -442,8 +445,55 @@ def test_newton_rows_that_stop_at_different_iterations_match_each_row_alone():
     _assert_rows_as_alone(stacked, alone)
     # the singular row keeps its point of iteration 1
     single, _ = _scripted_system(steps)
-    _, once, _, _ = solve._newton(lambda y, rows: single(y, rows, np.array([3])), x[3:4], 1e-10, 1)
+    _, once, _, _ = solve._newton(
+        lambda y, rows: single(y, rows, np.array([3])), (np.arange(1),), x[3:4], 1e-10, 1
+    )
     assert np.array_equal(points[3], once[0])
+
+
+class _IndexLog:
+    """A rows entry for _newton that logs the rows it is indexed by."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __getitem__(self, rows):
+        self.log.append(rows.tolist())
+        return self
+
+
+@pytest.mark.parametrize(
+    "steps, singular, indexed",
+    [
+        # the rows of the test above: indexed once after row 0 stops, and
+        # once after rows 1 and 3 stop at the same iteration
+        (
+            np.array([
+                [1e-12, 0, 0], [1e-3, 1e-7, 0], [1e-2, 1e-3, 1e-12], [1e-2, 1e-3, 0], [1.5e-10, 1.2e-10, 1.1e-10]
+            ]),
+            {(3, 1)},
+            [[1, 2, 3, 4], [2, 4]],
+        ),
+        # row 0 stops at the first iteration: indexed once, not at each
+        # later iteration
+        (np.array([[1e-12, 0, 0], [3e-3, 2e-3, 1.5e-3]]), (), [[1]]),
+        # every row converges at the first iteration: none is left to evaluate
+        (np.array([[1e-12, 0, 0]] * 3), (), []),
+        # row 0 stops only at the last iteration, and row 1 runs to the
+        # end: no evaluation follows
+        (np.array([[1e-2, 1e-3, 1e-12], [3e-3, 2e-3, 1.5e-3]]), (), []),
+    ],
+)
+def test_newton_indexes_its_rows_only_before_an_evaluation_after_a_row_stops(steps, singular, indexed):
+    """_newton indexes each entry of its rows by the rows still iterating
+    once per change of the rows it evaluates, before the first evaluation
+    after a row stops, and never when no evaluation follows."""
+    system, calls = _scripted_system(steps, singular)
+    ids, log = np.arange(len(steps)), []
+    x = np.array([[1, 1j], [2, 0.5], [-1j, 3], [1 + 1j, 1 - 1j], [0.25, 0.5]])[: len(steps)]
+    solve._newton(lambda y, rows, _: system(y, rows, ids), (ids, _IndexLog(log)), x, 1e-10, steps.shape[1])
+    changes = [rows for rows, before in zip(calls[1:], calls) if rows != before]
+    assert log == indexed == changes
 
 
 # ---- chart 2 only on demand ----
