@@ -22,8 +22,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import cubic, fixtures, loci, solve, tensor
-from .polycore import MultiPoly
-from .tensor import Tensor3
 
 class InputError(ValueError):
     """Bad command-line input (unknown fixture, malformed file)."""
@@ -56,23 +54,11 @@ def _resolve_input(source: str):
     return {"source": described, "sha256": digest}, kind, obj
 
 
-def _as_tensor(kind: str, obj) -> Tensor3:
-    if kind == "tensor":
-        return obj
-    return fixtures.as_system(kind, obj).to_tensor()
-
-
-def _as_poly(kind: str, obj) -> MultiPoly:
-    if kind != "poly":
-        raise InputError(f"a polynomial input is required, got a {kind} input")
-    return obj
-
-
 # ---- command implementations ----
 
 def _cmd_decompose(args):
     inputs, kind, obj = _resolve_input(args.input)
-    t = _as_tensor(kind, obj)
+    t = fixtures.as_tensor(kind, obj)
     sym, n1, n2, skew = tensor.decompose(t)
     resum = (sym + n1 + n2 + skew) == t
     memberships = {
@@ -140,7 +126,7 @@ def _cmd_basepoints(args):
 
 def _cmd_singular(args):
     inputs, kind, obj = _resolve_input(args.input)
-    poly = _as_poly(kind, obj)
+    poly = fixtures.as_poly(kind, obj)
     result = solve.singular_points(poly, solve.SolveConfig(seed=args.seed))
     outputs = {"count": result.count(), "solution_set": result.to_json()}
     lines = [f"singular points found: {result.count()} (certified: {result.certified})"]
@@ -150,14 +136,13 @@ def _cmd_singular(args):
 
 def _cmd_jinv(args):
     inputs, kind, obj = _resolve_input(args.input)
-    poly = _as_poly(kind, obj)
+    poly = fixtures.as_poly(kind, obj)
     reduction = cubic.weierstrass_reduce(poly)
-    j_value = cubic.j_from_reduction(reduction).value
     flex = reduction.flex
     outputs = {
         "a": str(reduction.a),
         "b": str(reduction.b),
-        "j": str(j_value),
+        "j": str(reduction.j),
         "exact": reduction.exact,
         "flex": None if flex is None else [str(c) for c in flex],
         "residual": 0.0,
@@ -170,7 +155,7 @@ def _cmd_jinv(args):
         )
     else:
         lines.append(f"flex used: {list(flex)}")
-    lines.append(f"j-invariant: {j_value}")
+    lines.append(f"j-invariant: {reduction.j}")
     return inputs, outputs, True, lines
 
 

@@ -1,15 +1,16 @@
-"""Plane-cubic analytics: Hessians, rational flexes, the short Weierstrass
-pair and the j-invariant.
+"""Plane-cubic analytics: Hessians, rational flexes, and the short
+Weierstrass pair with its j-invariant (weierstrass_reduce, the one route
+to both).
 
 There is one exact route, with no numeric solve and no change of frame.
 The Hessian of the Hessian of a ternary cubic F lies in the pencil spanned
 by F and H = He F (Dolgachev, Classical Algebraic Geometry, ch. 3), and so
 does the Hessian of F + H.  Their coordinates in that pencil determine the
 Aronhold invariants, and with them the short Weierstrass pair (a, b) of the
-Jacobian of F (Artin, Rodriguez-Villegas and Tate, Adv. Math. 198, 2005).
-When F has a rational point the Jacobian is F itself over the rationals;
-otherwise (a, b) models the Jacobian only.  A small rational flex is
-searched for only to report it.
+Jacobian of F (Artin, Rodriguez-Villegas and Tate, Adv. Math. 198, 2005),
+and j = 6912 a^3 / (4a^3 + 27b^2).  When F has a rational point the
+Jacobian is F itself over the rationals; otherwise (a, b) models the
+Jacobian only.  A small rational flex is searched for only to report it.
 """
 
 from __future__ import annotations
@@ -24,25 +25,6 @@ from typing import ClassVar, Optional, Sequence
 
 from . import linalg
 from .polycore import MultiPoly, PolyMatrix, Rat, as_point, as_rat, clear_denominators, primitive_vector
-
-
-@dataclass(frozen=True)
-class ShortWeierstrass:
-    """The curve y^2 = x^3 + a*x + b with rational coefficients."""
-
-    a: Rat
-    b: Rat
-
-    def discriminant_quantity(self) -> Rat:
-        return 4 * self.a**3 + 27 * self.b**2
-
-
-def j_short(w: ShortWeierstrass) -> Rat:
-    """j = 256 * 27 a^3 / (4 a^3 + 27 b^2), exact."""
-    denom = w.discriminant_quantity()
-    if denom == 0:
-        raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
-    return Fraction(6912) * as_rat(w.a) ** 3 / denom
 
 
 def hessian(f: MultiPoly) -> PolyMatrix:
@@ -250,38 +232,24 @@ def _reduced(num: int, den: int) -> tuple:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """An exact short Weierstrass pair of a plane cubic's Jacobian, and the
-    first rational flex up to _FLEX_HEIGHT, or None when there is none."""
+    """An exact short Weierstrass pair of a plane cubic's Jacobian, its
+    j-invariant, and the first rational flex up to _FLEX_HEIGHT, or None
+    when there is none."""
 
     a: Rat
     b: Rat
+    j: Rat
     flex: Optional[tuple]
     exact: ClassVar[bool] = True
-
-    def short(self) -> ShortWeierstrass:
-        return ShortWeierstrass(self.a, self.b)
-
-
-@dataclass(frozen=True)
-class JInvariant:
-    value: Rat
 
 
 def weierstrass_reduce(f: MultiPoly) -> ReductionResult:
     """Short Weierstrass form of a nonsingular plane cubic: the
     height-minimal pair (canonicalize_pair) in the orbit of invariants(f),
     which is a model of f over the rationals when f has a rational point
-    and of its Jacobian otherwise.  The rational flex is reported only."""
-    a, b, _ = invariants(f)
+    and of its Jacobian otherwise, with j = 6912 a^3 / (4a^3 + 27b^2),
+    the same on the whole orbit.  The rational flex is reported only."""
+    a, b, discriminant = invariants(f)
+    j = 6912 * a**3 / discriminant
     a, b = canonicalize_pair(a, b)
-    return ReductionResult(a=a, b=b, flex=find_rational_flex(f))
-
-
-def j_invariant(f: MultiPoly) -> JInvariant:
-    """The exact j-invariant of a nonsingular plane cubic."""
-    return j_from_reduction(weierstrass_reduce(f))
-
-
-def j_from_reduction(result: ReductionResult) -> JInvariant:
-    """The exact j-invariant of a Weierstrass reduction."""
-    return JInvariant(value=j_short(result.short()))
+    return ReductionResult(a=a, b=b, j=j, flex=find_rational_flex(f))

@@ -2,8 +2,10 @@
 
 Each fixture is a data file shipped with the package: quadric systems,
 tensors, point lists, a 4x4 coefficient matrix, and polynomial text files.
-`parse` reads any payload and names its kind; `system(name)` coerces a
-fixture to a linear system of quadrics through `as_system`, as the CLI does.
+`parse` reads any payload and names its kind, and `as_system`, `as_tensor`
+and `as_poly` coerce a parsed (kind, object) pair to what a command needs:
+the one input-coercion path, for the CLI's files and for `system(name)` and
+`poly(name)`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import json
 import os
 from importlib import resources
 
-from .loci import LinearSystem, rank5_canonical_system, system_through_points
+from . import loci
+from .loci import LinearSystem, rank5_canonical_system
 from .polycore import MultiPoly, as_int, as_matrix, parse_poly
 from .tensor import Tensor3
 
@@ -95,8 +98,23 @@ def as_system(kind_name: str, obj) -> LinearSystem:
         return rank5_canonical_system(obj)
     if kind_name == "points":
         n, points = obj
-        return system_through_points(points, n)
+        return loci.system_through_points(points, n)
     raise ValueError(f"a quadric system is required, got a {kind_name} input")
+
+
+def as_tensor(kind_name: str, obj) -> Tensor3:
+    """Coerce a loaded object of the given kind to a tensor (any other kind
+    through its linear system of quadrics)."""
+    if kind_name == "tensor":
+        return obj
+    return as_system(kind_name, obj).to_tensor()
+
+
+def as_poly(kind_name: str, obj) -> MultiPoly:
+    """The loaded object, which must be a polynomial."""
+    if kind_name != "poly":
+        raise ValueError(f"a polynomial input is required, got a {kind_name} input")
+    return obj
 
 
 def system(name: str) -> LinearSystem:
@@ -105,10 +123,8 @@ def system(name: str) -> LinearSystem:
 
 
 def poly(name: str) -> MultiPoly:
-    kind_name, obj = _parsed(name)
-    if kind_name != "poly":
-        raise ValueError(f"fixture {name!r} is not a polynomial")
-    return obj
+    """The fixture as a polynomial."""
+    return as_poly(*_parsed(name))
 
 
 def canonical_json(data: dict) -> str:

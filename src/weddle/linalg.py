@@ -33,11 +33,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def to_matrix(rows: Sequence[Sequence]) -> list:
-    """The rows as a list of lists of Fractions, coerced by as_matrix."""
-    return [list(row) for row in as_matrix(rows)]
-
-
 def identity(n: int) -> list:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
@@ -45,7 +40,7 @@ def identity(n: int) -> list:
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
     """Each row by clear_denominators; returns (rows, product of the row
     lcms).  A matrix of ints and Fractions is taken as it stands; any other
-    is coerced by as_matrix first, as by `to_matrix`."""
+    is coerced by polycore.as_matrix first."""
     if not all(type(x) is int or type(x) is Fraction for row in rows for x in row):
         rows = as_matrix(rows)
     m = []

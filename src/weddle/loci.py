@@ -19,10 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from . import linalg, solve, tensor
-from .polycore import (
-    MultiPoly, PolyMatrix, as_int, as_matrix, as_point, clear_denominators, divides, linear_form,
-)
+from . import linalg, polycore, solve, tensor
+from .polycore import MultiPoly, PolyMatrix, as_int, as_matrix, as_point, clear_denominators, divides
 
 
 # ---- quadrics as matrices and polynomials ----
@@ -143,7 +141,8 @@ class WeddleData:
 def contraction_matrix(system: LinearSystem) -> PolyMatrix:
     """Entry (i, k) is sum_j x_j T_{ijk}: the tensor contracted with x."""
     nv = system.n + 1
-    return PolyMatrix(nv, [[linear_form(nv, system.quadrics[k][i]) for k in range(nv)] for i in range(nv)])
+    rows = [[polycore.linear_form(nv, system.quadrics[k][i]) for k in range(nv)] for i in range(nv)]
+    return PolyMatrix(nv, rows)
 
 
 def gradient_matrix(system: LinearSystem) -> PolyMatrix:
@@ -264,7 +263,6 @@ def recombine(system: LinearSystem, matrix: Sequence[Sequence]) -> LinearSystem:
 
 @dataclass(frozen=True)
 class Rank5Data:
-    matrix: tuple
     det: Fraction
     mu: tuple
 
@@ -275,7 +273,7 @@ def mu_invariants(matrix: Sequence[Sequence]) -> Rank5Data:
     m = as_matrix(matrix, 4, 4, "rank-5 matrix")
     ones = (Fraction(1),) * 4
     mu = tuple(linalg.det(m[:s] + (ones,) + m[s + 1:]) for s in range(4))
-    return Rank5Data(matrix=m, det=linalg.det(m), mu=mu)
+    return Rank5Data(det=linalg.det(m), mu=mu)
 
 
 def rank5_canonical_system(matrix: Sequence[Sequence]) -> LinearSystem:
@@ -295,7 +293,7 @@ def rank5_det_quartic(matrix: Sequence[Sequence]) -> MultiPoly:
     m = as_matrix(matrix, 4, 4, "rank-5 matrix")
     # Entry (i, k) is one linear form: 1 + M_ik on x_i and 1 elsewhere.
     entries = [
-        [linear_form(4, [1 + m[i][k] if j == i else 1 for j in range(4)]) for k in range(4)]
+        [polycore.linear_form(4, [1 + m[i][k] if j == i else 1 for j in range(4)]) for k in range(4)]
         for i in range(4)
     ]
     return PolyMatrix(4, entries).det()
@@ -340,7 +338,7 @@ def splits_into_hyperplanes(poly: MultiPoly, singular_points: Sequence[Sequence]
         vectors = linalg.nullspace(subset, ncols=nv)
         if len(vectors) != 1:
             continue
-        form = linear_form(nv, vectors[0]).primitive_normalized()
+        form = polycore.linear_form(nv, vectors[0]).primitive_normalized()
         if form not in seen:
             seen.add(form)
             candidates.append(form)

@@ -253,32 +253,33 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0])
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
+_singular: list = []  # the solver's floating-point error signals, until _solve_stack clears them
+
+
+def _record_singular(err, flag):
+    _singular.append(flag)
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray):
     """Solve a[i] @ y[i] = b[i] for every row of a complex stack.
 
     One call of the gufunc behind np.linalg.solve, under the errstate that
-    np.linalg.solve sets, so the floats are its floats without its argument
-    checks.  Returns (ok, y), ok being np.True_ when every row is solved
-    (callers test it by identity).  A stacked LAPACK call raises when any
-    matrix in it is singular; then every row is solved on its own, ok is a
-    mask, and only the rows that raise are not ok (their y is zero).
+    np.linalg.solve sets but with a callback that records its signal
+    instead of raising, so each row's floats are those np.linalg.solve
+    gives that row alone, without its argument checks.  Returns (ok, y), ok
+    being np.True_ when no matrix in the stack is singular (callers test it
+    by identity).  Otherwise the gufunc has written NaN over exactly the
+    rows it could not solve: ok masks them out and their y is zero.  A row
+    whose solution overflows to inf is solved, and ok.
     """
-    try:
-        with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-            return np.True_, _umath_linalg.solve(a, b[..., np.newaxis], signature="DD->D")[..., 0]
-    except np.linalg.LinAlgError:
-        ok = np.ones(len(a), dtype=bool)
-        y = np.zeros_like(b)
-        for i in range(len(a)):
-            try:
-                y[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return ok, y
+    with np.errstate(call=_record_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        y = _umath_linalg.solve(a, b[..., np.newaxis], signature="DD->D")[..., 0]
+    if not _singular:
+        return np.True_, y
+    _singular.clear()
+    ok = ~np.isnan(y).any(axis=-1)
+    y[~ok] = 0.0
+    return ok, y
 
 
 class _Homotopy:

@@ -16,7 +16,6 @@ from conftest import ACCEPTANCE_LINES
 from weddle import cubic, fixtures, loci, solve, tensor
 from weddle.loci import LinearSystem
 from weddle.polycore import MultiPoly, parse_poly
-from weddle.solve import SolveConfig
 from weddle.tensor import SymmetryClass
 
 
@@ -164,15 +163,15 @@ def test_criterion_06_j_invariant_witnesses():
         r1 = cubic.weierstrass_reduce(fixtures.poly("witness-C1"))
         assert r1.exact
         assert (r1.a, r1.b) == (Fraction(-121, 48), Fraction(845, 864))
-        assert cubic.j_short(r1.short()) == Fraction(1771561, 612)
+        assert r1.j == Fraction(1771561, 612)
 
         r2 = cubic.weierstrass_reduce(fixtures.poly("witness-C2"))
         assert r2.exact
         assert (r2.a, r2.b) == (Fraction(-1633, 48), Fraction(61201, 864))
-        assert cubic.j_short(r2.short()) == Fraction(4354703137, 352512)
+        assert r2.j == Fraction(4354703137, 352512)
 
-        assert cubic.j_invariant(fixtures.poly("witness-C1")).value == Fraction(1771561, 612)
-        assert cubic.j_invariant(fixtures.poly("witness-C2")).value == Fraction(
+        assert cubic.weierstrass_reduce(fixtures.poly("witness-C1")).j == Fraction(1771561, 612)
+        assert cubic.weierstrass_reduce(fixtures.poly("witness-C2")).j == Fraction(
             4354703137, 352512
         )
 
@@ -234,24 +233,14 @@ def test_criterion_09_jacobsthal_base_point_counts():
         report = []
         for dim in (2, 3, 4, 5):
             expected = solve.jacobsthal(dim)
-            master = random.Random(900 + dim)
             certified = 0
             uncertified = 0
-            for _ in range(trials):
-                trial_seed = master.randrange(2**30)
-                try:
-                    _, system, _ = loci.sample_general_cyclic(dim, rng=master)
-                    result = solve.base_points(system, SolveConfig(seed=trial_seed))
-                except (ValueError, RuntimeError):
-                    uncertified += 1
-                    continue
-                if not result.certified:
+            for _, _, _, count, _ in loci.sweep_trials([dim], trials, 900 + dim):
+                if count is None:
                     uncertified += 1
                     continue
                 certified += 1
-                assert result.count() == expected, (
-                    f"dim {dim}: certified count {result.count()} != J = {expected}"
-                )
+                assert count == expected, f"dim {dim}: certified count {count} != J = {expected}"
             report.append(f"dim {dim}: {certified} certified / {uncertified} excluded")
             assert certified >= 0.8 * trials, "; ".join(report)
         print("; ".join(report))

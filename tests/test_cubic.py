@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weddle import cubic, fixtures, linalg, solve
-from weddle.cubic import ShortWeierstrass
 from weddle.polycore import (
     MultiPoly,
     clear_denominators,
@@ -24,20 +23,6 @@ C1_PAIR = (Fraction(-121, 48), Fraction(845, 864))
 C2_PAIR = (Fraction(-1633, 48), Fraction(61201, 864))
 C1_J = Fraction(1771561, 612)
 C2_J = Fraction(4354703137, 352512)
-
-
-# ---- the short-form invariant ----
-
-def test_j_of_distinguished_short_forms():
-    assert cubic.j_short(ShortWeierstrass(Fraction(1), Fraction(0))) == 1728
-    assert cubic.j_short(ShortWeierstrass(Fraction(0), Fraction(1))) == 0
-    with pytest.raises(ValueError):
-        cubic.j_short(ShortWeierstrass(Fraction(-3), Fraction(2)))  # 4a^3+27b^2 = 0
-
-
-def test_discriminant_quantity_vanishes_only_on_singular_pairs():
-    assert ShortWeierstrass(Fraction(-3), Fraction(2)).discriminant_quantity() == 0
-    assert ShortWeierstrass(Fraction(1), Fraction(1)).discriminant_quantity() != 0
 
 
 # ---- flexes ----
@@ -167,12 +152,12 @@ def test_exact_reduction_of_the_witness_cubics():
     assert r1.exact
     assert (r1.a, r1.b) == C1_PAIR
     assert r1.flex == (0, 1, -1)
-    assert cubic.j_short(r1.short()) == C1_J
+    assert r1.j == C1_J
 
     r2 = cubic.weierstrass_reduce(fixtures.poly("witness-C2"))
     assert r2.exact
     assert (r2.a, r2.b) == C2_PAIR
-    assert cubic.j_short(r2.short()) == C2_J
+    assert r2.j == C2_J
 
 
 def test_short_form_cubics_reduce_to_their_own_pairs():
@@ -181,7 +166,7 @@ def test_short_form_cubics_reduce_to_their_own_pairs():
     assert r.exact
     assert (r.a, r.b) == (1, 0)
     assert r.flex == (0, 1, 0)
-    assert cubic.j_short(r.short()) == 1728
+    assert r.j == 1728
 
 
 def test_fermat_and_diagonal_cubics_have_exact_j_zero():
@@ -189,7 +174,7 @@ def test_fermat_and_diagonal_cubics_have_exact_j_zero():
     r = cubic.weierstrass_reduce(fermat)
     assert r.exact
     assert (r.a, r.b) == (0, Fraction(-27, 4))
-    assert cubic.j_invariant(fermat).value == 0
+    assert r.j == 0
 
     # x0^3 + 2 x1^3 + 3 x2^3 has j = 0 too, but no rational flex at all
     diagonal = parse_poly("x0^3 + 2*x1^3 + 3*x2^3")
@@ -198,7 +183,7 @@ def test_fermat_and_diagonal_cubics_have_exact_j_zero():
     assert r.exact
     assert r.flex is None
     assert r.a == 0
-    assert cubic.j_invariant(diagonal).value == 0
+    assert r.j == 0
 
 
 def test_a_cubic_whose_flex_lies_beyond_the_search_height_reduces_exactly():
@@ -211,7 +196,7 @@ def test_a_cubic_whose_flex_lies_beyond_the_search_height_reduces_exactly():
     assert r.exact
     assert r.flex is None
     assert (r.a, r.b) == (1, 0)
-    assert cubic.j_invariant(f).value == 1728
+    assert r.j == 1728
 
 
 def test_a_sheared_short_form_reduces_exactly_without_a_flex_in_range():
@@ -226,7 +211,7 @@ def test_a_sheared_short_form_reduces_exactly_without_a_flex_in_range():
     assert r.exact
     assert r.flex is None
     assert (r.a, r.b) == (1, 0)
-    assert cubic.j_invariant(g).value == 1728
+    assert r.j == 1728
 
 
 def test_pair_canonicalization_collapses_the_scaling_orbit():
@@ -284,7 +269,7 @@ def test_j_is_invariant_under_rational_changes_of_coordinates():
                 continue
             attempts += 1
             g = f.compose([linear_form(3, row) for row in matrix])
-            assert cubic.j_invariant(g).value == expected
+            assert cubic.weierstrass_reduce(g).j == expected
 
 
 def _short_form(a, b):
@@ -308,7 +293,7 @@ def test_invariants_of_a_rational_image_of_a_short_form(a, b, matrix, scale):
     # same curve over Q, not a quadratic twist with the same j.
     u = scale * det
     assert cubic.invariants(g) == (u**4 * a, u**6 * b, u**12 * (4 * a**3 + 27 * b**2))
-    assert cubic.j_invariant(g).value == cubic.j_short(ShortWeierstrass(a, b))
+    assert cubic.weierstrass_reduce(g).j == 6912 * a**3 / (4 * a**3 + 27 * b**2)
 
 
 def test_singular_points_are_not_flexes():

@@ -1,8 +1,13 @@
-"""Layering: the exact layer does not depend on the numeric solver.
+"""Layering: the exact layer does not depend on the numeric solver, and
+every call the benchmark tracer measures goes through its module.
 
 polycore, linalg, tensor and cubic are exact algebra over the rationals.
 weddle.solve is the numpy homotopy layer built on top of them, so none of
 them may import it, at module level or inside a function.
+
+perfbench/tracing.py measures a function by replacing it on its module, so
+a name another module bound with ``from .mod import name`` still calls the
+original, unmeasured.  No module but the package's __init__ may bind one.
 """
 
 import ast
@@ -10,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weddle"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "weddle"
 
 
 def imported_modules(path: Path) -> set:
@@ -48,3 +54,38 @@ def test_imported_modules_resolves_relative_and_absolute_imports(tmp_path):
 @pytest.mark.parametrize("module", ["polycore", "linalg", "tensor", "cubic"])
 def test_the_exact_layer_does_not_import_the_solver(module):
     assert "weddle.solve" not in imported_modules(PACKAGE / f"{module}.py")
+
+
+def traced_names() -> set:
+    """The (module, attribute) pairs perfbench/tracing.py lists in SPANNED
+    and COUNTED, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    pairs = set()
+    for node in tree.body:
+        names = {t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)}
+        if names & {"SPANNED", "COUNTED"}:
+            pairs.update(entry[:2] for entry in ast.literal_eval(node.value))
+    return pairs
+
+
+def traced_bindings(path: Path, traced: set) -> list:
+    """Each traced function a source file binds with a from-import of a
+    weddle module, as module.name."""
+    bound = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module if node.level else node.module.removeprefix("weddle.")
+            bound += [f"{module}.{a.name}" for a in node.names if (module, a.name) in traced]
+    return bound
+
+
+def test_traced_names_are_read_from_the_tracer():
+    traced = traced_names()
+    assert {("polycore", "linear_form"), ("loci", "system_through_points"), ("fixtures", "load")} <= traced
+    assert ("polycore", "PolyMatrix.det") in traced
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.stem)
+def test_no_module_binds_a_traced_function_by_name(path):
+    assert traced_bindings(path, traced_names()) == []

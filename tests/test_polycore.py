@@ -1008,7 +1008,6 @@ def _string_row_calls():
         ("extend", lambda: tensor.extend(t, ["000", "000"])),
         ("is_flex", lambda: cubic.is_flex(fixtures.poly("witness-C1"), "101")),
         ("projectively_equal", lambda: projectively_equal("123", [1, 2, 3])),
-        ("to_matrix", lambda: linalg.to_matrix(["12", "34"])),
         ("rref", lambda: linalg.rref(["12", "34"])),
         ("rank", lambda: linalg.rank(["12", "34"])),
         ("nullspace", lambda: linalg.nullspace(["12", "34"])),

@@ -621,7 +621,9 @@ def test_stacked_kernel_matches_per_row_evaluation(nvars):
     hom, x, t, paths = _random_homotopy(nvars, random.Random(nvars))
     assert sorted(hom.charts.tolist()) == [0] * 6 + [1] * 6
     _assert_kernel_matches_rows(hom, x, t, paths)
-    # An RK4 stage whose every row was rejected evaluates an empty stack.
+    # A take of no rows evaluates to empty stacks.  No tracker call makes one;
+    # in a solve, only _finish with no kept endpoint applies the target to an
+    # empty stack.
     for corrector in (False, True):
         first, second = hom[paths[:0]].evaluate(x[:0], t[:0], corrector)
         assert {first.shape, second.shape} == {(0, nvars, nvars), (0, nvars)}

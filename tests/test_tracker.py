@@ -613,6 +613,21 @@ def test_a_stack_of_singular_matrices_rejects_every_row():
     assert y.shape == b.shape and not y.any()
 
 
+def test_a_solution_that_overflows_is_solved_next_to_a_singular_row():
+    """Only a singular row is not ok: a row whose solution overflows to inf
+    is solved as it is alone, in a stack where the singular row makes ok a
+    mask."""
+    a = np.array([[[1e-300, 0], [0, 1]], [[1, 2], [2, 4]], [[2, 1], [1, 3]]], dtype=complex)
+    b = np.array([[1e300, 1], [1, 1], [1, 2]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a[1], b[1])
+    ok, y = solve._solve_stack(a, b)
+    assert ok.tolist() == [True, False, True]
+    assert np.isinf(y[0]).any() and not y[1].any()
+    for i in (0, 2):
+        assert np.array_equal(y[i], np.linalg.solve(a[i], b[i]))
+
+
 def test_nonsingular_stack_matches_row_by_row_solves():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
